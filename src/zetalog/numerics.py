@@ -1,15 +1,14 @@
 """High-precision evaluation and cross-checking of the Lz integrals.
 
-Two independent numeric routes are provided.  The series route sums
-Lz(a,b) = ((-1)^(a+b-1)/b!) * sum_{n>=b} S_n^(b)/n^a, where S_n^(b) runs
-over compositions of n into b positive parts; the head of the sum is
-taken literally and the tail is corrected by Euler-Maclaurin using the
-smooth continuation S(x) = (b!/x) * e_{b-1}(1, 1/2, ..., 1/(x-1)), the
-elementary symmetric function rebuilt from power sums (digamma and
-Hurwitz zeta).  The quadrature route integrates the defining integral
-directly with a double-exponential (tanh-sinh) rule whose nodes carry
-full-precision values of t, 1-t and both logarithms, so the endpoint
-log singularities cost nothing.
+Two independent numeric routes are provided.  The series route splits the
+defining integral at t = 1/2 and expands each half as a power series whose
+coefficients are composition sums S_n^(k) (sums over compositions of n into
+k positive parts of prod 1/m_j); every term is positive and falls like
+2^-n, and the sum is cut where an explicit majorant of the tail is below
+10^-(working digits) of the partial sum.  The quadrature route integrates
+the defining integral directly with a double-exponential (tanh-sinh) rule
+whose nodes carry full-precision values of t, 1-t and both logarithms, so
+the endpoint log singularities cost nothing.
 
 zeta_value is an in-house Euler-Maclaurin evaluation with an explicit
 remainder bound; pi comes from the float library's certified constant.
@@ -36,7 +35,6 @@ __all__ = [
     "zeta_value",
     "STable",
     "build_s_table",
-    "series_orientation_sum",
     "lz_series",
     "lz_quadrature",
     "raw_lz_quadrature",
@@ -46,9 +44,7 @@ __all__ = [
 ]
 
 QUADRATURE_MAX_LEVEL = 12
-SERIES_HEAD_START = 128
-SERIES_HEAD_CAP = 4096
-_JET_ORDER = 85
+SERIES_MAX_TERMS = 2000
 
 
 class PrecisionBudgetError(RuntimeError):
@@ -63,7 +59,7 @@ def _frac(q: Fraction) -> mpf:
 # zeta at integer arguments, Euler-Maclaurin with a rigorous tail bound
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)
 def _zeta_cached(s: int, wdps: int) -> mpf:
     with workdps(wdps):
         k = max(16, wdps)
@@ -124,10 +120,6 @@ class STable:
         return self.rows[k][n]
 
 
-_STABLE_LOCK = threading.Lock()
-_STABLE_CACHE: dict[tuple, STable] = {}
-
-
 def _build_exact(b_max: int, n_max: int) -> STable:
     # convolution on the last part: S_n^(k) = sum_m (1/m) S_{n-m}^(k-1)
     zero = Fraction(0)
@@ -160,23 +152,16 @@ def _build_float(b_max: int, n_max: int, wdps: int) -> STable:
     return STable(b_max, n_max, False, tuple(tuple(r) if r else () for r in rows))
 
 
+@lru_cache(maxsize=16)
 def build_s_table(b_max: int, n_max: int, precision: Optional[int] = None) -> STable:
     """S table up to order b_max and index n_max; exact when precision is None."""
     if b_max < 1:
         raise ValueError(f"b_max must be >= 1, got {b_max}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    key = (b_max, n_max, None if precision is None else precision + 10)
-    with _STABLE_LOCK:
-        hit = _STABLE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    table = _build_exact(b_max, n_max) if precision is None else _build_float(
-        b_max, n_max, precision + 10
-    )
-    with _STABLE_LOCK:
-        _STABLE_CACHE[key] = table
-    return table
+    if precision is None:
+        return _build_exact(b_max, n_max)
+    return _build_float(b_max, n_max, precision + 10)
 
 
 # ---------------------------------------------------------------------------
@@ -315,207 +300,77 @@ def lz_quadrature(a: int, b: int, precision: int) -> mpf:
 
 
 # ---------------------------------------------------------------------------
-# series route with Euler-Maclaurin tail
+# series route: the integral split at t = 1/2 into two positive series
 
 
-_SPECIAL_LOCK = threading.Lock()
-_SPECIAL_CACHE: dict[tuple, mpf] = {}
+def _log2_powers(k: int) -> list:
+    """log(2)^m / m! for m = 0..k."""
+    c = [mp.one]
+    for m in range(1, k + 1):
+        c.append(c[-1] * mp.ln2 / m)
+    return c
 
 
-def _hurwitz(s: int, x) -> mpf:
-    key = ("hz", s, x, mp.prec)
-    with _SPECIAL_LOCK:
-        hit = _SPECIAL_CACHE.get(key)
-    if hit is None:
-        hit = mp.zeta(s, x) if x is not None else mp.zeta(s)
-        with _SPECIAL_LOCK:
-            _SPECIAL_CACHE[key] = hit
-    return hit
+def _half_moment(c: list, k: int, n: int) -> mpf:
+    """(1/k!) |integral over (0,1/2) of log^k(t) t^(n-1) dt|; c = _log2_powers(>= k)."""
+    # = 2^-n * sum_{m=0..k} c_m / n^(k+1-m), Horner in 1/n
+    x = mp.one / n
+    acc = c[0]
+    for m in range(1, k + 1):
+        acc = acc * x + c[m]
+    return mp.ldexp(acc * x, -n)
 
 
-def _digamma(x) -> mpf:
-    key = ("psi", x, mp.prec)
-    with _SPECIAL_LOCK:
-        hit = _SPECIAL_CACHE.get(key)
-    if hit is None:
-        hit = mp.digamma(x)
-        with _SPECIAL_LOCK:
-            _SPECIAL_CACHE[key] = hit
-    return hit
-
-
-def _power_sum(j: int, x) -> mpf:
-    # p_j(x) = sum_{m<x} 1/m^j continued smoothly off the integers
-    if j == 1:
-        return _digamma(x) + mp.euler
-    return _hurwitz(j, None) - _hurwitz(j, x)
-
-
-def _elementary_from_power_sums(p: list, count: int) -> list:
-    # Newton: k e_k = sum_{j=1..k} (-1)^(j-1) p_j e_{k-j}
-    e = [mp.one] + [mp.zero] * count
-    for k in range(1, count + 1):
-        acc = mp.zero
-        for j in range(1, k + 1):
-            term = p[j] * e[k - j]
-            acc += term if j % 2 else -term
-        e[k] = acc / k
-    return e
-
-
-def _jet_mul(u: list, v: list, order: int) -> list:
-    out = [mp.zero] * (order + 1)
-    for i, ui in enumerate(u):
-        if i > order:
-            break
-        for j, vj in enumerate(v):
-            if i + j > order:
-                break
-            out[i + j] += ui * vj
-    return out
-
-
-def _power_sum_jet(j: int, x0: int, order: int) -> list:
-    """Taylor coefficients of p_j at integer x0."""
-    jet = [mp.zero] * (order + 1)
-    jet[0] = _power_sum(j, mp.mpf(x0))
-    if j == 1:
-        # psi^(i)(x) = (-1)^(i+1) i! zeta(i+1, x)
-        for i in range(1, order + 1):
-            hz = _hurwitz(i + 1, x0)
-            jet[i] = hz if i % 2 else -hz
-    else:
-        # coefficient of zeta(j,x): (-1)^i C(j+i-1, i) zeta(j+i, x); p_j carries -zeta(j,x)
-        coeff = mp.one
-        for i in range(1, order + 1):
-            coeff = coeff * (j + i - 1) / i
-            hz = coeff * _hurwitz(j + i, x0)
-            jet[i] = hz if i % 2 else -hz
-    return jet
-
-
-def _inverse_power_jet(m: int, x0: int, order: int) -> list:
-    """Taylor coefficients of x^(-m) at x0."""
-    jet = [mp.zero] * (order + 1)
-    jet[0] = mp.mpf(x0) ** (-m)
-    for i in range(1, order + 1):
-        jet[i] = -jet[i - 1] * (m + i - 1) / (i * x0)
-    return jet
-
-
-def _elementary_jet(order: int, x0: int, jet_order: int) -> list:
-    """Taylor coefficients of e_{order-1}(p_1(x), ..., p_{order-1}(x)) at x0."""
-    if order == 1:
-        return [mp.one] + [mp.zero] * jet_order
-    p_jets = [None] + [_power_sum_jet(j, x0, jet_order) for j in range(1, order)]
-    e = [[mp.one] + [mp.zero] * jet_order]
-    for k in range(1, order):
-        acc = [mp.zero] * (jet_order + 1)
-        for j in range(1, k + 1):
-            prod = _jet_mul(p_jets[j], e[k - j], jet_order)
-            if j % 2:
-                acc = [x + y for x, y in zip(acc, prod)]
-            else:
-                acc = [x - y for x, y in zip(acc, prod)]
-        e.append([c / k for c in acc])
-    return e[order - 1]
-
-
-def _tail_integral(exponent: int, order: int, n0: int, wdps: int) -> mpf:
-    # integral over (n0, inf) of order! x^(-exponent-1) e_{order-1}(p(x)) dx,
-    # pulled back to (0,1) by x = n0/u
-    if order == 1:
-        return mp.mpf(n0) ** (-exponent) / exponent
-    fact = math.factorial(order)
-
-    def integrand(node: _Node) -> mpf:
-        u = node.t
-        x = n0 / u
-        p = [mp.zero] + [_power_sum(j, x) for j in range(1, order)]
-        e = _elementary_from_power_sums(p, order - 1)
-        return n0 * e[order - 1] * x ** (-exponent - 1) / u**2
-
-    return fact * _integrate01(
-        integrand, wdps, wdps - 4, f"series tail integral (order {order})"
-    )
-
-
-def _series_value(exponent: int, order: int, n0: int, wdps: int) -> mpf:
-    """sum_{n>=order} S_n^(order)/n^exponent, head to n0 plus corrected tail."""
-    table = build_s_table(order, n0, wdps - 10)
-    with workdps(wdps):
-        head = mp.zero
-        for n in range(order, n0 + 1):
-            head += table.value(order, n) / mp.mpf(n) ** exponent
-
-        f_jet = _jet_mul(
-            _inverse_power_jet(exponent + 1, n0, _JET_ORDER),
-            _elementary_jet(order, n0, _JET_ORDER),
-            _JET_ORDER,
-        )
-        fact = math.factorial(order)
-
-        # sum_{n>n0} f(n) = int_{n0}^inf f - f(n0)/2 - sum_k B_2k f^(2k-1)(n0)/(2k)!
-        tail = _tail_integral(exponent, order, n0, wdps) - fact * f_jet[0] / 2
-        eps = mp.mpf(10) ** (-(wdps + 2))
-        prev_mag = mp.inf
-        for k in range(1, (_JET_ORDER + 1) // 2):
-            term = -fact * _frac(bernoulli_number(2 * k)) / (2 * k) * f_jet[2 * k - 1]
-            mag = abs(term)
-            if mag > prev_mag:
-                break  # asymptotic divergence onset; the head-doubling retries
-            tail += term
-            if mag < eps * max(1, abs(head)):
-                break
-            prev_mag = mag
-        return head + tail
-
-
-def series_orientation_sum(
-    exponent: int, order: int, precision: int, n0: Optional[int] = None
-) -> mpf:
-    """sum_{n>=order} S_n^(order)/n^exponent to 10^(-precision).
-
-    With n0 given the head length is fixed (no adaptation), which lets two
-    orientations of the symmetry be compared under one truncation policy;
-    otherwise the head doubles until two consecutive runs agree.
-    """
-    if exponent < 1 or order < 1:
-        raise ValueError(f"need exponent, order >= 1, got ({exponent}, {order})")
-    if n0 is not None:
-        if n0 < 16:
-            raise ValueError(f"head length n0 must be >= 16, got {n0}")
-        wdps = precision + 10 + math.ceil(math.log10(n0))
-        val = _series_value(exponent, order, n0, wdps)
-        with workdps(precision):
-            return +val
-    head = SERIES_HEAD_START
-    wdps = precision + 10 + math.ceil(math.log10(SERIES_HEAD_CAP))
-    with workdps(wdps):
-        tol = mp.mpf(10) ** (-(precision + 2))
-        prev = _series_value(exponent, order, head, wdps)
-        while head < SERIES_HEAD_CAP:
-            head *= 2
-            cur = _series_value(exponent, order, head, wdps)
-            if abs(cur - prev) <= tol * max(1, abs(cur)):
-                with workdps(precision):
-                    return +cur
-            prev = cur
-    raise PrecisionBudgetError(
-        f"series head budget exhausted: n0 cap {SERIES_HEAD_CAP} reached for "
-        f"S^({order})/n^{exponent} at {precision} digits"
-    )
+def _term_bound(a: int, b: int, n: int) -> mpf:
+    """Majorant of term n of the two sums in lz_series, taken together."""
+    # S_n^(k)/k! <= (1+ln n)^(k-1)/((k-1)! n) and each half moment <= 2^(1-n)/n
+    h = 1 + mp.log(n)
+    first = h ** (b - 1) / (math.factorial(b - 1) * n)
+    second = h ** (a - 1) / math.factorial(a - 1)
+    return mp.ldexp(first + second, 1 - n) / n
 
 
 def lz_series(a: int, b: int, precision: int) -> mpf:
-    """Lz(a,b) via the composition-sum series, larger argument as exponent."""
+    """Lz(a,b) as the two positive series of the integral split at t = 1/2.
+
+    On (0,1/2) expand (-log(1-t))^b = sum S_n^(b) t^n; on (1/2,1) put
+    u = 1-t and expand (-log(1-u))^(a-1)/(1-u) = sum (n/a) S_n^(a) u^(n-1).
+    With M_k(n) the half moment of log^k(t) t^(n-1) over k!,
+    |Lz(a,b)| = sum_{n>=b} S_n^(b)/b! M_{a-1}(n) + sum_{n>=a} n S_n^(a)/a! M_b(n).
+    Every term is positive, so the first term of each sum bounds the partial
+    sum from below, and the cut is placed where the majorant of the tail is
+    at most 10^-(working digits) times that lower bound.
+    """
     if a < 1 or b < 1:
         raise ValueError(f"Lz needs a, b >= 1, got ({a}, {b})")
-    exponent, order = (a, b) if a >= b else (b, a)
-    total = series_orientation_sum(exponent, order, precision + 2)
+    wdps = precision + 10
+    with workdps(wdps):
+        c = _log2_powers(max(a - 1, b))
+        fa, fb = math.factorial(a), math.factorial(b)
+        # the first term of each sum (S_b^(b) = S_a^(a) = 1)
+        floor = _half_moment(c, a - 1, b) / fb + a * _half_moment(c, b, a) / fa
+        goal = mp.mpf(10) ** (-wdps) * floor
+        # from n = 3 max(a,b) on, consecutive majorants shrink by at least 3/4,
+        # so the tail after n_max is at most 4 times the majorant of term n_max+1
+        n_max = 3 * max(a, b) - 1
+        while n_max <= SERIES_MAX_TERMS and 4 * _term_bound(a, b, n_max + 1) > goal:
+            n_max += 1
+        if n_max > SERIES_MAX_TERMS:
+            raise PrecisionBudgetError(
+                f"Lz({a},{b}) series: term budget ({SERIES_MAX_TERMS}) "
+                f"exhausted at {precision} digits"
+            )
+        table = build_s_table(max(a, b), n_max, precision)
+        first = mp.fsum(
+            table.value(b, n) * _half_moment(c, a - 1, n) for n in range(b, n_max + 1)
+        )
+        second = mp.fsum(
+            n * table.value(a, n) * _half_moment(c, b, n) for n in range(a, n_max + 1)
+        )
+        total = first / fb + second / fa
     sign = -1 if (a + b) % 2 == 0 else 1
     with workdps(precision):
-        return +(sign * total / math.factorial(order))
+        return +(sign * total)
 
 
 # ---------------------------------------------------------------------------

@@ -151,7 +151,7 @@ def test_verify_reports_failure_with_exit_three(run_cli, monkeypatch):
 
 def test_verify_budget_exhaustion_exits_three(run_cli, monkeypatch):
     def explode(a, b, digits):
-        raise PrecisionBudgetError("series head budget exhausted")
+        raise PrecisionBudgetError("series term budget exhausted")
 
     monkeypatch.setattr(cli, "lz_series", explode)
     code, _, err = run_cli("verify", "2", "1", "--digits", "15", "--method", "series")

@@ -17,7 +17,6 @@ from zetalog.numerics import (
     lz_quadrature,
     lz_series,
     raw_lz_quadrature,
-    series_orientation_sum,
     verify_expansion,
     zeta_value,
 )
@@ -156,25 +155,38 @@ def test_series_euler_identity():
         assert abs(got - zeta_value(3, digits)) < _tol(digits)
 
 
-def test_orientation_sums_agree_under_fixed_truncation():
+def test_orientation_sums_agree():
+    # Lz(a,b) = Lz(b,a), from two different pairs of sums
     digits = 25
     with workdps(digits + 10):
-        v1 = series_orientation_sum(3, 2, digits, n0=64) / 2
-        v2 = series_orientation_sum(2, 3, digits, n0=64) / 6
-        assert abs(v1 - v2) < _tol(20)
+        assert abs(lz_series(3, 2, digits) - lz_series(2, 3, digits)) < _tol(20)
 
 
 def test_orientation_sum_validation():
     with pytest.raises(ValueError):
-        series_orientation_sum(0, 1, 20)
-    with pytest.raises(ValueError):
-        series_orientation_sum(2, 2, 20, n0=8)
+        lz_series(0, 1, 20)
 
 
 def test_series_budget_error(monkeypatch):
-    monkeypatch.setattr(numerics, "SERIES_HEAD_CAP", numerics.SERIES_HEAD_START)
+    monkeypatch.setattr(numerics, "SERIES_MAX_TERMS", 16)
     with pytest.raises(PrecisionBudgetError):
-        series_orientation_sum(2, 2, 15)
+        lz_series(2, 2, 15)
+
+
+def test_series_relative_accuracy_on_tiny_value():
+    # |Lz(16,16)| ~ 2.4e-31: an absolute 1e-30 check would accept anything
+    digits = 30
+    got = lz_series(16, 16, digits)
+    with workdps(90):
+        want = mp.zero
+        for mono, scalar in reduce_even(expand_lz(16, 16)).sorted_terms():
+            term = mp.mpf(scalar.coeff.numerator) / scalar.coeff.denominator
+            term *= mp.pi**scalar.pi_exponent
+            for n, k in mono.factors:
+                term *= mp.zeta(n) ** k
+            want += term
+        assert abs(want) < mp.mpf("1e-30")
+        assert abs(got - want) / abs(want) < mp.mpf("1e-30")
 
 
 def test_quadrature_budget_error(monkeypatch):
