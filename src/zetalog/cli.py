@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 from mpmath import mp, workdps
 
@@ -26,7 +25,6 @@ from .expansion import (
     PiReducedCombination,
     ZetaCombination,
     ZetaMonomial,
-    _exp_str,
     expand_lz,
     expand_weight,
     reduce_even,
@@ -39,7 +37,7 @@ from .numerics import (
     verify_expansion,
 )
 from .partitions import PARITY_CHOICES, PartitionFilter, enumerate_partitions
-from .solver import MODES, Certificate, express, survey
+from .solver import MODES, express, survey
 
 __all__ = ["main", "console_main"]
 
@@ -255,67 +253,6 @@ def _cmd_verify(args, started: float) -> int:
     return 0 if passed else 3
 
 
-def _mag_text(q: Fraction) -> str:
-    return str(q) if q.denominator == 1 else f"({q})"
-
-
-def _mag_latex(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"\\frac{{{q.numerator}}}{{{q.denominator}}}"
-
-
-def _join_terms(chunks: list[tuple[bool, str]], latex: bool) -> str:
-    if not chunks:
-        return "0"
-    out = []
-    for i, (negative, body) in enumerate(chunks):
-        if i == 0:
-            out.append(("-" + body) if negative else body)
-        elif latex:
-            out.append(("-" if negative else "+") + body)
-        else:
-            out.append((" - " if negative else " + ") + body)
-    return "".join(out)
-
-
-def _certificate_line(cert: Certificate, latex: bool) -> str:
-    e = cert.target_pi_exponent
-    if latex:
-        lhs = (f"\\pi{_exp_str(e)}" if e else "") + cert.target.latex()
-    else:
-        lhs = (f"pi^{e}*" if e else "") + str(cert.target)
-    chunks: list[tuple[bool, str]] = []
-    for (a, b), s in cert.sorted_lz():
-        mag = abs(s.coeff)
-        if latex:
-            body = ("" if mag == 1 else _mag_latex(mag)) + f"Lz({a},{b})"
-        else:
-            body = ("" if mag == 1 else _mag_text(mag) + "*") + f"Lz({a},{b})"
-        chunks.append((s.coeff < 0, body))
-    for mono, s in cert.known_remainder.sorted_terms():
-        mag = abs(s.coeff)
-        if latex:
-            parts = []
-            if mag != 1 or (s.pi_exponent == 0 and mono.is_unit):
-                parts.append(_mag_latex(mag))
-            if s.pi_exponent:
-                parts.append("\\pi" + _exp_str(s.pi_exponent))
-            if not mono.is_unit:
-                parts.append(mono.latex())
-            body = "".join(parts)
-        else:
-            parts = []
-            if mag != 1 or (s.pi_exponent == 0 and mono.is_unit):
-                parts.append(_mag_text(mag))
-            if s.pi_exponent:
-                parts.append(f"pi^{s.pi_exponent}")
-            if not mono.is_unit:
-                parts.append(str(mono))
-            body = "*".join(parts)
-        chunks.append((s.coeff < 0, body))
-    rhs = _join_terms(chunks, latex)
-    return f"{lhs}={rhs}" if latex else f"{lhs} = {rhs}"
-
-
 def _cmd_express(args, started: float) -> int:
     try:
         target = ZetaMonomial.parse(args.monomial)
@@ -345,7 +282,7 @@ def _cmd_express(args, started: float) -> int:
         )
     elif args.format == "latex":
         if outcome.certificate is not None:
-            print(_certificate_line(outcome.certificate, latex=True))
+            print(outcome.certificate.latex())
         else:
             print(f"% {outcome.status}: {outcome.target.latex()}")
     else:
@@ -353,7 +290,7 @@ def _cmd_express(args, started: float) -> int:
         if outcome.detail:
             print(f"detail: {outcome.detail}")
         if outcome.certificate is not None:
-            print(_certificate_line(outcome.certificate, latex=False))
+            print(outcome.certificate.text())
     return 0 if outcome.status == "expressible" else 2
 
 

@@ -10,106 +10,30 @@ coefficient factors as c_b(X) = C_b(X) * Ct(X) where
 
 |X| being the part count.  C_b(X) vanishes unless |X| <= b <= N - |X|
 and is symmetric under b -> N - b.  Values are computed through a cached
-per-partition profile (one polynomial product shared by every b); the
-slot-by-slot enumeration is kept for inspection and cross-checking.
+per-partition profile: the product over parts of the polynomials
+sum_{v=1}^{n-1} C(n,v) y^v, whose coefficient of y^b is C_b(X), so one
+product serves every b.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .partitions import PartitionElement
 
 __all__ = [
-    "CompositionAssignment",
-    "enumerate_compositions",
-    "count_compositions",
     "composition_profile",
     "big_c",
     "c_tilde",
     "little_c",
-    "CoefficientRecord",
-    "coefficient_records",
 ]
 
 
-@dataclass(frozen=True)
-class CompositionAssignment:
-    """One admissible slot assignment and its binomial product."""
-
-    slots: tuple[tuple[int, int], ...]  # (part size, occurrence index)
-    values: tuple[int, ...]
-    term: int
-
-    def __post_init__(self) -> None:
-        if len(self.slots) != len(self.values):
-            raise ValueError("slot/value length mismatch")
-        for (size, _), v in zip(self.slots, self.values):
-            if not 1 <= v <= size - 1:
-                raise ValueError(f"value {v} out of range for part {size}")
-
-
-def _slot_list(x: PartitionElement) -> list[tuple[int, int]]:
-    return [(size, i) for size, mult in x.support for i in range(mult)]
-
-
-def enumerate_compositions(x: PartitionElement, b: int) -> list[CompositionAssignment]:
-    """All slot assignments summing to b, ascending in value tuples."""
-    slots = _slot_list(x)
-    out: list[CompositionAssignment] = []
-    if b < 0:
-        return out
-    # suffix bounds for pruning
-    lo = [0] * (len(slots) + 1)
-    hi = [0] * (len(slots) + 1)
-    for i in range(len(slots) - 1, -1, -1):
-        size = slots[i][0]
-        lo[i] = lo[i + 1] + 1
-        hi[i] = hi[i + 1] + size - 1
-
-    values: list[int] = []
-
-    def rec(i: int, remaining: int, prod: int) -> None:
-        if i == len(slots):
-            if remaining == 0:
-                out.append(CompositionAssignment(tuple(slots), tuple(values), prod))
-            return
-        size = slots[i][0]
-        for v in range(1, size):
-            rest = remaining - v
-            if rest < lo[i + 1] or rest > hi[i + 1]:
-                continue
-            values.append(v)
-            rec(i + 1, rest, prod * math.comb(size, v))
-            values.pop()
-
-    if slots:
-        rec(0, b, 1)
-    elif b == 0:
-        out.append(CompositionAssignment((), (), 1))
-    return out
-
-
-def count_compositions(x: PartitionElement, b: int) -> int:
-    """Number of admissible slot assignments summing to b."""
-    if b < 0:
-        return 0
-    counts = {0: 1}
-    for size, mult in x.support:
-        for _ in range(mult):
-            nxt: dict[int, int] = {}
-            for s, c in counts.items():
-                for v in range(1, size):
-                    if s + v <= b:
-                        nxt[s + v] = nxt.get(s + v, 0) + c
-            counts = nxt
-    return counts.get(b, 0)
-
-
-@lru_cache(maxsize=None)
+# 6,153 partitions of 40 into parts >= 2 make up the largest weight a
+# survey reaches; the bound keeps one whole weight
+@lru_cache(maxsize=8192)
 def _profile_from_support(support: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     # profile[b] = C_b(X); product over parts of (sum_{v=1}^{n-1} C(n,v) y^v)^k
     prof = [1]
@@ -152,20 +76,3 @@ def little_c(x: PartitionElement, b: int) -> Fraction:
     if c == 0:
         return Fraction(0)
     return c * c_tilde(x)
-
-
-@dataclass(frozen=True)
-class CoefficientRecord:
-    """Everything computed for one (partition, b) pair."""
-
-    partition: PartitionElement
-    b: int
-    big_c: int
-    c_tilde: Fraction
-    value: Fraction
-
-
-def coefficient_records(x: PartitionElement, b: int) -> CoefficientRecord:
-    c = big_c(x, b)
-    ct = c_tilde(x)
-    return CoefficientRecord(x, b, c, ct, c * ct)

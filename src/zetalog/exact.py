@@ -23,7 +23,6 @@ __all__ = [
     "RationalMatrix",
     "bernoulli_number",
     "zeta_even_pi_coeff",
-    "matrix_rank",
     "rref",
     "solve_membership",
 ]
@@ -122,18 +121,6 @@ class RationalMatrix:
         self.rows: int = len(data)
         self.cols: int = len(data[0]) if data else (cols or 0)
 
-    def row(self, i: int) -> list[Fraction]:
-        return list(self.entries[i])
-
-    def column(self, j: int) -> list[Fraction]:
-        return [row[j] for row in self.entries]
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, RationalMatrix)
@@ -180,11 +167,6 @@ def rref(matrix: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
     rows = [list(row) for row in matrix.entries]
     reduced, pivots = _echelon(rows)
     return RationalMatrix(reduced, cols=matrix.cols), tuple(pivots)
-
-
-def matrix_rank(matrix: RationalMatrix) -> int:
-    _, pivots = rref(matrix)
-    return len(pivots)
 
 
 def solve_membership(

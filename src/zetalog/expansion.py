@@ -125,58 +125,41 @@ UNIT_MONOMIAL = ZetaMonomial(())
 TermsLike = Union[Mapping[ZetaMonomial, Rational], Iterable[tuple[ZetaMonomial, Rational]]]
 
 
-def _term_text(mag_txt: str, pi_exponent: int, mono: ZetaMonomial) -> str:
-    parts = []
-    if mag_txt is not None:
-        parts.append(mag_txt)
-    if pi_exponent:
-        parts.append(f"pi^{pi_exponent}")
-    if not mono.is_unit:
-        parts.append(str(mono))
-    return "*".join(parts)
+def _render(items: list[tuple[Fraction, int, Union[ZetaMonomial, str]]], latex: bool) -> str:
+    """Signed sum of (coefficient, pi exponent, symbol) items, in the given order.
 
-
-def _term_latex(mag_tex: str, pi_exponent: int, mono: ZetaMonomial) -> str:
-    parts = []
-    if mag_tex is not None:
-        parts.append(mag_tex)
-    if pi_exponent:
-        parts.append("\\pi" + _exp_str(pi_exponent))
-    if not mono.is_unit:
-        parts.append(mono.latex())
-    return "".join(parts)
-
-
-def _render(items: list[tuple[Fraction, int, ZetaMonomial]], latex: bool) -> str:
-    # items: (coefficient, pi exponent, monomial), already sorted
+    A symbol is a zeta monomial or a literal such as ``Lz(3,2)``; the unit
+    monomial stands for the constant 1.
+    """
     if not items:
         return "0"
     chunks: list[str] = []
-    for coeff, pi_exp, mono in items:
-        mag = -coeff if coeff < 0 else coeff
-        bare = pi_exp == 0 and mono.is_unit
-        if latex:
-            if mag == 1 and not bare:
-                mag_txt = None
-            elif mag.denominator == 1:
-                mag_txt = str(mag.numerator)
+    for coeff, pi_exp, symbol in items:
+        if isinstance(symbol, ZetaMonomial):
+            if symbol.is_unit:
+                symbol = ""
             else:
-                mag_txt = f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
-            body = _term_latex(mag_txt, pi_exp, mono)
-            sep_minus, sep_plus = "-", "+"
-        else:
-            if mag == 1 and not bare:
-                mag_txt = None
-            elif mag.denominator == 1:
-                mag_txt = str(mag.numerator)
+                symbol = symbol.latex() if latex else str(symbol)
+        mag = abs(coeff)
+        parts = []
+        if mag != 1 or (pi_exp == 0 and not symbol):
+            if mag.denominator == 1:
+                parts.append(str(mag.numerator))
+            elif latex:
+                parts.append(f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}")
             else:
-                mag_txt = f"({mag})"
-            body = _term_text(mag_txt, pi_exp, mono)
-            sep_minus, sep_plus = " - ", " + "
+                parts.append(f"({mag})")
+        if pi_exp:
+            parts.append("\\pi" + _exp_str(pi_exp) if latex else f"pi^{pi_exp}")
+        if symbol:
+            parts.append(symbol)
+        body = ("" if latex else "*").join(parts)
         if not chunks:
             chunks.append(("-" + body) if coeff < 0 else body)
+        elif latex:
+            chunks.append(("-" if coeff < 0 else "+") + body)
         else:
-            chunks.append((sep_minus if coeff < 0 else sep_plus) + body)
+            chunks.append((" - " if coeff < 0 else " + ") + body)
     return "".join(chunks)
 
 
@@ -327,7 +310,14 @@ class PiReducedCombination:
         )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
+def _partitions_min2(n: int) -> tuple[PartitionElement, ...]:
+    # one enumeration per weight, shared by every pair a+b = n
+    return tuple(enumerate_partitions(n, PartitionFilter(min_part=2)))
+
+
+# 399 pairs make up survey(3, 40); the bound keeps all of them
+@lru_cache(maxsize=512)
 def expand_lz(a: int, b: int) -> ZetaCombination:
     """Exact weight-(a+b) expansion of Lz(a,b)."""
     if a < 1 or b < 1:
@@ -335,7 +325,7 @@ def expand_lz(a: int, b: int) -> ZetaCombination:
     n = a + b
     bound = min(a, b)  # coefficients vanish once the part count exceeds this
     terms: dict[ZetaMonomial, Fraction] = {}
-    for x in enumerate_partitions(n, PartitionFilter(min_part=2)):
+    for x in _partitions_min2(n):
         if x.norm > bound:
             continue
         coeff = little_c(x, b)
@@ -368,18 +358,7 @@ def reduce_even(c: ZetaCombination) -> PiReducedCombination:
 
 
 def expand_weight(N: int) -> dict[tuple[int, int], ZetaCombination]:
-    """Expansions for every pair a+b=N with a >= b >= 1, one enumeration."""
+    """Expansions for every pair a+b=N with a >= b >= 1, from one enumeration."""
     if N < 2:
         raise ValueError(f"need N >= 2, got {N}")
-    base = enumerate_partitions(N, PartitionFilter(min_part=2))
-    out: dict[tuple[int, int], ZetaCombination] = {}
-    for b in range(1, N // 2 + 1):
-        terms: dict[ZetaMonomial, Fraction] = {}
-        for x in base:
-            if x.norm > b:
-                continue
-            coeff = little_c(x, b)
-            if coeff:
-                terms[ZetaMonomial.from_partition(x)] = coeff
-        out[(N - b, b)] = ZetaCombination(N, terms)
-    return out
+    return {(N - b, b): expand_lz(N - b, b) for b in range(1, N // 2 + 1)}

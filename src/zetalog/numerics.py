@@ -19,7 +19,6 @@ are trusted to 10^(-P).
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -182,15 +181,8 @@ class _Node:
         return _Node(self.mt, self.t, self.log_mt, self.log_t, self.base_weight)
 
 
-_TIER_LOCK = threading.Lock()
-_TIER_CACHE: dict[tuple[int, int], list[_Node]] = {}
-_VMAX_CACHE: dict[int, float] = {}
-
-
+@lru_cache(maxsize=64)
 def _vmax(wdps: int) -> float:
-    hit = _VMAX_CACHE.get(wdps)
-    if hit is not None:
-        return hit
     goal = -(wdps + 12) * math.log(10.0)
     v = 1.0
     # node weight decays like exp(-pi*sinh v); margin covers log-power factors
@@ -198,7 +190,6 @@ def _vmax(wdps: int) -> float:
         math.pi * math.sinh(v)
     ) > goal:
         v += 0.05
-    _VMAX_CACHE[wdps] = v
     return v
 
 
@@ -213,13 +204,11 @@ def _make_node(v: mpf) -> _Node:
     return _Node(big, small, log_big, log_small, base_weight)
 
 
-def _tier_nodes(tier: int, wdps: int) -> list[_Node]:
+# one verify integrates at a single working precision: at most
+# QUADRATURE_MAX_LEVEL + 1 = 13 entries
+@lru_cache(maxsize=64)
+def _tier_nodes(tier: int, wdps: int) -> tuple[_Node, ...]:
     """Nodes new at this refinement level: v = odd multiples of 2^-tier."""
-    key = (tier, wdps)
-    with _TIER_LOCK:
-        hit = _TIER_CACHE.get(key)
-    if hit is not None:
-        return hit
     vmax = _vmax(wdps)
     nodes: list[_Node] = []
     with workdps(wdps + 5):
@@ -234,9 +223,7 @@ def _tier_nodes(tier: int, wdps: int) -> list[_Node]:
             while k * float(h) <= vmax:
                 nodes.append(_make_node(k * h))
                 k += 2
-    with _TIER_LOCK:
-        _TIER_CACHE[key] = nodes
-    return nodes
+    return tuple(nodes)
 
 
 def _integrate01(

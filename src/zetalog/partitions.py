@@ -19,7 +19,6 @@ __all__ = [
     "PartitionElement",
     "enumerate_partitions",
     "count_partitions",
-    "norm",
 ]
 
 PARITY_CHOICES = ("any", "odd", "even")
@@ -98,10 +97,6 @@ class PartitionElement:
 
     def __str__(self) -> str:
         return "+".join(str(p) for p in self.part_list()) if self.support else "0"
-
-
-def norm(x: PartitionElement) -> int:
-    return x.norm
 
 
 def enumerate_partitions(

@@ -30,6 +30,7 @@ from .expansion import (
     UNIT_MONOMIAL,
     PiReducedCombination,
     ZetaMonomial,
+    _render,
     expand_lz,
     reduce_even,
 )
@@ -161,6 +162,23 @@ class Certificate:
         }
         return m, lz, known
 
+    def _line(self, latex: bool) -> str:
+        lhs = _render([(Fraction(1), self.target_pi_exponent, self.target)], latex)
+        items = [(s.coeff, s.pi_exponent, f"Lz({a},{b})") for (a, b), s in self.sorted_lz()]
+        items += [
+            (s.coeff, s.pi_exponent, mono) for mono, s in self.known_remainder.sorted_terms()
+        ]
+        rhs = _render(items, latex)
+        return f"{lhs}={rhs}" if latex else f"{lhs} = {rhs}"
+
+    def text(self) -> str:
+        """The identity on one line, e.g. ``z3*z5 = Lz(6,2) + (1/7560)*pi^8``."""
+        return self._line(latex=False)
+
+    def latex(self) -> str:
+        """The identity as LaTeX, e.g. ``\\zeta(3)\\zeta(5)=Lz(6,2)+\\frac{1}{7560}\\pi^8``."""
+        return self._line(latex=True)
+
     def to_payload(self) -> dict:
         return {
             "target": str(self.target),
@@ -226,7 +244,9 @@ def _solve(target: ZetaMonomial, N: int, mode: str) -> Optional[Certificate]:
     return cert
 
 
-@lru_cache(maxsize=None)
+# one entry per (monomial, mode): the 121 odd monomials of weight <= 24,
+# the default weight cap, in both modes fit
+@lru_cache(maxsize=256)
 def _fully_expressible(mono: ZetaMonomial, mode: str) -> bool:
     return express(mono, mode=mode).status == "expressible"
 

@@ -6,16 +6,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import bivariate_big_c, brute_slot_values
-from zetalog.coefficients import (
-    CompositionAssignment,
-    big_c,
-    c_tilde,
-    coefficient_records,
-    composition_profile,
-    count_compositions,
-    enumerate_compositions,
-    little_c,
-)
+from zetalog.coefficients import big_c, c_tilde, composition_profile, little_c
 from zetalog.partitions import PartitionElement, enumerate_partitions
 
 F = Fraction
@@ -65,30 +56,15 @@ def test_profile_indexes_by_b():
 
 
 def test_composition_enumeration_against_brute_force():
+    # C_b(X) is the sum over slot assignments of the product of C(n, value)
     for x in all_partitions(9):
         sizes = [size for size, mult in x.support for _ in range(mult)]
         for b in range(x.weight + 1):
-            got = enumerate_compositions(x, b)
-            want = brute_slot_values(sizes, b)
-            assert [c.values for c in got] == want
-            assert count_compositions(x, b) == len(want)
-            assert sum(c.term for c in got) == big_c(x, b)
-
-
-def test_composition_terms_are_binomial_products():
-    x = PartitionElement.from_parts([4, 3])
-    for comp in enumerate_compositions(x, 4):
-        expect = 1
-        for (size, _), v in zip(comp.slots, comp.values):
-            expect *= math.comb(size, v)
-        assert comp.term == expect
-
-
-def test_assignment_validation():
-    with pytest.raises(ValueError):
-        CompositionAssignment(((3, 0),), (1, 1), 3)
-    with pytest.raises(ValueError):
-        CompositionAssignment(((3, 0),), (3,), 1)  # value must stay below size
+            want = sum(
+                math.prod(math.comb(n, v) for n, v in zip(sizes, values))
+                for values in brute_slot_values(sizes, b)
+            )
+            assert big_c(x, b) == want, (x, b)
 
 
 def test_c_tilde_values():
@@ -117,10 +93,7 @@ def test_little_c_zero_outside_band():
     assert little_c(x, 5) == F(0)
 
 
-def test_coefficient_records_consistent():
-    x = PartitionElement.from_parts([4, 2])
-    rec = coefficient_records(x, 3)
-    assert rec.partition is x and rec.b == 3
-    assert rec.big_c == big_c(x, 3)
-    assert rec.c_tilde == c_tilde(x)
-    assert rec.value == little_c(x, 3)
+def test_little_c_is_big_c_times_c_tilde():
+    for x in all_partitions(10):
+        for b in range(x.weight + 1):
+            assert little_c(x, b) == big_c(x, b) * c_tilde(x), (x, b)

@@ -10,7 +10,6 @@ from zetalog.exact import (
     PiPowerScalar,
     RationalMatrix,
     bernoulli_number,
-    matrix_rank,
     rref,
     solve_membership,
     zeta_even_pi_coeff,
@@ -95,9 +94,6 @@ def test_pi_power_scalar_arithmetic():
 def test_matrix_shape_and_accessors():
     m = RationalMatrix([[1, 2, 3], [4, 5, 6]])
     assert (m.rows, m.cols) == (2, 3)
-    assert m.row(1) == [F(4), F(5), F(6)]
-    assert m.column(2) == [F(3), F(6)]
-    assert m.transpose().entries == [[F(1), F(4)], [F(2), F(5)], [F(3), F(6)]]
 
 
 def test_matrix_rejects_ragged_rows():
@@ -108,7 +104,7 @@ def test_matrix_rejects_ragged_rows():
 def test_empty_matrix_keeps_declared_columns():
     m = RationalMatrix([], cols=4)
     assert (m.rows, m.cols) == (0, 4)
-    assert matrix_rank(m) == 0
+    assert len(rref(m)[1]) == 0
 
 
 def test_rref_small_example():
@@ -126,9 +122,9 @@ def test_rref_idempotent():
 
 
 def test_rank_of_singular_matrix():
-    assert matrix_rank(RationalMatrix([[1, 2], [2, 4]])) == 1
-    assert matrix_rank(RationalMatrix([[0, 0], [0, 0]])) == 0
-    assert matrix_rank(RationalMatrix([[F(1, 3), 1], [0, F(7, 2)]])) == 2
+    assert len(rref(RationalMatrix([[1, 2], [2, 4]]))[1]) == 1
+    assert len(rref(RationalMatrix([[0, 0], [0, 0]]))[1]) == 0
+    assert len(rref(RationalMatrix([[F(1, 3), 1], [0, F(7, 2)]]))[1]) == 2
 
 
 def test_membership_recovers_combination():
