@@ -143,16 +143,12 @@ def _print_envelope(command: str, inputs: dict, result: dict, started: float) ->
     print(json.dumps(envelope))
 
 
-def _raw_terms_payload(comb: ZetaCombination) -> list[dict]:
+def _terms_payload(comb: ZetaCombination | PiReducedCombination) -> list[dict]:
+    """JSON terms; a reduced combination also gives each term's pi exponent."""
+    reduced = isinstance(comb, PiReducedCombination)
     return [
-        {"mono": str(mono), "coeff": str(coeff)} for mono, coeff in comb.sorted_terms()
-    ]
-
-
-def _reduced_terms_payload(comb: PiReducedCombination) -> list[dict]:
-    return [
-        {"mono": str(mono), "coeff": str(s.coeff), "pi": s.pi_exponent}
-        for mono, s in comb.sorted_terms()
+        {"mono": str(mono), "coeff": str(coeff), **({"pi": pi} if reduced else {})}
+        for coeff, pi, mono in comb.items()
     ]
 
 
@@ -168,9 +164,7 @@ def _cmd_expand(args, started: float) -> int:
         result = {
             "weight": obj.weight,
             "reduced": args.reduce,
-            "terms": _reduced_terms_payload(obj)
-            if args.reduce
-            else _raw_terms_payload(obj),
+            "terms": _terms_payload(obj),
         }
         _print_envelope(
             "expand",
@@ -202,9 +196,7 @@ def _cmd_table(args, started: float) -> int:
                 {
                     "a": a,
                     "b": b,
-                    "terms": _reduced_terms_payload(obj)
-                    if args.reduce
-                    else _raw_terms_payload(obj),
+                    "terms": _terms_payload(obj),
                 }
                 for (a, b), obj in shown.items()
             ],
@@ -222,6 +214,9 @@ def _cmd_table(args, started: float) -> int:
 def _cmd_verify(args, started: float) -> int:
     if args.a < 1 or args.b < 1:
         raise _UsageError("verify needs a >= 1 and b >= 1")
+    cap = _weight_cap(args)
+    if args.a + args.b > cap:
+        raise _UsageError(f"a+b = {args.a + args.b} exceeds the weight cap {cap}")
     if not 1 <= args.digits <= DIGITS_CAP:
         raise _UsageError(f"digits must be within 1..{DIGITS_CAP}")
     digits = args.digits

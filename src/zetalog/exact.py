@@ -15,6 +15,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 __all__ = [
@@ -49,6 +50,8 @@ def bernoulli_number(m: int) -> Fraction:
         return _BERNOULLI[m]
 
 
+# weight N needs n <= N/2: the survey cap of 40 uses 20 entries
+@lru_cache(maxsize=128)
 def zeta_even_pi_coeff(n: int) -> Fraction:
     """The rational q with zeta(2n) = q * pi^(2n), for n >= 1.
 
@@ -89,15 +92,6 @@ class PiPowerScalar:
     @property
     def is_zero(self) -> bool:
         return self.coeff == 0
-
-    def scaled(self, q: Fraction) -> "PiPowerScalar":
-        return PiPowerScalar(self.coeff * q, self.pi_exponent)
-
-    def __mul__(self, other: "PiPowerScalar") -> "PiPowerScalar":
-        return PiPowerScalar(self.coeff * other.coeff, self.pi_exponent + other.pi_exponent)
-
-    def __neg__(self) -> "PiPowerScalar":
-        return PiPowerScalar(-self.coeff, self.pi_exponent)
 
 
 def _as_fraction_rows(entries: Iterable[Iterable[Fraction]]) -> list[list[Fraction]]:

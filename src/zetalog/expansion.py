@@ -163,10 +163,73 @@ def _render(items: list[tuple[Fraction, int, Union[ZetaMonomial, str]]], latex: 
     return "".join(chunks)
 
 
-class ZetaCombination:
-    """Homogeneous rational combination of weight-N zeta monomials."""
+class _Combination:
+    """Immutable weight-N map {monomial: rational coefficient}.
+
+    A term of weight w carries pi^(N-w); the exponent follows from the
+    weight alone and is never stored.
+    """
 
     __slots__ = ("weight", "_terms")
+
+    def _set(self, weight: int, terms: Mapping[ZetaMonomial, Fraction]) -> None:
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "_terms", {m: c for m, c in terms.items() if c != 0})
+
+    @classmethod
+    def _of(cls, weight: int, terms: Mapping[ZetaMonomial, Fraction]):
+        # terms already valid for the weight; zero coefficients are dropped
+        new = object.__new__(cls)
+        new._set(weight, terms)
+        return new
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def coefficient(self, mono: ZetaMonomial) -> Fraction:
+        return self._terms.get(mono, Fraction(0))
+
+    def items(self) -> list[tuple[Fraction, int, ZetaMonomial]]:
+        """(coefficient, pi exponent, monomial) per term, in canonical order."""
+        ordered = sorted(self._terms.items(), key=lambda mc: mc[0].sort_key())
+        return [(c, self.weight - m.weight, m) for m, c in ordered]
+
+    def scale(self, r: Rational):
+        q = Fraction(r)
+        return self._of(self.weight, {m: c * q for m, c in self._terms.items()})
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if self.weight != other.weight:
+            raise ValueError("cannot add combinations of different weight")
+        merged = dict(self._terms)
+        for m, c in other._terms.items():
+            merged[m] = merged.get(m, Fraction(0)) + c
+        return self._of(self.weight, merged)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.weight == other.weight and self._terms == other._terms
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(weight={self.weight}, {self.text()!r})"
+
+    def text(self) -> str:
+        return _render(self.items(), latex=False)
+
+    def latex(self) -> str:
+        return _render(self.items(), latex=True)
+
+
+class ZetaCombination(_Combination):
+    """Homogeneous rational combination of weight-N zeta monomials."""
+
+    __slots__ = ()
 
     def __init__(self, weight: int, terms: TermsLike):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -178,63 +241,27 @@ class ZetaCombination:
             if mono.weight != weight:
                 raise ValueError(f"monomial {mono} has weight {mono.weight}, expected {weight}")
             cleaned[mono] = cleaned.get(mono, Fraction(0)) + q
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "_terms", {m: c for m, c in cleaned.items() if c != 0})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ZetaCombination is immutable")
+        self._set(weight, cleaned)
 
     @property
     def terms(self) -> dict[ZetaMonomial, Fraction]:
         return dict(self._terms)
 
-    def coefficient(self, mono: ZetaMonomial) -> Fraction:
-        return self._terms.get(mono, Fraction(0))
-
     def sorted_terms(self) -> list[tuple[ZetaMonomial, Fraction]]:
-        return sorted(self._terms.items(), key=lambda mc: mc[0].sort_key())
-
-    def scale(self, r: Rational) -> "ZetaCombination":
-        q = Fraction(r)
-        return ZetaCombination(self.weight, {m: c * q for m, c in self._terms.items()})
-
-    def __add__(self, other: "ZetaCombination") -> "ZetaCombination":
-        if self.weight != other.weight:
-            raise ValueError("cannot add combinations of different weight")
-        merged = dict(self._terms)
-        for m, c in other._terms.items():
-            merged[m] = merged.get(m, Fraction(0)) + c
-        return ZetaCombination(self.weight, merged)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ZetaCombination):
-            return NotImplemented
-        return self.weight == other.weight and self._terms == other._terms
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __repr__(self) -> str:
-        return f"ZetaCombination(weight={self.weight}, {self.text()!r})"
-
-    def text(self) -> str:
-        return _render([(c, 0, m) for m, c in self.sorted_terms()], latex=False)
-
-    def latex(self) -> str:
-        return _render([(c, 0, m) for m, c in self.sorted_terms()], latex=True)
+        return [(m, c) for c, _, m in self.items()]
 
 
-class PiReducedCombination:
+class PiReducedCombination(_Combination):
     """Combination over odd-only monomials with explicit pi-power scalars.
 
     Every term of weight w carries the factor pi^(N-w), so a weight-N
-    value is stored as {odd monomial: PiPowerScalar}.
+    value is read back as {odd monomial: PiPowerScalar}.
     """
 
-    __slots__ = ("weight", "_terms")
+    __slots__ = ()
 
     def __init__(self, weight: int, terms: Mapping[ZetaMonomial, PiPowerScalar]):
-        cleaned: dict[ZetaMonomial, PiPowerScalar] = {}
+        cleaned: dict[ZetaMonomial, Fraction] = {}
         for mono, scalar in terms.items():
             if scalar.is_zero:
                 continue
@@ -244,70 +271,18 @@ class PiReducedCombination:
                 raise ValueError(
                     f"term {mono} with pi^{scalar.pi_exponent} does not reach weight {weight}"
                 )
-            cleaned[mono] = scalar
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "_terms", cleaned)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PiReducedCombination is immutable")
+            cleaned[mono] = scalar.coeff
+        self._set(weight, cleaned)
 
     @property
     def terms(self) -> dict[ZetaMonomial, PiPowerScalar]:
-        return dict(self._terms)
-
-    def coefficient(self, mono: ZetaMonomial) -> Fraction:
-        scalar = self._terms.get(mono)
-        return scalar.coeff if scalar is not None else Fraction(0)
+        return {m: PiPowerScalar(c, self.weight - m.weight) for m, c in self._terms.items()}
 
     def sorted_terms(self) -> list[tuple[ZetaMonomial, PiPowerScalar]]:
-        return sorted(self._terms.items(), key=lambda ms: (-ms[0].weight, ms[0].factors))
-
-    def scale(self, r: Rational) -> "PiReducedCombination":
-        q = Fraction(r)
-        if q == 0:
-            return PiReducedCombination(self.weight, {})
-        return PiReducedCombination(
-            self.weight, {m: s.scaled(q) for m, s in self._terms.items()}
-        )
+        return [(m, PiPowerScalar(c, pi)) for c, pi, m in self.items()]
 
     def __neg__(self) -> "PiReducedCombination":
         return self.scale(Fraction(-1))
-
-    def __add__(self, other: "PiReducedCombination") -> "PiReducedCombination":
-        if self.weight != other.weight:
-            raise ValueError("cannot add combinations of different weight")
-        merged: dict[ZetaMonomial, Fraction] = {m: s.coeff for m, s in self._terms.items()}
-        for m, s in other._terms.items():
-            merged[m] = merged.get(m, Fraction(0)) + s.coeff
-        return PiReducedCombination(
-            self.weight,
-            {
-                m: PiPowerScalar(c, self.weight - m.weight)
-                for m, c in merged.items()
-                if c != 0
-            },
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PiReducedCombination):
-            return NotImplemented
-        return self.weight == other.weight and self._terms == other._terms
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __repr__(self) -> str:
-        return f"PiReducedCombination(weight={self.weight}, {self.text()!r})"
-
-    def text(self) -> str:
-        return _render(
-            [(s.coeff, s.pi_exponent, m) for m, s in self.sorted_terms()], latex=False
-        )
-
-    def latex(self) -> str:
-        return _render(
-            [(s.coeff, s.pi_exponent, m) for m, s in self.sorted_terms()], latex=True
-        )
 
 
 @lru_cache(maxsize=4)
@@ -347,14 +322,7 @@ def reduce_even(c: ZetaCombination) -> PiReducedCombination:
                 odd.append((n, k))
         om = ZetaMonomial(tuple(odd))
         merged[om] = merged.get(om, Fraction(0)) + q
-    return PiReducedCombination(
-        c.weight,
-        {
-            m: PiPowerScalar(v, c.weight - m.weight)
-            for m, v in merged.items()
-            if v != 0
-        },
-    )
+    return PiReducedCombination._of(c.weight, merged)
 
 
 def expand_weight(N: int) -> dict[tuple[int, int], ZetaCombination]:

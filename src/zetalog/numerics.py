@@ -119,36 +119,21 @@ class STable:
         return self.rows[k][n]
 
 
-def _build_exact(b_max: int, n_max: int) -> STable:
-    # convolution on the last part: S_n^(k) = sum_m (1/m) S_{n-m}^(k-1)
-    zero = Fraction(0)
-    rows = [None, [zero] + [Fraction(1, n) for n in range(1, n_max + 1)]]
+def _build_table(b_max: int, n_max: int, one) -> STable:
+    # prefix form S_n^(k) = (k/n) * sum_{m<n} S_m^(k-1), O(b*n); one is
+    # Fraction(1) for the exact table or mp.one under the working precision
+    zero = 0 * one
+    rows = [None, [zero] + [one / n for n in range(1, n_max + 1)]]
     for k in range(2, b_max + 1):
         prev = rows[k - 1]
         row = [zero] * (n_max + 1)
+        running = zero
         for n in range(k, n_max + 1):
-            acc = Fraction(0)
-            for m in range(1, n - k + 2):
-                acc += Fraction(1, m) * prev[n - m]
-            row[n] = acc
+            running += prev[n - 1]
+            row[n] = k * running / n
         rows.append(row)
-    return STable(b_max, n_max, True, tuple(tuple(r) if r else () for r in rows))
-
-
-def _build_float(b_max: int, n_max: int, wdps: int) -> STable:
-    # prefix form S_n^(k) = (k/n) * sum_{m<n} S_m^(k-1); same values, O(b*n)
-    with workdps(wdps):
-        zero = mp.zero
-        rows = [None, [zero] + [mp.one / n for n in range(1, n_max + 1)]]
-        for k in range(2, b_max + 1):
-            prev = rows[k - 1]
-            row = [zero] * (n_max + 1)
-            running = mp.zero
-            for n in range(k, n_max + 1):
-                running += prev[n - 1]
-                row[n] = k * running / n
-            rows.append(row)
-    return STable(b_max, n_max, False, tuple(tuple(r) if r else () for r in rows))
+    exact = isinstance(one, Fraction)
+    return STable(b_max, n_max, exact, tuple(tuple(r) if r else () for r in rows))
 
 
 @lru_cache(maxsize=16)
@@ -159,8 +144,9 @@ def build_s_table(b_max: int, n_max: int, precision: Optional[int] = None) -> ST
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     if precision is None:
-        return _build_exact(b_max, n_max)
-    return _build_float(b_max, n_max, precision + 10)
+        return _build_table(b_max, n_max, Fraction(1))
+    with workdps(precision + 10):
+        return _build_table(b_max, n_max, mp.one)
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +355,10 @@ def evaluate_reduced(comb: PiReducedCombination, precision: int) -> mpf:
     wdps = precision + 10
     with workdps(wdps):
         total = mp.zero
-        for mono, scalar in comb.sorted_terms():
-            term = _frac(scalar.coeff)
-            if scalar.pi_exponent:
-                term *= mp.pi**scalar.pi_exponent
+        for coeff, pi_exp, mono in comb.items():
+            term = _frac(coeff)
+            if pi_exp:
+                term *= mp.pi**pi_exp
             for n, k in mono.factors:
                 term *= zeta_value(n, wdps) ** k
             total += term

@@ -119,8 +119,8 @@ def build_system(
         coeffs = tuple(red.coefficient(m) for m in columns)
         if not any(coeffs):
             continue  # row touches no unknown; nothing to solve with
-        known = PiReducedCombination(
-            N, {m: s for m, s in red.terms.items() if m not in colset}
+        known = PiReducedCombination._of(
+            N, {m: c for m, c in red._terms.items() if m not in colset}
         )
         rows.append(SystemRow((N - b, b), coeffs, known))
     return LinearSystem(N, mode, tuple(columns), tuple(rows))
@@ -149,25 +149,21 @@ class Certificate:
         denom = 1
         for scalar in self.lz_terms.values():
             denom = math.lcm(denom, scalar.coeff.denominator)
-        for scalar in self.known_remainder.terms.values():
-            denom = math.lcm(denom, scalar.coeff.denominator)
+        for coeff, _, _ in self.known_remainder.items():
+            denom = math.lcm(denom, coeff.denominator)
         return denom
 
     def cleared(self) -> tuple[int, dict[tuple[int, int], int], dict[ZetaMonomial, int]]:
         """Secondary form with one multiplier and integer coefficients."""
         m = self.common_denominator()
         lz = {pair: int(s.coeff * m) for pair, s in self.sorted_lz()}
-        known = {
-            mono: int(s.coeff * m) for mono, s in self.known_remainder.sorted_terms()
-        }
+        known = {mono: int(c * m) for c, _, mono in self.known_remainder.items()}
         return m, lz, known
 
     def _line(self, latex: bool) -> str:
         lhs = _render([(Fraction(1), self.target_pi_exponent, self.target)], latex)
         items = [(s.coeff, s.pi_exponent, f"Lz({a},{b})") for (a, b), s in self.sorted_lz()]
-        items += [
-            (s.coeff, s.pi_exponent, mono) for mono, s in self.known_remainder.sorted_terms()
-        ]
+        items += self.known_remainder.items()
         rhs = _render(items, latex)
         return f"{lhs}={rhs}" if latex else f"{lhs} = {rhs}"
 
@@ -188,8 +184,8 @@ class Certificate:
                 for (a, b), s in self.sorted_lz()
             ],
             "known": [
-                {"mono": str(mono), "coeff": str(s.coeff), "pi": s.pi_exponent}
-                for mono, s in self.known_remainder.sorted_terms()
+                {"mono": str(mono), "coeff": str(c), "pi": pi}
+                for c, pi, mono in self.known_remainder.items()
             ],
         }
 
@@ -204,10 +200,10 @@ def verify_certificate(cert: Certificate) -> bool:
 
     for (a, b), scalar in cert.lz_terms.items():
         red = reduce_even(expand_lz(a, b))
-        for mono, s in red.terms.items():
-            put(mono, s.pi_exponent + scalar.pi_exponent, s.coeff * scalar.coeff)
-    for mono, s in cert.known_remainder.terms.items():
-        put(mono, s.pi_exponent, s.coeff)
+        for coeff, pi_exp, mono in red.items():
+            put(mono, pi_exp + scalar.pi_exponent, coeff * scalar.coeff)
+    for coeff, pi_exp, mono in cert.known_remainder.items():
+        put(mono, pi_exp, coeff)
     put(cert.target, cert.target_pi_exponent, Fraction(-1))
     return all(v == 0 for v in acc.values())
 

@@ -162,6 +162,7 @@ def test_verify_budget_exhaustion_exits_three(run_cli, monkeypatch):
 def test_verify_usage(run_cli):
     assert run_cli("verify", "2", "1", "--digits", "99")[0] == 1
     assert run_cli("verify", "0", "1")[0] == 1
+    assert run_cli("verify", "13", "12")[0] == 1
 
 
 def test_express_text_certificate(run_cli):

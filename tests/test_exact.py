@@ -83,14 +83,6 @@ def test_pi_power_scalar_rejects_odd_or_negative_exponent():
         PiPowerScalar(F(1), -2)
 
 
-def test_pi_power_scalar_arithmetic():
-    s = PiPowerScalar(F(3, 4), 2)
-    t = PiPowerScalar(F(-2), 4)
-    assert s * t == PiPowerScalar(F(-3, 2), 6)
-    assert -s == PiPowerScalar(F(-3, 4), 2)
-    assert s.scaled(F(4, 3)) == PiPowerScalar(F(1), 2)
-
-
 def test_matrix_shape_and_accessors():
     m = RationalMatrix([[1, 2, 3], [4, 5, 6]])
     assert (m.rows, m.cols) == (2, 3)
