@@ -18,12 +18,9 @@ import os
 import sys
 import time
 
-from mpmath import mp, workdps
+from mpmath import mp
 
 from .expansion import (
-    MonomialParseError,
-    PiReducedCombination,
-    ZetaCombination,
     ZetaMonomial,
     expand_lz,
     expand_weight,
@@ -31,10 +28,7 @@ from .expansion import (
 )
 from .numerics import (
     PrecisionBudgetError,
-    evaluate_reduced,
-    lz_quadrature,
-    lz_series,
-    verify_expansion,
+    _verify,
 )
 from .partitions import PARITY_CHOICES, PartitionFilter, enumerate_partitions
 from .solver import MODES, express, survey
@@ -143,15 +137,6 @@ def _print_envelope(command: str, inputs: dict, result: dict, started: float) ->
     print(json.dumps(envelope))
 
 
-def _terms_payload(comb: ZetaCombination | PiReducedCombination) -> list[dict]:
-    """JSON terms; a reduced combination also gives each term's pi exponent."""
-    reduced = isinstance(comb, PiReducedCombination)
-    return [
-        {"mono": str(mono), "coeff": str(coeff), **({"pi": pi} if reduced else {})}
-        for coeff, pi, mono in comb.items()
-    ]
-
-
 def _cmd_expand(args, started: float) -> int:
     if args.a < 1 or args.b < 1:
         raise _UsageError("expand needs a >= 1 and b >= 1")
@@ -164,7 +149,7 @@ def _cmd_expand(args, started: float) -> int:
         result = {
             "weight": obj.weight,
             "reduced": args.reduce,
-            "terms": _terms_payload(obj),
+            "terms": obj.payload(),
         }
         _print_envelope(
             "expand",
@@ -196,7 +181,7 @@ def _cmd_table(args, started: float) -> int:
                 {
                     "a": a,
                     "b": b,
-                    "terms": _terms_payload(obj),
+                    "terms": obj.payload(),
                 }
                 for (a, b), obj in shown.items()
             ],
@@ -219,40 +204,17 @@ def _cmd_verify(args, started: float) -> int:
         raise _UsageError(f"a+b = {args.a + args.b} exceeds the weight cap {cap}")
     if not 1 <= args.digits <= DIGITS_CAP:
         raise _UsageError(f"digits must be within 1..{DIGITS_CAP}")
-    digits = args.digits
-
-    def show(name, value):
-        print(f"{name:>11}: {mp.nstr(value, digits)}")
-
-    if args.method == "both":
-        report = verify_expansion(args.a, args.b, digits)
-        show("symbolic", report.symbolic)
-        show("series", report.series)
-        show("quadrature", report.quadrature)
-        show("deviation", report.max_deviation)
-        show("threshold", report.threshold)
-        print("PASS" if report.passed else "FAIL")
-        return 0 if report.passed else 3
-    with workdps(digits + 10):
-        symbolic = evaluate_reduced(reduce_even(expand_lz(args.a, args.b)), digits + 5)
-        fn = lz_series if args.method == "series" else lz_quadrature
-        value = fn(args.a, args.b, digits + 5)
-        deviation = abs(value - symbolic)
-        threshold = mp.mpf(10) ** (-(digits - 5))
-        passed = bool(deviation < threshold)
-    show("symbolic", symbolic)
-    show(args.method, value)
-    show("deviation", deviation)
-    show("threshold", threshold)
+    routes = ("series", "quadrature") if args.method == "both" else (args.method,)
+    values, deviation, threshold, passed = _verify(args.a, args.b, args.digits, routes)
+    shown = {**values, "deviation": deviation, "threshold": threshold}
+    for name, value in shown.items():
+        print(f"{name:>11}: {mp.nstr(value, args.digits)}")
     print("PASS" if passed else "FAIL")
     return 0 if passed else 3
 
 
 def _cmd_express(args, started: float) -> int:
-    try:
-        target = ZetaMonomial.parse(args.monomial)
-    except MonomialParseError as exc:
-        raise _UsageError(str(exc)) from exc
+    target = ZetaMonomial.parse(args.monomial)
     cap = _weight_cap(args)
     weight = args.weight if args.weight is not None else target.weight
     if weight > cap:
@@ -335,12 +297,9 @@ def _cmd_survey(args, started: float) -> int:
 def _cmd_partitions(args, started: float) -> int:
     if args.N < 1:
         raise _UsageError("partitions needs N >= 1")
-    try:
-        flt = PartitionFilter(
-            min_part=args.min_part, exact_parts=args.parts, parity=args.parity
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    flt = PartitionFilter(
+        min_part=args.min_part, exact_parts=args.parts, parity=args.parity
+    )
     elems = enumerate_partitions(args.N, flt)
     if args.format == "json":
         result = {
@@ -385,12 +344,6 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         return _DISPATCH[args.command](args, started)
-    except _UsageError as exc:
-        sys.stderr.write(f"zetalog {args.command}: {exc}\n")
-        return 1
-    except MonomialParseError as exc:
-        sys.stderr.write(f"zetalog {args.command}: {exc}\n")
-        return 1
     except PrecisionBudgetError as exc:
         sys.stderr.write(f"zetalog {args.command}: precision budget: {exc}\n")
         return 3

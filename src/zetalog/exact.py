@@ -185,14 +185,11 @@ def solve_membership(
         return [Fraction(0)] * system.rows
     reduced, pivots = _echelon(aug)
     n_unknowns = system.rows
-    for row in reduced:
-        if all(x == 0 for x in row[:n_unknowns]) and row[n_unknowns] != 0:
-            return None
     solution = [Fraction(0)] * n_unknowns
     for r, c in enumerate(pivots):
         if c >= n_unknowns:
             return None  # pivot in the augmented column: inconsistent
-        solution[c] = reduced[r][n_unknowns] - sum(
-            reduced[r][j] * solution[j] for j in range(c + 1, n_unknowns)
-        )
+        # fully reduced: row r is zero in every other pivot column, so
+        # lambda_c is its right-hand side once free variables are zero
+        solution[c] = reduced[r][n_unknowns]
     return solution

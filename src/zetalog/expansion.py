@@ -194,6 +194,14 @@ class _Combination:
         ordered = sorted(self._terms.items(), key=lambda mc: mc[0].sort_key())
         return [(c, self.weight - m.weight, m) for m, c in ordered]
 
+    def payload(self) -> list[dict]:
+        """JSON terms; a reduced combination also gives each term's pi exponent."""
+        reduced = isinstance(self, PiReducedCombination)
+        return [
+            {"mono": str(mono), "coeff": str(coeff), **({"pi": pi} if reduced else {})}
+            for coeff, pi, mono in self.items()
+        ]
+
     def scale(self, r: Rational):
         q = Fraction(r)
         return self._of(self.weight, {m: c * q for m, c in self._terms.items()})

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from typing import Callable, Optional
 
 from mpmath import mp, mpf, workdps
@@ -386,26 +387,36 @@ class VerificationReport:
         }
 
 
+def _verify(a: int, b: int, precision: int, routes: tuple[str, ...]):
+    """The verify judgement: symbolic value, each route, deviation, verdict.
+
+    routes holds "series" and/or "quadrature".  Returns ({name: value} in
+    the order symbolic then routes, the largest pairwise deviation, the
+    threshold, passed).  Values carry P+5 digits and are compared at P+10;
+    the check passes when the deviation is below 10^-(P-5).
+    """
+    reduced = reduce_even(expand_lz(a, b))
+    carried = precision + 5
+    with workdps(precision + 10):
+        values = {"symbolic": evaluate_reduced(reduced, carried)}
+        for name in routes:
+            # looked up per call, so a rebound module attribute is the one run
+            route = lz_series if name == "series" else lz_quadrature
+            values[name] = route(a, b, carried)
+        max_dev = max(abs(x - y) for x, y in combinations(values.values(), 2))
+        threshold = mp.mpf(10) ** (-(precision - 5))
+        return values, max_dev, threshold, bool(max_dev < threshold)
+
+
 def verify_expansion(a: int, b: int, precision: int) -> VerificationReport:
     """Check the symbolic expansion of Lz(a,b) against both numeric routes."""
-    reduced = reduce_even(expand_lz(a, b))
-    wdps = precision + 10
-    with workdps(wdps):
-        symbolic = evaluate_reduced(reduced, precision + 5)
-        series = lz_series(a, b, precision + 5)
-        quadrature = lz_quadrature(a, b, precision + 5)
-        threshold = mp.mpf(10) ** (-(precision - 5))
-        max_dev = max(
-            abs(series - symbolic), abs(quadrature - symbolic), abs(series - quadrature)
-        )
-        return VerificationReport(
-            a=a,
-            b=b,
-            digits=precision,
-            symbolic=symbolic,
-            series=series,
-            quadrature=quadrature,
-            max_deviation=max_dev,
-            threshold=threshold,
-            passed=bool(max_dev < threshold),
-        )
+    values, max_dev, threshold, passed = _verify(a, b, precision, ("series", "quadrature"))
+    return VerificationReport(
+        a=a,
+        b=b,
+        digits=precision,
+        **values,
+        max_deviation=max_dev,
+        threshold=threshold,
+        passed=passed,
+    )

@@ -183,10 +183,7 @@ class Certificate:
                 {"a": a, "b": b, "coeff": str(s.coeff), "pi": s.pi_exponent}
                 for (a, b), s in self.sorted_lz()
             ],
-            "known": [
-                {"mono": str(mono), "coeff": str(c), "pi": pi}
-                for c, pi, mono in self.known_remainder.items()
-            ],
+            "known": self.known_remainder.payload(),
         }
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from zetalog import cli
+from zetalog import cli, numerics
 from zetalog.expansion import ZetaCombination, ZetaMonomial, expand_lz
 from zetalog.numerics import PrecisionBudgetError
 from zetalog.solver import express
@@ -135,25 +135,25 @@ def test_verify_single_method(run_cli):
 
 
 def test_verify_reports_failure_with_exit_three(run_cli, monkeypatch):
-    real = cli.verify_expansion
+    real = cli._verify
 
-    def doctored(a, b, digits):
-        report = real(a, b, digits)
-        return type(report)(
-            **{**report.__dict__, "passed": False}
-        )
+    def doctored(a, b, digits, routes):
+        values, deviation, threshold, _ = real(a, b, digits, routes)
+        return values, deviation, threshold, False
 
-    monkeypatch.setattr(cli, "verify_expansion", doctored)
-    code, out, _ = run_cli("verify", "2", "1", "--digits", "15")
-    assert code == 3
-    assert out.strip().endswith("FAIL")
+    monkeypatch.setattr(cli, "_verify", doctored)
+    # every --method prints the one judgement's verdict
+    for method in ("both", "series", "quadrature"):
+        code, out, _ = run_cli("verify", "2", "1", "--digits", "15", "--method", method)
+        assert code == 3, method
+        assert out.strip().endswith("FAIL"), method
 
 
 def test_verify_budget_exhaustion_exits_three(run_cli, monkeypatch):
     def explode(a, b, digits):
         raise PrecisionBudgetError("series term budget exhausted")
 
-    monkeypatch.setattr(cli, "lz_series", explode)
+    monkeypatch.setattr(numerics, "lz_series", explode)
     code, _, err = run_cli("verify", "2", "1", "--digits", "15", "--method", "series")
     assert code == 3
     assert "precision budget" in err

@@ -1,17 +1,22 @@
 """Structural guards: every module-level cache is bounded, and the bench
-trace shim still finds every name it wraps."""
+trace shim still finds and counts every name it wraps."""
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import zetalog
 from zetalog import expansion
 
-SHIM = Path(__file__).resolve().parents[1] / "bench" / "shim.py"
+ROOT = Path(__file__).resolve().parents[1]
+SHIM = ROOT / "bench" / "shim.py"
 
 
 def test_every_module_cache_is_bounded():
@@ -40,3 +45,21 @@ def test_bench_shim_targets_exist():
         cls = getattr(expansion, cls_name)
         for meth in shim.RENDER_METHODS:
             assert callable(getattr(cls, meth, None)), f"{cls_name}.{meth}"
+
+
+def test_bench_shim_counts_verify_routes(tmp_path):
+    # the shim rebinds module attributes, so a route held in a table built at
+    # import time would run unwrapped and show zero calls
+    trace = tmp_path / "trace.json"
+    argv = ["verify", "3", "2", "--digits", "15", "--method", "series"]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env.pop("ZL_MAX_WEIGHT", None)
+    proc = subprocess.run(
+        [sys.executable, str(SHIM), str(trace), *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    stats = json.loads(trace.read_text())["stats"]
+    assert stats["numerics.lz_series"]["calls"] == 1
+    assert stats["numerics.evaluate_reduced"]["calls"] == 1
+    assert "numerics.lz_quadrature" not in stats
