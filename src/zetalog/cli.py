@@ -41,10 +41,6 @@ SURVEY_WEIGHT_CAP = 40
 DIGITS_CAP = 60
 
 
-class _UsageError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad flags; the contract reserves 2 for
     # "not expressible", so usage problems must leave with 1 instead
@@ -99,14 +95,14 @@ def _build_parser() -> _Parser:
     add_cap(p)
 
     p = sub.add_parser("survey", help="equations/unknowns/rank per weight")
-    p.add_argument("--from", dest="from_weight", type=int, required=True)
-    p.add_argument("--to", dest="to_weight", type=int, required=True)
+    p.add_argument("--from", type=int, required=True)
+    p.add_argument("--to", type=int, required=True)
     p.add_argument("--mode", choices=list(MODES), default="optimistic")
     add_format(p)
 
     p = sub.add_parser("partitions", help="restricted partition listing")
     p.add_argument("N", type=int)
-    p.add_argument("--min-part", dest="min_part", type=int, default=1)
+    p.add_argument("--min-part", type=int, default=1)
     p.add_argument("--parts", type=int, default=None)
     p.add_argument("--parity", choices=list(PARITY_CHOICES), default="any")
     add_format(p, latex=False)
@@ -122,15 +118,19 @@ def _weight_cap(args) -> int:
         try:
             return int(env)
         except ValueError as exc:
-            raise _UsageError(f"ZL_MAX_WEIGHT is not an integer: {env!r}") from exc
+            raise ValueError(f"ZL_MAX_WEIGHT is not an integer: {env!r}") from exc
     return DEFAULT_MAX_WEIGHT
 
 
-def _print_envelope(command: str, inputs: dict, result: dict, started: float) -> None:
+# parsed arguments that are not inputs: the subcommand, the output form, the cap
+_NOT_INPUTS = ("command", "format", "max_weight")
+
+
+def _print_envelope(args, result: dict, started: float) -> None:
     envelope = {
         "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "inputs": inputs,
+        "command": args.command,
+        "inputs": {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS},
         "result": result,
         "elapsed_ms": int((time.monotonic() - started) * 1000),
     }
@@ -139,10 +139,10 @@ def _print_envelope(command: str, inputs: dict, result: dict, started: float) ->
 
 def _cmd_expand(args, started: float) -> int:
     if args.a < 1 or args.b < 1:
-        raise _UsageError("expand needs a >= 1 and b >= 1")
+        raise ValueError("expand needs a >= 1 and b >= 1")
     cap = _weight_cap(args)
     if args.a + args.b > cap:
-        raise _UsageError(f"a+b = {args.a + args.b} exceeds the weight cap {cap}")
+        raise ValueError(f"a+b = {args.a + args.b} exceeds the weight cap {cap}")
     comb = expand_lz(args.a, args.b)
     obj = reduce_even(comb) if args.reduce else comb
     if args.format == "json":
@@ -151,12 +151,7 @@ def _cmd_expand(args, started: float) -> int:
             "reduced": args.reduce,
             "terms": obj.payload(),
         }
-        _print_envelope(
-            "expand",
-            {"a": args.a, "b": args.b, "reduce": args.reduce},
-            result,
-            started,
-        )
+        _print_envelope(args, result, started)
     elif args.format == "latex":
         print(f"Lz({args.a},{args.b})={obj.latex()}")
     else:
@@ -167,7 +162,7 @@ def _cmd_expand(args, started: float) -> int:
 def _cmd_table(args, started: float) -> int:
     cap = _weight_cap(args)
     if not 2 <= args.N <= cap:
-        raise _UsageError(f"table needs 2 <= N <= {cap}")
+        raise ValueError(f"table needs 2 <= N <= {cap}")
     entries = expand_weight(args.N)
     shown = {
         pair: (reduce_even(comb) if args.reduce else comb)
@@ -186,7 +181,7 @@ def _cmd_table(args, started: float) -> int:
                 for (a, b), obj in shown.items()
             ],
         }
-        _print_envelope("table", {"N": args.N, "reduce": args.reduce}, result, started)
+        _print_envelope(args, result, started)
     elif args.format == "latex":
         for (a, b), obj in shown.items():
             print(f"Lz({a},{b})={obj.latex()}")
@@ -198,12 +193,12 @@ def _cmd_table(args, started: float) -> int:
 
 def _cmd_verify(args, started: float) -> int:
     if args.a < 1 or args.b < 1:
-        raise _UsageError("verify needs a >= 1 and b >= 1")
+        raise ValueError("verify needs a >= 1 and b >= 1")
     cap = _weight_cap(args)
     if args.a + args.b > cap:
-        raise _UsageError(f"a+b = {args.a + args.b} exceeds the weight cap {cap}")
+        raise ValueError(f"a+b = {args.a + args.b} exceeds the weight cap {cap}")
     if not 1 <= args.digits <= DIGITS_CAP:
-        raise _UsageError(f"digits must be within 1..{DIGITS_CAP}")
+        raise ValueError(f"digits must be within 1..{DIGITS_CAP}")
     routes = ("series", "quadrature") if args.method == "both" else (args.method,)
     values, deviation, threshold, passed = _verify(args.a, args.b, args.digits, routes)
     shown = {**values, "deviation": deviation, "threshold": threshold}
@@ -218,7 +213,7 @@ def _cmd_express(args, started: float) -> int:
     cap = _weight_cap(args)
     weight = args.weight if args.weight is not None else target.weight
     if weight > cap:
-        raise _UsageError(f"weight {weight} exceeds the weight cap {cap}")
+        raise ValueError(f"weight {weight} exceeds the weight cap {cap}")
     outcome = express(target, mode=args.mode, weight=args.weight)
 
     if args.format == "json":
@@ -231,12 +226,7 @@ def _cmd_express(args, started: float) -> int:
             if outcome.certificate
             else None,
         }
-        _print_envelope(
-            "express",
-            {"monomial": args.monomial, "mode": args.mode, "weight": args.weight},
-            result,
-            started,
-        )
+        _print_envelope(args, result, started)
     elif args.format == "latex":
         if outcome.certificate is not None:
             print(outcome.certificate.latex())
@@ -252,32 +242,23 @@ def _cmd_express(args, started: float) -> int:
 
 
 def _cmd_survey(args, started: float) -> int:
-    lo, hi = args.from_weight, args.to_weight
+    lo, hi = vars(args)["from"], args.to
     if not 3 <= lo <= hi <= SURVEY_WEIGHT_CAP:
-        raise _UsageError(f"survey range must satisfy 3 <= from <= to <= {SURVEY_WEIGHT_CAP}")
+        raise ValueError(f"survey range must satisfy 3 <= from <= to <= {SURVEY_WEIGHT_CAP}")
     report = survey(lo, hi, mode=args.mode)
     if args.format == "json":
         result = {
             "mode": report.mode,
             "records": [
                 {
-                    "weight": r.weight,
-                    "equations": r.equations,
-                    "unknowns": r.unknowns,
-                    "rank": r.rank,
+                    **vars(r),
                     "expressible": [str(m) for m in r.expressible],
                     "inexpressible": [str(m) for m in r.inexpressible],
-                    "counting_equations": r.counting_equations,
-                    "counting_unknowns": r.counting_unknowns,
-                    "counting_deficient": r.counting_deficient,
-                    "rank_deficient": r.rank_deficient,
                 }
                 for r in report.records
             ],
         }
-        _print_envelope(
-            "survey", {"from": lo, "to": hi, "mode": args.mode}, result, started
-        )
+        _print_envelope(args, result, started)
     elif args.format == "latex":
         for r in report.records:
             bad = ",".join(str(m) for m in r.inexpressible) or "-"
@@ -295,8 +276,8 @@ def _cmd_survey(args, started: float) -> int:
 
 
 def _cmd_partitions(args, started: float) -> int:
-    if args.N < 1:
-        raise _UsageError("partitions needs N >= 1")
+    if not 1 <= args.N <= SURVEY_WEIGHT_CAP:
+        raise ValueError(f"partitions needs 1 <= N <= {SURVEY_WEIGHT_CAP}")
     flt = PartitionFilter(
         min_part=args.min_part, exact_parts=args.parts, parity=args.parity
     )
@@ -312,12 +293,7 @@ def _cmd_partitions(args, started: float) -> int:
             "partitions": [list(x.part_list()) for x in elems],
             "count": len(elems),
         }
-        _print_envelope(
-            "partitions",
-            {"N": args.N, "min_part": args.min_part, "parts": args.parts, "parity": args.parity},
-            result,
-            started,
-        )
+        _print_envelope(args, result, started)
     else:
         for x in elems:
             print(x)

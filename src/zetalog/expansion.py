@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 from .coefficients import little_c
 from .exact import PiPowerScalar, Rational, zeta_even_pi_coeff
@@ -121,8 +121,6 @@ class ZetaMonomial:
 
 
 UNIT_MONOMIAL = ZetaMonomial(())
-
-TermsLike = Union[Mapping[ZetaMonomial, Rational], Iterable[tuple[ZetaMonomial, Rational]]]
 
 
 def _render(items: list[tuple[Fraction, int, Union[ZetaMonomial, str]]], latex: bool) -> str:
@@ -239,16 +237,15 @@ class ZetaCombination(_Combination):
 
     __slots__ = ()
 
-    def __init__(self, weight: int, terms: TermsLike):
-        items = terms.items() if isinstance(terms, Mapping) else terms
+    def __init__(self, weight: int, terms: Mapping[ZetaMonomial, Rational]):
         cleaned: dict[ZetaMonomial, Fraction] = {}
-        for mono, coeff in items:
+        for mono, coeff in terms.items():
             q = Fraction(coeff)
             if q == 0:
                 continue
             if mono.weight != weight:
                 raise ValueError(f"monomial {mono} has weight {mono.weight}, expected {weight}")
-            cleaned[mono] = cleaned.get(mono, Fraction(0)) + q
+            cleaned[mono] = q
         self._set(weight, cleaned)
 
     @property
@@ -311,17 +308,14 @@ def expand_lz(a: int, b: int) -> ZetaCombination:
     for x in _partitions_min2(n):
         if x.norm > bound:
             continue
-        coeff = little_c(x, b)
-        if coeff:
-            terms[ZetaMonomial.from_partition(x)] = coeff
-    return ZetaCombination(n, terms)
+        terms[ZetaMonomial.from_partition(x)] = little_c(x, b)
+    return ZetaCombination._of(n, terms)
 
 
 def reduce_even(c: ZetaCombination) -> PiReducedCombination:
     """Fold even-argument zeta factors into rational pi powers."""
     merged: dict[ZetaMonomial, Fraction] = {}
-    for mono, coeff in c.terms.items():
-        q = Fraction(coeff)
+    for mono, q in c._terms.items():
         odd: list[tuple[int, int]] = []
         for n, k in mono.factors:
             if n % 2 == 0:

@@ -109,7 +109,6 @@ class STable:
 
     b_max: int
     n_max: int
-    exact: bool
     rows: tuple[tuple, ...]  # rows[k][n], row 0 unused
 
     def value(self, k: int, n: int):
@@ -133,8 +132,7 @@ def _build_table(b_max: int, n_max: int, one) -> STable:
             running += prev[n - 1]
             row[n] = k * running / n
         rows.append(row)
-    exact = isinstance(one, Fraction)
-    return STable(b_max, n_max, exact, tuple(tuple(r) if r else () for r in rows))
+    return STable(b_max, n_max, tuple(tuple(r) if r else () for r in rows))
 
 
 @lru_cache(maxsize=16)
@@ -154,20 +152,6 @@ def build_s_table(b_max: int, n_max: int, precision: Optional[int] = None) -> ST
 # tanh-sinh quadrature over (0,1) with precomputed endpoint data
 
 
-class _Node:
-    __slots__ = ("t", "mt", "log_t", "log_mt", "base_weight")
-
-    def __init__(self, t, mt, log_t, log_mt, base_weight):
-        self.t = t
-        self.mt = mt
-        self.log_t = log_t
-        self.log_mt = log_mt
-        self.base_weight = base_weight
-
-    def swapped(self) -> "_Node":
-        return _Node(self.mt, self.t, self.log_mt, self.log_t, self.base_weight)
-
-
 @lru_cache(maxsize=64)
 def _vmax(wdps: int) -> float:
     goal = -(wdps + 12) * math.log(10.0)
@@ -180,7 +164,8 @@ def _vmax(wdps: int) -> float:
     return v
 
 
-def _make_node(v: mpf) -> _Node:
+def _make_node(v: mpf) -> tuple[mpf, ...]:
+    """(base weight, t, 1-t, log t, log(1-t)) at v, all at full precision."""
     u = mp.pi / 2 * mp.sinh(v)
     emu = mp.exp(-2 * u)
     log_big = -mp.log1p(emu)  # log of the side near 1
@@ -188,20 +173,20 @@ def _make_node(v: mpf) -> _Node:
     big = mp.exp(log_big)
     small = emu * big
     base_weight = (mp.pi / 4) * mp.cosh(v) / mp.cosh(u) ** 2
-    return _Node(big, small, log_big, log_small, base_weight)
+    return (base_weight, big, small, log_big, log_small)
 
 
 # one verify integrates at a single working precision: at most
 # QUADRATURE_MAX_LEVEL + 1 = 13 entries
 @lru_cache(maxsize=64)
-def _tier_nodes(tier: int, wdps: int) -> tuple[_Node, ...]:
+def _tier_nodes(tier: int, wdps: int) -> tuple[tuple[mpf, ...], ...]:
     """Nodes new at this refinement level: v = odd multiples of 2^-tier."""
     vmax = _vmax(wdps)
-    nodes: list[_Node] = []
+    nodes: list[tuple[mpf, ...]] = []
     with workdps(wdps + 5):
         if tier == 0:
             half = mp.mpf(1) / 2
-            nodes.append(_Node(half, half, -mp.log(2), -mp.log(2), mp.pi / 4))
+            nodes.append((mp.pi / 4, half, half, -mp.log(2), -mp.log(2)))
             for k in range(1, int(vmax) + 1):
                 nodes.append(_make_node(mp.mpf(k)))
         else:
@@ -214,24 +199,21 @@ def _tier_nodes(tier: int, wdps: int) -> tuple[_Node, ...]:
 
 
 def _integrate01(
-    integrand: Callable[[_Node], mpf],
-    wdps: int,
-    agree_digits: int,
-    what: str,
-    symmetric: bool = False,
+    integrand: Callable[[mpf, mpf, mpf], mpf], wdps: int, agree_digits: int, what: str
 ) -> mpf:
-    """Tanh-sinh on (0,1): refine until two consecutive levels agree."""
+    """Tanh-sinh on (0,1) of integrand(t, log t, log(1-t)): refine until two
+    consecutive levels agree."""
     with workdps(wdps):
         tol = mp.mpf(10) ** (-agree_digits)
         tier_sums: list[mpf] = []
         prev = None
         for level in range(QUADRATURE_MAX_LEVEL + 1):
             acc = mp.zero
-            for node in _tier_nodes(level, wdps):
-                val = integrand(node)
-                if node.t != node.mt:
-                    val = 2 * val if symmetric else val + integrand(node.swapped())
-                acc += node.base_weight * val
+            for weight, t, mt, log_t, log_mt in _tier_nodes(level, wdps):
+                val = integrand(t, log_t, log_mt)
+                if t != mt:
+                    val += integrand(mt, log_mt, log_t)
+                acc += weight * val
             tier_sums.append(acc)
             total = sum(tier_sums) / 2**level
             if level >= 5 and abs(total - prev) <= tol * max(1, abs(total)):
@@ -248,12 +230,10 @@ def raw_lz_quadrature(a: int, b: int, precision: int) -> mpf:
         raise ValueError(f"raw integral needs a, b >= 0, got ({a}, {b})")
     wdps = precision + 10
 
-    def integrand(node: _Node) -> mpf:
-        return node.log_t**a * node.log_mt**b
+    def integrand(t: mpf, log_t: mpf, log_mt: mpf) -> mpf:
+        return log_t**a * log_mt**b
 
-    val = _integrate01(
-        integrand, wdps, precision + 2, f"raw lz({a},{b})", symmetric=(a == b)
-    )
+    val = _integrate01(integrand, wdps, precision + 2, f"raw lz({a},{b})")
     with workdps(precision):
         return +val
 
@@ -265,8 +245,8 @@ def lz_quadrature(a: int, b: int, precision: int) -> mpf:
     wdps = precision + 10
     norm = math.factorial(a - 1) * math.factorial(b)
 
-    def integrand(node: _Node) -> mpf:
-        return node.log_t ** (a - 1) * node.log_mt**b / node.t
+    def integrand(t: mpf, log_t: mpf, log_mt: mpf) -> mpf:
+        return log_t ** (a - 1) * log_mt**b / t
 
     val = _integrate01(integrand, wdps, precision + 2, f"Lz({a},{b}) quadrature")
     with workdps(precision):

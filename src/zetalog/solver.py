@@ -83,12 +83,6 @@ class LinearSystem:
             [list(row.coefficients) for row in self.rows], cols=len(self.columns)
         )
 
-    def column_index(self, mono: ZetaMonomial) -> Optional[int]:
-        try:
-            return self.columns.index(mono)
-        except ValueError:
-            return None
-
 
 def build_system(
     N: int, mode: str = "optimistic", ensure: tuple[ZetaMonomial, ...] = ()
@@ -110,7 +104,7 @@ def build_system(
             raise ValueError(f"{mono} cannot appear at weight {N}")
         if mono not in columns:
             columns.append(mono)
-    columns.sort(key=lambda m: (-m.weight, m.factors))
+    columns.sort(key=ZetaMonomial.sort_key)
     colset = set(columns)
 
     rows: list[SystemRow] = []
@@ -217,7 +211,7 @@ class ExpressOutcome:
 
 def _solve(target: ZetaMonomial, N: int, mode: str) -> Optional[Certificate]:
     system = build_system(N, mode, ensure=(target,))
-    j = system.column_index(target)
+    j = system.columns.index(target)
     unit = [Fraction(1) if i == j else Fraction(0) for i in range(len(system.columns))]
     lam = solve_membership(system.matrix(), unit)
     if lam is None:

@@ -304,6 +304,7 @@ def test_partitions_json(run_cli):
 
 def test_partitions_usage(run_cli):
     assert run_cli("partitions", "0")[0] == 1
+    assert run_cli("partitions", "41")[0] == 1
     assert run_cli("partitions", "5", "--parity", "prime")[0] == 1
 
 

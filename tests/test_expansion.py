@@ -153,6 +153,8 @@ def test_combination_validation_and_immutability():
     with pytest.raises(ValueError):
         ZetaCombination(4, {z3: F(1)})
     c = ZetaCombination(3, {z3: F(2)})
+    # a zero term is dropped before its weight is checked
+    assert ZetaCombination(3, {z3: F(2), ZetaMonomial.parse("z5"): F(0)}) == c
     with pytest.raises(AttributeError):
         c.weight = 5
     with pytest.raises(ValueError):

@@ -63,3 +63,43 @@ def test_bench_shim_counts_verify_routes(tmp_path):
     assert stats["numerics.lz_series"]["calls"] == 1
     assert stats["numerics.evaluate_reduced"]["calls"] == 1
     assert "numerics.lz_quadrature" not in stats
+
+
+def _load_bench_run():
+    path = ROOT / "bench" / "run.py"
+    spec = importlib.util.spec_from_file_location("bench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules while the class is built
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_call_graph_reaches_every_layer(tmp_path):
+    # bench/run.py --trace 1 aborts when a per-layer metric of a workload
+    # reads zero, e.g. once expand_lz stops calling little_c; this replays
+    # one short op list per workload through the shim and applies that rule
+    bench_run = _load_bench_run()
+    ops = {
+        "survey-range": [["survey", "--from", "3", "--to", "8", "--format", "json"]],
+        "cli-queries": [
+            ["expand", "3", "2"],
+            ["table", "6", "--reduce"],
+            ["express", "z3*z5", "--format", "latex"],
+        ],
+    }
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env.pop("ZL_MAX_WEIGHT", None)
+    for workload, argvs in ops.items():
+        traces = []
+        for i, argv in enumerate(argvs):
+            trace = tmp_path / f"{workload}-{i}.json"
+            proc = subprocess.run(
+                [sys.executable, str(SHIM), str(trace), *argv],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            traces.append(json.loads(trace.read_text()))
+        metrics = bench_run.layer_metrics(traces)
+        zero = [m for m, _, home in bench_run.PER_LAYER if home == workload and not metrics[m]]
+        assert zero == [], workload
