@@ -26,7 +26,6 @@ from .numerics import (
     evaluate_reduced,
     lz_quadrature,
     lz_series,
-    raw_lz_quadrature,
     verify_expansion,
     zeta_value,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "evaluate_reduced",
     "lz_quadrature",
     "lz_series",
-    "raw_lz_quadrature",
     "verify_expansion",
     "zeta_value",
     "PartitionElement",

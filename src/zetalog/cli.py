@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -62,8 +61,8 @@ def _build_parser() -> _Parser:
         p.add_argument(
             "--max-weight",
             type=int,
-            default=None,
-            help="override the weight cap (default 24, or ZL_MAX_WEIGHT)",
+            default=DEFAULT_MAX_WEIGHT,
+            help=f"weight cap (default {DEFAULT_MAX_WEIGHT})",
         )
 
     p = sub.add_parser("expand", help="expand Lz(a,b) into zeta monomials")
@@ -86,6 +85,7 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--method", choices=["series", "quadrature", "both"], default="both"
     )
+    add_cap(p)
 
     p = sub.add_parser("express", help="certificate for an odd-zeta monomial")
     p.add_argument("monomial", help="e.g. z3, z3^2*z5")
@@ -110,18 +110,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _weight_cap(args) -> int:
-    if getattr(args, "max_weight", None) is not None:
-        return args.max_weight
-    env = os.environ.get("ZL_MAX_WEIGHT")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValueError(f"ZL_MAX_WEIGHT is not an integer: {env!r}") from exc
-    return DEFAULT_MAX_WEIGHT
-
-
 # parsed arguments that are not inputs: the subcommand, the output form, the cap
 _NOT_INPUTS = ("command", "format", "max_weight")
 
@@ -140,9 +128,8 @@ def _print_envelope(args, result: dict, started: float) -> None:
 def _cmd_expand(args, started: float) -> int:
     if args.a < 1 or args.b < 1:
         raise ValueError("expand needs a >= 1 and b >= 1")
-    cap = _weight_cap(args)
-    if args.a + args.b > cap:
-        raise ValueError(f"a+b = {args.a + args.b} exceeds the weight cap {cap}")
+    if args.a + args.b > args.max_weight:
+        raise ValueError(f"a+b = {args.a + args.b} exceeds the weight cap {args.max_weight}")
     comb = expand_lz(args.a, args.b)
     obj = reduce_even(comb) if args.reduce else comb
     if args.format == "json":
@@ -160,9 +147,8 @@ def _cmd_expand(args, started: float) -> int:
 
 
 def _cmd_table(args, started: float) -> int:
-    cap = _weight_cap(args)
-    if not 2 <= args.N <= cap:
-        raise ValueError(f"table needs 2 <= N <= {cap}")
+    if not 2 <= args.N <= args.max_weight:
+        raise ValueError(f"table needs 2 <= N <= {args.max_weight}")
     entries = expand_weight(args.N)
     shown = {
         pair: (reduce_even(comb) if args.reduce else comb)
@@ -194,9 +180,8 @@ def _cmd_table(args, started: float) -> int:
 def _cmd_verify(args, started: float) -> int:
     if args.a < 1 or args.b < 1:
         raise ValueError("verify needs a >= 1 and b >= 1")
-    cap = _weight_cap(args)
-    if args.a + args.b > cap:
-        raise ValueError(f"a+b = {args.a + args.b} exceeds the weight cap {cap}")
+    if args.a + args.b > args.max_weight:
+        raise ValueError(f"a+b = {args.a + args.b} exceeds the weight cap {args.max_weight}")
     if not 1 <= args.digits <= DIGITS_CAP:
         raise ValueError(f"digits must be within 1..{DIGITS_CAP}")
     routes = ("series", "quadrature") if args.method == "both" else (args.method,)
@@ -210,10 +195,9 @@ def _cmd_verify(args, started: float) -> int:
 
 def _cmd_express(args, started: float) -> int:
     target = ZetaMonomial.parse(args.monomial)
-    cap = _weight_cap(args)
     weight = args.weight if args.weight is not None else target.weight
-    if weight > cap:
-        raise ValueError(f"weight {weight} exceeds the weight cap {cap}")
+    if weight > args.max_weight:
+        raise ValueError(f"weight {weight} exceeds the weight cap {args.max_weight}")
     outcome = express(target, mode=args.mode, weight=args.weight)
 
     if args.format == "json":

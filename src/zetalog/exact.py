@@ -177,12 +177,8 @@ def solve_membership(
             f"target length {len(target)} does not match column count {system.cols}"
         )
     t = [x if isinstance(x, Fraction) else Fraction(x) for x in target]
-    if system.rows == 0:
-        return [] if all(x == 0 for x in t) else None
     # Augmented transpose: one row per original column, unknowns = lambda.
     aug = [[system.entries[i][j] for i in range(system.rows)] + [t[j]] for j in range(system.cols)]
-    if not aug:
-        return [Fraction(0)] * system.rows
     reduced, pivots = _echelon(aug)
     n_unknowns = system.rows
     solution = [Fraction(0)] * n_unknowns

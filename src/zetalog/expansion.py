@@ -296,8 +296,9 @@ def _partitions_min2(n: int) -> tuple[PartitionElement, ...]:
     return tuple(enumerate_partitions(n, PartitionFilter(min_part=2)))
 
 
-# 399 pairs make up survey(3, 40); the bound keeps all of them
-@lru_cache(maxsize=512)
+# survey expands each pair once; only express re-reads a pair, through its
+# substitution check, its strict fallback and its recursion into dependencies
+@lru_cache(maxsize=64)
 def expand_lz(a: int, b: int) -> ZetaCombination:
     """Exact weight-(a+b) expansion of Lz(a,b)."""
     if a < 1 or b < 1:

@@ -37,7 +37,6 @@ __all__ = [
     "build_s_table",
     "lz_series",
     "lz_quadrature",
-    "raw_lz_quadrature",
     "evaluate_reduced",
     "VerificationReport",
     "verify_expansion",
@@ -152,7 +151,6 @@ def build_s_table(b_max: int, n_max: int, precision: Optional[int] = None) -> ST
 # tanh-sinh quadrature over (0,1) with precomputed endpoint data
 
 
-@lru_cache(maxsize=64)
 def _vmax(wdps: int) -> float:
     goal = -(wdps + 12) * math.log(10.0)
     v = 1.0
@@ -222,20 +220,6 @@ def _integrate01(
         raise PrecisionBudgetError(
             f"{what}: quadrature level budget ({QUADRATURE_MAX_LEVEL}) exhausted"
         )
-
-
-def raw_lz_quadrature(a: int, b: int, precision: int) -> mpf:
-    """integral over (0,1) of log^a(t) * log^b(1-t) dt, for a, b >= 0."""
-    if a < 0 or b < 0:
-        raise ValueError(f"raw integral needs a, b >= 0, got ({a}, {b})")
-    wdps = precision + 10
-
-    def integrand(t: mpf, log_t: mpf, log_mt: mpf) -> mpf:
-        return log_t**a * log_mt**b
-
-    val = _integrate01(integrand, wdps, precision + 2, f"raw lz({a},{b})")
-    with workdps(precision):
-        return +val
 
 
 def lz_quadrature(a: int, b: int, precision: int) -> mpf:

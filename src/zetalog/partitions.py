@@ -10,7 +10,7 @@ program without materializing elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
 __all__ = [
@@ -82,7 +82,7 @@ class PartitionElement:
     def parts(self) -> dict[int, int]:
         return dict(self.support)
 
-    @property
+    @cached_property
     def norm(self) -> int:
         """Total number of parts, counted with multiplicity."""
         return sum(k for _, k in self.support)

@@ -19,7 +19,6 @@ is returned.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -139,21 +138,6 @@ class Certificate:
     def dependencies(self) -> list[ZetaMonomial]:
         return [m for m in self.known_remainder.terms if not m.is_unit]
 
-    def common_denominator(self) -> int:
-        denom = 1
-        for scalar in self.lz_terms.values():
-            denom = math.lcm(denom, scalar.coeff.denominator)
-        for coeff, _, _ in self.known_remainder.items():
-            denom = math.lcm(denom, coeff.denominator)
-        return denom
-
-    def cleared(self) -> tuple[int, dict[tuple[int, int], int], dict[ZetaMonomial, int]]:
-        """Secondary form with one multiplier and integer coefficients."""
-        m = self.common_denominator()
-        lz = {pair: int(s.coeff * m) for pair, s in self.sorted_lz()}
-        known = {mono: int(c * m) for c, _, mono in self.known_remainder.items()}
-        return m, lz, known
-
     def _line(self, latex: bool) -> str:
         lhs = _render([(Fraction(1), self.target_pi_exponent, self.target)], latex)
         items = [(s.coeff, s.pi_exponent, f"Lz({a},{b})") for (a, b), s in self.sorted_lz()]
@@ -231,11 +215,13 @@ def _solve(target: ZetaMonomial, N: int, mode: str) -> Optional[Certificate]:
     return cert
 
 
-# one entry per (monomial, mode): the 121 odd monomials of weight <= 24,
-# the default weight cap, in both modes fit
-@lru_cache(maxsize=256)
-def _fully_expressible(mono: ZetaMonomial, mode: str) -> bool:
-    return express(mono, mode=mode).status == "expressible"
+# one entry per monomial: the 121 odd monomials of weight <= 24, the
+# default weight cap, fit.  Only optimistic answers are asked for: strict
+# columns hold every odd monomial of weight = N (mod 2), so a strict
+# certificate never leaves a lower-weight dependency
+@lru_cache(maxsize=128)
+def _fully_expressible(mono: ZetaMonomial) -> bool:
+    return express(mono).status == "expressible"
 
 
 def express(
@@ -261,9 +247,7 @@ def express(
     if cert is None:
         return ExpressOutcome(target, mode, N, "not_expressible", None)
 
-    missing = [
-        m for m in cert.dependencies() if not _fully_expressible(m, used_mode)
-    ]
+    missing = [m for m in cert.dependencies() if not _fully_expressible(m)]
     if missing:
         names = ", ".join(str(m) for m in sorted(missing, key=lambda m: m.factors))
         return ExpressOutcome(

@@ -6,9 +6,8 @@ from zetalog.cli import main
 
 
 @pytest.fixture
-def run_cli(capsys, monkeypatch):
+def run_cli(capsys):
     """Invoke the CLI in-process; returns (exit code, stdout, stderr)."""
-    monkeypatch.delenv("ZL_MAX_WEIGHT", raising=False)
 
     def invoke(*argv: str):
         code = main(list(argv))

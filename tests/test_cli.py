@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,6 +15,7 @@ from zetalog.numerics import PrecisionBudgetError
 from zetalog.solver import express
 
 GOLDEN_DIR = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 ENVELOPE_FIELDS = ["schema_version", "command", "inputs", "result", "elapsed_ms"]
 
@@ -72,12 +74,9 @@ def test_expand_usage_errors(run_cli):
     assert code == 1 and "cap" in err
 
 
-def test_weight_cap_overrides(run_cli, monkeypatch):
+def test_weight_cap_overrides(run_cli):
     assert run_cli("expand", "13", "12", "--max-weight", "30")[0] == 0
-    monkeypatch.setenv("ZL_MAX_WEIGHT", "30")
-    assert cli.main(["expand", "13", "12"]) == 0
-    monkeypatch.setenv("ZL_MAX_WEIGHT", "banana")
-    assert cli.main(["expand", "2", "1"]) == 1
+    assert run_cli("expand", "2", "1", "--max-weight", "banana")[0] == 1
 
 
 def test_table_weight_two(run_cli):
@@ -163,6 +162,8 @@ def test_verify_usage(run_cli):
     assert run_cli("verify", "2", "1", "--digits", "99")[0] == 1
     assert run_cli("verify", "0", "1")[0] == 1
     assert run_cli("verify", "13", "12")[0] == 1
+    assert run_cli("verify", "3", "2", "--max-weight", "4")[0] == 1
+    assert run_cli("verify", "2", "1", "--digits", "15", "--max-weight", "3")[0] == 0
 
 
 def test_express_text_certificate(run_cli):
@@ -322,6 +323,7 @@ def test_console_script_end_to_end():
          "expand", "3", "2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
         timeout=120,
     )
     assert proc.returncode == 0

@@ -29,8 +29,8 @@ def test_every_module_cache_is_bounded():
     unbounded = [name for name, fn in caches.values() if fn.cache_parameters()["maxsize"] is None]
     assert unbounded == []
     # zeta_even_pi_coeff, _partitions_min2, expand_lz, _profile_from_support,
-    # _fully_expressible, _zeta_cached, build_s_table, _vmax, _tier_nodes
-    assert len(caches) >= 9
+    # _fully_expressible, _zeta_cached, build_s_table, _tier_nodes
+    assert len(caches) >= 8
 
 
 def test_bench_shim_targets_exist():
@@ -53,7 +53,6 @@ def test_bench_shim_counts_verify_routes(tmp_path):
     trace = tmp_path / "trace.json"
     argv = ["verify", "3", "2", "--digits", "15", "--method", "series"]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    env.pop("ZL_MAX_WEIGHT", None)
     proc = subprocess.run(
         [sys.executable, str(SHIM), str(trace), *argv],
         capture_output=True, text=True, env=env, timeout=120,
@@ -89,7 +88,6 @@ def test_traced_call_graph_reaches_every_layer(tmp_path):
         ],
     }
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    env.pop("ZL_MAX_WEIGHT", None)
     for workload, argvs in ops.items():
         traces = []
         for i, argv in enumerate(argvs):

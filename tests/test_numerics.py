@@ -16,7 +16,6 @@ from zetalog.numerics import (
     evaluate_reduced,
     lz_quadrature,
     lz_series,
-    raw_lz_quadrature,
     verify_expansion,
     zeta_value,
 )
@@ -90,41 +89,6 @@ def test_s_table_bounds_and_cache():
         build_s_table(2, -1)
 
 
-def test_raw_quadrature_base_cases():
-    digits = 30
-    with workdps(digits + 5):
-        assert abs(raw_lz_quadrature(0, 0, digits) - 1) < _tol(digits - 2)
-        assert abs(raw_lz_quadrature(1, 0, digits) + 1) < _tol(digits - 2)
-        assert abs(raw_lz_quadrature(1, 1, digits) - (2 - mp.pi**2 / 6)) < _tol(
-            digits - 2
-        )
-    with pytest.raises(ValueError):
-        raw_lz_quadrature(-1, 0, digits)
-
-
-def test_raw_quadrature_matches_normalized_route():
-    # lz(a,b) = a! b! Lz(a,b) - a lz(a-1,b) - b lz(a,b-1) ties the raw
-    # integral to the expansion values
-    digits = 30
-    with workdps(digits + 10):
-        lz = {}
-        for a in range(4):
-            lz[(a, 0)] = mp.mpf((-1) ** a * math.factorial(a))
-            lz[(0, a)] = lz[(a, 0)]
-        for a in range(1, 4):
-            for b in range(1, 4):
-                big = evaluate_reduced(reduce_even(expand_lz(a, b)), digits + 5)
-                lz[(a, b)] = (
-                    math.factorial(a) * math.factorial(b) * big
-                    - a * lz[(a - 1, b)]
-                    - b * lz[(a, b - 1)]
-                )
-        for a in range(1, 4):
-            for b in range(1, 4):
-                got = raw_lz_quadrature(a, b, digits)
-                assert abs(got - lz[(a, b)]) < _tol(digits - 3), (a, b)
-
-
 def test_quadrature_matches_golden_values():
     digits = 30
     for (a, b) in [(2, 1), (3, 2), (4, 3), (4, 4)]:
@@ -192,7 +156,7 @@ def test_series_relative_accuracy_on_tiny_value():
 def test_quadrature_budget_error(monkeypatch):
     monkeypatch.setattr(numerics, "QUADRATURE_MAX_LEVEL", 3)
     with pytest.raises(PrecisionBudgetError):
-        raw_lz_quadrature(1, 1, 25)
+        lz_quadrature(1, 1, 25)
 
 
 def test_evaluate_reduced_constant_and_product():

@@ -11,6 +11,7 @@ from zetalog.numerics import evaluate_reduced, lz_quadrature, zeta_value
 from zetalog.partitions import PartitionFilter, count_partitions
 from zetalog.solver import (
     Certificate,
+    _solve,
     build_system,
     express,
     odd_monomials,
@@ -146,6 +147,21 @@ def test_express_strict_falls_back_to_lower_certificates():
     assert out.certificate.lz_terms == {(8, 1): scalar(360), (7, 2): scalar(-90)}
 
 
+def test_strict_certificates_have_no_dependencies():
+    # strict columns hold every odd monomial of weight = N (mod 2), so nothing
+    # but the pi power is left over; express relies on this to ask for
+    # optimistic answers only when it resolves dependencies
+    solved = 0
+    for w in range(3, 15):
+        for m in odd_monomials(w):
+            for N in (w, w + 2):
+                cert = _solve(m, N, "strict")
+                if cert is not None:
+                    assert cert.dependencies() == [], (m, N)
+                    solved += 1
+    assert solved == 12
+
+
 def test_express_not_expressible():
     for text in ("z3*z7", "z5^2"):
         out = express(mono(text))
@@ -184,15 +200,6 @@ def test_certificate_substitution_rejects_tampering():
         cert.known_remainder,
     )
     assert not verify_certificate(bad)
-
-
-def test_certificate_cleared_form():
-    cert = express(mono("z3*z5")).certificate
-    assert cert.common_denominator() == 7560
-    mult, lz, known = cert.cleared()
-    assert mult == 7560
-    assert lz == {(6, 2): 7560}
-    assert known == {mono("1"): 1}
 
 
 def test_certificate_payload():
