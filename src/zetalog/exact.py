@@ -127,39 +127,50 @@ class RationalMatrix:
         return f"RationalMatrix({self.rows}x{self.cols})"
 
 
+def _primitive(row: list[int]) -> list[int]:
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
 def _echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place forward elimination; returns (rows, pivot column list).
+    """Reduced row-echelon form of rows; returns (new rows, pivot column list).
 
     Pivot choice is the first row (in current order) with a nonzero entry
     in the leftmost unresolved column; no other row exchanges happen.
+    Elimination is fraction-free: every row is kept as a primitive integer
+    multiple of the row Gauss-Jordan would hold, and pivot rows are divided
+    by their pivot only at the end, so the result is the same.
     """
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
+    work: list[list[int]] = []
+    for row in rows:
+        den = math.lcm(*(x.denominator for x in row))
+        work.append(_primitive([x.numerator * (den // x.denominator) for x in row]))
+    ncols = len(work[0]) if work else 0
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        pivot = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        work[r], work[pivot] = work[pivot], work[r]
+        prow = work[r]
+        a = prow[c]
+        for i in range(len(work)):
+            f = work[i][c]
+            if i != r and f != 0:
+                work[i] = _primitive([a * x - f * y for x, y in zip(work[i], prow)])
         pivots.append(c)
         r += 1
-        if r == len(rows):
+        if r == len(work):
             break
-    return rows, pivots
+    out = [[Fraction(x, row[c]) for x in row] for row, c in zip(work, pivots)]
+    out.extend([Fraction(0)] * ncols for _ in work[len(pivots):])
+    return out, pivots
 
 
 def rref(matrix: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
     """Reduced row-echelon form and the pivot columns."""
-    rows = [list(row) for row in matrix.entries]
-    reduced, pivots = _echelon(rows)
+    reduced, pivots = _echelon(matrix.entries)
     return RationalMatrix(reduced, cols=matrix.cols), tuple(pivots)
 
 

@@ -15,10 +15,11 @@ odd part, then lexicographically by factors.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Mapping, Union
 
 from .coefficients import little_c
@@ -108,6 +109,18 @@ class ZetaMonomial:
 
     def sort_key(self) -> tuple:
         return (-self.odd_weight, self.factors)
+
+    @cached_property
+    def _even_fold(self) -> tuple["ZetaMonomial", Fraction]:
+        """(odd part, q): this monomial is q * pi^(even weight) * odd part."""
+        odd: list[tuple[int, int]] = []
+        q = Fraction(1)
+        for n, k in self.factors:
+            if n % 2 == 0:
+                q *= zeta_even_pi_coeff(n // 2) ** k
+            else:
+                odd.append((n, k))
+        return ZetaMonomial(tuple(odd)), q
 
     def __str__(self) -> str:
         if not self.factors:
@@ -291,9 +304,13 @@ class PiReducedCombination(_Combination):
 
 
 @lru_cache(maxsize=4)
-def _partitions_min2(n: int) -> tuple[PartitionElement, ...]:
-    # one enumeration per weight, shared by every pair a+b = n
-    return tuple(enumerate_partitions(n, PartitionFilter(min_part=2)))
+def _partitions_min2(n: int) -> tuple[tuple[PartitionElement, ZetaMonomial], ...]:
+    # one enumeration per weight, shared by every pair a+b = n; the monomial
+    # object is shared too, so its even fold is computed once per weight
+    return tuple(
+        (x, ZetaMonomial.from_partition(x))
+        for x in enumerate_partitions(n, PartitionFilter(min_part=2))
+    )
 
 
 # survey expands each pair once; only express re-reads a pair, through its
@@ -306,25 +323,27 @@ def expand_lz(a: int, b: int) -> ZetaCombination:
     n = a + b
     bound = min(a, b)  # coefficients vanish once the part count exceeds this
     terms: dict[ZetaMonomial, Fraction] = {}
-    for x in _partitions_min2(n):
+    for x, mono in _partitions_min2(n):
         if x.norm > bound:
             continue
-        terms[ZetaMonomial.from_partition(x)] = little_c(x, b)
+        terms[mono] = little_c(x, b)
     return ZetaCombination._of(n, terms)
 
 
 def reduce_even(c: ZetaCombination) -> PiReducedCombination:
     """Fold even-argument zeta factors into rational pi powers."""
-    merged: dict[ZetaMonomial, Fraction] = {}
+    # integer (numerator, denominator) products per odd monomial, summed over
+    # one common denominator; odd monomials keep first-appearance order
+    groups: dict[ZetaMonomial, list[tuple[int, int]]] = {}
     for mono, q in c._terms.items():
-        odd: list[tuple[int, int]] = []
-        for n, k in mono.factors:
-            if n % 2 == 0:
-                q *= zeta_even_pi_coeff(n // 2) ** k
-            else:
-                odd.append((n, k))
-        om = ZetaMonomial(tuple(odd))
-        merged[om] = merged.get(om, Fraction(0)) + q
+        odd, r = mono._even_fold
+        groups.setdefault(odd, []).append(
+            (q.numerator * r.numerator, q.denominator * r.denominator)
+        )
+    merged: dict[ZetaMonomial, Fraction] = {}
+    for odd, products in groups.items():
+        den = math.lcm(*(d for _, d in products))
+        merged[odd] = Fraction(sum(n * (den // d) for n, d in products), den)
     return PiReducedCombination._of(c.weight, merged)
 
 

@@ -2,14 +2,19 @@
 
 Everything here is deliberately brute force and shares no code with the
 package: polynomial products are carried out on explicit (x,y) exponent
-dicts, partition counts come from Euler's pentagonal recurrence, and
-composition sums are enumerated via explicit cut points.
+dicts, partition counts come from Euler's pentagonal recurrence,
+composition sums are enumerated via explicit cut points, pi-reduced
+expansions come from a generating function with Bernoulli numbers from
+the Akiyama-Tanigawa algorithm, and row reduction is textbook Fraction
+Gauss-Jordan.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 
 def _poly_mul(p: dict, q: dict) -> dict:
@@ -93,3 +98,111 @@ def elementary_reciprocal(k: int, n: int) -> Fraction:
             nxt[i] += coeffs[i - 1] / j
         coeffs = nxt
     return coeffs[k] if k < len(coeffs) else Fraction(0)
+
+
+def _bernoulli(m: int) -> Fraction:
+    """B_m by the Akiyama-Tanigawa algorithm (B_1 = +1/2; only even m used)."""
+    a = [Fraction(0)] * (m + 1)
+    for i in range(m + 1):
+        a[i] = Fraction(1, i + 1)
+        for j in range(i, 0, -1):
+            a[j - 1] = j * (a[j - 1] - a[j])
+    return a[0]
+
+
+def _p_poly(n: int) -> dict:
+    """x^n + y^n - (x+y)^n."""
+    p = {k: -v for k, v in _xy_power(n).items()}
+    p[(n, 0)] += 1
+    p[(0, n)] += 1
+    return {k: v for k, v in p.items() if v}
+
+
+@lru_cache(maxsize=64)
+def _even_kernel(d: int) -> dict:
+    """Degree-d part Phi_d of exp(sum_k zeta(2k)/(2k) P_2k), pi^d taken out.
+
+    d Phi_d = sum_j j E_j Phi_(d-j), where E_j = zeta(j)/pi^j / j * P_j for
+    even j and zeta(2k)/pi^(2k) = (-1)^(k+1) B_2k 2^(2k-1) / (2k)!.
+    """
+    if d == 0:
+        return {(0, 0): Fraction(1)}
+    total: dict = {}
+    for j in range(2, d + 1, 2):
+        k = j // 2
+        q = (-1) ** (k + 1) * _bernoulli(j) * 2 ** (j - 1) / math.factorial(j)
+        term = _poly_mul({key: q * v for key, v in _p_poly(j).items()}, _even_kernel(d - j))
+        for key, v in term.items():
+            total[key] = total.get(key, 0) + v
+    return {key: v / d for key, v in total.items() if v}
+
+
+def _odd_partitions(n: int, largest: int):
+    """Partitions of n into odd parts >= 3, each at most largest, descending."""
+    if n == 0:
+        yield []
+        return
+    for part in range(min(n, largest), 2, -1):
+        if part % 2:
+            for rest in _odd_partitions(n - part, part):
+                yield [part] + rest
+
+
+@lru_cache(maxsize=1024)
+def _odd_factor(factors: tuple[tuple[int, int], ...]) -> dict:
+    """Q_m = prod (-P_n/n)^k / k! for the odd monomial m with these factors."""
+    q = {(0, 0): Fraction(1)}
+    for n, k in factors:
+        base = {key: Fraction(-v, n) for key, v in _p_poly(n).items()}
+        for _ in range(k):
+            q = _poly_mul(q, base)
+        q = {key: v / math.factorial(k) for key, v in q.items()}
+    return q
+
+
+def reduced_lz_kernel(a: int, b: int) -> list[tuple[tuple[tuple[int, int], ...], Fraction]]:
+    """(factors, coefficient) of the pi-reduced Lz(a,b), odd monomial by monomial.
+
+    Lz(a,b) = [x^a y^b] exp(sum_n (-1)^n zeta(n)/n P_n).  The odd-n factor
+    splits by odd monomial m = prod zeta(n)^k into Q_m = prod (-P_n/n)^k/k!,
+    and the even-n factor is the rational kernel Phi times pi powers, so the
+    coefficient of m is [x^a y^b] Q_m Phi_(N - wt m), with pi^(N - wt m).
+    Terms are ordered by the descending part tuple of m plus the part N - wt m.
+    """
+    total = a + b
+    found = []
+    for w in range(total % 2, total + 1, 2):
+        kernel = _even_kernel(total - w)
+        for parts in _odd_partitions(w, w):
+            factors = tuple(sorted((n, parts.count(n)) for n in set(parts)))
+            coeff = sum(
+                (v * kernel.get((a - i, b - j), 0) for (i, j), v in _odd_factor(factors).items()),
+                Fraction(0),
+            )
+            if coeff:
+                found.append((tuple(sorted(parts + [total - w], reverse=True)), factors, coeff))
+    found.sort(reverse=True, key=lambda t: t[0])
+    return [(factors, coeff) for _, factors, coeff in found]
+
+
+def fraction_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Gauss-Jordan over Fraction with first-nonzero pivots; (rows, pivots)."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c]
+        rows[r] = [x / inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots

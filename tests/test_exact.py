@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import fraction_rref
 from zetalog.exact import (
     PiPowerScalar,
     RationalMatrix,
@@ -14,6 +15,7 @@ from zetalog.exact import (
     solve_membership,
     zeta_even_pi_coeff,
 )
+from zetalog.solver import MODES, build_system
 
 F = Fraction
 
@@ -175,3 +177,58 @@ def test_membership_roundtrip(entries, weights):
         for j in range(3)
     ]
     assert rebuilt == target
+
+
+@st.composite
+def _matrices(draw):
+    """Up to 6x7 small signed rationals, with zero rows, zero columns and
+    sometimes a last row that depends on the first two."""
+    nrows = draw(st.integers(min_value=0, max_value=6))
+    ncols = draw(st.integers(min_value=1, max_value=7))
+    entry = st.one_of(st.just(F(0)), _small_fraction)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    zero_rows = draw(st.sets(st.integers(min_value=0, max_value=5)))
+    zero_cols = draw(st.sets(st.integers(min_value=0, max_value=6)))
+    rows = [
+        [F(0) if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
+    if nrows >= 3 and draw(st.booleans()):
+        s, t = draw(_small_fraction), draw(_small_fraction)
+        rows[-1] = [s * x + t * y for x, y in zip(rows[0], rows[1])]
+    return rows, ncols
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    matrix=_matrices(),
+    weights=st.lists(_small_fraction, min_size=6, max_size=6),
+    noise=st.lists(_small_fraction, min_size=7, max_size=7),
+    in_span=st.booleans(),
+)
+def test_fraction_free_elimination_matches_oracle(matrix, weights, noise, in_span):
+    rows, ncols = matrix
+    m = RationalMatrix(rows, cols=ncols)
+    reduced, pivots = rref(m)
+    expected, expected_pivots = fraction_rref(rows)
+    assert reduced.entries == expected and pivots == tuple(expected_pivots)
+    assert all(type(x) is Fraction for row in reduced.entries for x in row)
+
+    span = [sum((w * row[j] for w, row in zip(weights, rows)), F(0)) for j in range(ncols)]
+    target = span if in_span else noise[:ncols]
+    lam = solve_membership(m, target)
+    aug = [[row[j] for row in rows] + [target[j]] for j in range(ncols)]
+    inconsistent = len(rows) in fraction_rref(aug)[1]
+    assert (lam is None) == inconsistent
+    if lam is not None:
+        assert all(type(x) is Fraction for x in lam)
+        rebuilt = [sum((c * row[j] for c, row in zip(lam, rows)), F(0)) for j in range(ncols)]
+        assert rebuilt == target
+
+
+def test_rref_matches_oracle_on_survey_systems():
+    for n in range(3, 27):
+        for mode in MODES:
+            m = build_system(n, mode).matrix()
+            expected, pivots = fraction_rref(m.entries)
+            assert rref(m) == (RationalMatrix(expected, cols=m.cols), tuple(pivots)), (n, mode)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import golden_data
+from oracles import reduced_lz_kernel
 from zetalog.exact import PiPowerScalar
 from zetalog.expansion import (
     MonomialParseError,
@@ -29,6 +30,36 @@ def test_reduced_golden_forms():
     for (a, b) in golden_data.REDUCED:
         got = reduce_even(expand_lz(a, b))
         assert got == golden_data.reduced_combination(a, b), (a, b)
+
+
+def test_reduced_expansion_matches_kernel_oracle():
+    # the only check of reduced expansions above the golden weights: values
+    # and term order against odd monomials times the even kernel
+    for n in range(2, 25):
+        for b in range(1, n):
+            red = reduce_even(expand_lz(n - b, b))
+            got = [(mono.factors, scalar.coeff) for mono, scalar in red.terms.items()]
+            assert got == reduced_lz_kernel(n - b, b), (n - b, b)
+
+
+def test_reduce_even_drops_cancelled_terms():
+    # z2*z4 = pi^6/540 and z6 = pi^6/945, so the pi^6 terms cancel
+    p = ZetaMonomial.parse
+    comb = ZetaCombination(6, {p("z2*z4"): 540, p("z6"): -945, p("z3^2"): 1})
+    red = reduce_even(comb)
+    assert red.text() == "z3^2"
+    assert list(red.terms) == [p("z3^2")]
+
+
+def test_reduce_even_keeps_first_appearance_order():
+    # z4*z3 = pi^4/90 z3 and z2^2*z3 = pi^4/36 z3 cancel; z5 comes before z7
+    p = ZetaMonomial.parse
+    comb = ZetaCombination(
+        7, {p("z2*z5"): 6, p("z7"): 2, p("z3*z4"): 90, p("z2^2*z3"): -36}
+    )
+    red = reduce_even(comb)
+    assert red.text() == "2*z7 + pi^2*z5"
+    assert list(red.terms) == [p("z5"), p("z7")]
 
 
 def test_symmetry_small_weights():

@@ -1,8 +1,10 @@
-"""Structural guards: every module-level cache is bounded, and the bench
-trace shim still finds and counts every name it wraps."""
+"""Structural guards: every module-level cache is bounded, the exact
+layers hold no floats, and the bench trace shim still finds and counts
+every name it wraps."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -31,6 +33,27 @@ def test_every_module_cache_is_bounded():
     # zeta_even_pi_coeff, _partitions_min2, expand_lz, _profile_from_support,
     # _fully_expressible, _zeta_cached, build_s_table, _tier_nodes
     assert len(caches) >= 8
+
+
+def test_exact_layers_build_no_floats():
+    # the decision path is exact: no float name or constant, and no import
+    # of the numeric layer or mpmath, in any module it runs through
+    found = []
+    for name in ("exact", "partitions", "coefficients", "expansion", "solver"):
+        path = ROOT / "src" / "zetalog" / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and node.id == "float":
+                found.append((name, node.lineno, "float"))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, float):
+                found.append((name, node.lineno, repr(node.value)))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [alias.name for alias in node.names]
+                if isinstance(node, ast.ImportFrom):
+                    modules += [node.module or ""]
+                for module in modules:
+                    if module.split(".")[0] == "mpmath" or module.split(".")[-1] == "numerics":
+                        found.append((name, node.lineno, module))
+    assert found == []
 
 
 def test_bench_shim_targets_exist():
