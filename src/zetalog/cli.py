@@ -25,10 +25,7 @@ from .expansion import (
     expand_weight,
     reduce_even,
 )
-from .numerics import (
-    PrecisionBudgetError,
-    _verify,
-)
+from .numerics import METHODS, PrecisionBudgetError, verify_expansion
 from .partitions import PARITY_CHOICES, PartitionFilter, enumerate_partitions
 from .solver import MODES, express, survey
 
@@ -49,6 +46,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _weight_cap(text: str) -> int:
+    # the cap that bounds survey and partitions also bounds --max-weight
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value > SURVEY_WEIGHT_CAP:
+        raise argparse.ArgumentTypeError(f"must be at most {SURVEY_WEIGHT_CAP}, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="zetalog", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -60,9 +68,9 @@ def _build_parser() -> _Parser:
     def add_cap(p):
         p.add_argument(
             "--max-weight",
-            type=int,
+            type=_weight_cap,
             default=DEFAULT_MAX_WEIGHT,
-            help=f"weight cap (default {DEFAULT_MAX_WEIGHT})",
+            help=f"weight cap (default {DEFAULT_MAX_WEIGHT}, at most {SURVEY_WEIGHT_CAP})",
         )
 
     p = sub.add_parser("expand", help="expand Lz(a,b) into zeta monomials")
@@ -82,9 +90,7 @@ def _build_parser() -> _Parser:
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
     p.add_argument("--digits", type=int, default=30)
-    p.add_argument(
-        "--method", choices=["series", "quadrature", "both"], default="both"
-    )
+    p.add_argument("--method", choices=list(METHODS), default="both")
     add_cap(p)
 
     p = sub.add_parser("express", help="certificate for an odd-zeta monomial")
@@ -184,13 +190,12 @@ def _cmd_verify(args, started: float) -> int:
         raise ValueError(f"a+b = {args.a + args.b} exceeds the weight cap {args.max_weight}")
     if not 1 <= args.digits <= DIGITS_CAP:
         raise ValueError(f"digits must be within 1..{DIGITS_CAP}")
-    routes = ("series", "quadrature") if args.method == "both" else (args.method,)
-    values, deviation, threshold, passed = _verify(args.a, args.b, args.digits, routes)
-    shown = {**values, "deviation": deviation, "threshold": threshold}
+    report = verify_expansion(args.a, args.b, args.digits, args.method)
+    shown = {**report.values, "deviation": report.max_deviation, "threshold": report.threshold}
     for name, value in shown.items():
         print(f"{name:>11}: {mp.nstr(value, args.digits)}")
-    print("PASS" if passed else "FAIL")
-    return 0 if passed else 3
+    print("PASS" if report.passed else "FAIL")
+    return 0 if report.passed else 3
 
 
 def _cmd_express(args, started: float) -> int:

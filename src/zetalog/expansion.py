@@ -265,9 +265,6 @@ class ZetaCombination(_Combination):
     def terms(self) -> dict[ZetaMonomial, Fraction]:
         return dict(self._terms)
 
-    def sorted_terms(self) -> list[tuple[ZetaMonomial, Fraction]]:
-        return [(m, c) for c, _, m in self.items()]
-
 
 class PiReducedCombination(_Combination):
     """Combination over odd-only monomials with explicit pi-power scalars.
@@ -298,9 +295,6 @@ class PiReducedCombination(_Combination):
 
     def sorted_terms(self) -> list[tuple[ZetaMonomial, PiPowerScalar]]:
         return [(m, PiPowerScalar(c, pi)) for c, pi, m in self.items()]
-
-    def __neg__(self) -> "PiReducedCombination":
-        return self.scale(Fraction(-1))
 
 
 @lru_cache(maxsize=4)

@@ -38,10 +38,13 @@ __all__ = [
     "lz_series",
     "lz_quadrature",
     "evaluate_reduced",
+    "METHODS",
     "VerificationReport",
     "verify_expansion",
 ]
 
+# the routes verify can check the symbolic value against, as --method names them
+METHODS = ("series", "quadrature", "both")
 QUADRATURE_MAX_LEVEL = 12
 SERIES_MAX_TERMS = 2000
 
@@ -333,32 +336,22 @@ def evaluate_reduced(comb: PiReducedCombination, precision: int) -> mpf:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    a: int
-    b: int
-    digits: int
-    symbolic: mpf
-    series: mpf
-    quadrature: mpf
+    values: dict[str, mpf]  # symbolic first, then each route run, in print order
     max_deviation: mpf
     threshold: mpf
     passed: bool
 
-    def deviations(self) -> dict[str, mpf]:
-        return {
-            "series_vs_symbolic": abs(self.series - self.symbolic),
-            "quadrature_vs_symbolic": abs(self.quadrature - self.symbolic),
-            "series_vs_quadrature": abs(self.series - self.quadrature),
-        }
 
+def verify_expansion(a: int, b: int, precision: int, method: str = "both") -> VerificationReport:
+    """The verify judgement: the symbolic value of Lz(a,b) against the routes
+    of method ("both", "series" or "quadrature").
 
-def _verify(a: int, b: int, precision: int, routes: tuple[str, ...]):
-    """The verify judgement: symbolic value, each route, deviation, verdict.
-
-    routes holds "series" and/or "quadrature".  Returns ({name: value} in
-    the order symbolic then routes, the largest pairwise deviation, the
-    threshold, passed).  Values carry P+5 digits and are compared at P+10;
-    the check passes when the deviation is below 10^-(P-5).
+    Values carry P+5 digits and are compared at P+10; the check passes when
+    the largest pairwise deviation is below 10^-(P-5).
     """
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    routes = ("series", "quadrature") if method == "both" else (method,)
     reduced = reduce_even(expand_lz(a, b))
     carried = precision + 5
     with workdps(precision + 10):
@@ -369,18 +362,4 @@ def _verify(a: int, b: int, precision: int, routes: tuple[str, ...]):
             values[name] = route(a, b, carried)
         max_dev = max(abs(x - y) for x, y in combinations(values.values(), 2))
         threshold = mp.mpf(10) ** (-(precision - 5))
-        return values, max_dev, threshold, bool(max_dev < threshold)
-
-
-def verify_expansion(a: int, b: int, precision: int) -> VerificationReport:
-    """Check the symbolic expansion of Lz(a,b) against both numeric routes."""
-    values, max_dev, threshold, passed = _verify(a, b, precision, ("series", "quadrature"))
-    return VerificationReport(
-        a=a,
-        b=b,
-        digits=precision,
-        **values,
-        max_deviation=max_dev,
-        threshold=threshold,
-        passed=passed,
-    )
+        return VerificationReport(values, max_dev, threshold, bool(max_dev < threshold))

@@ -33,7 +33,7 @@ from .expansion import (
     expand_lz,
     reduce_even,
 )
-from .partitions import PartitionFilter, count_partitions, enumerate_partitions
+from .partitions import PartitionFilter, enumerate_partitions
 
 __all__ = [
     "MODES",
@@ -312,7 +312,8 @@ def survey(n_min: int, n_max: int, mode: str = "optimistic") -> SurveyReport:
         rank, members = _rowspace_members(system)
         good = tuple(m for j, m in enumerate(system.columns) if j in members)
         bad = tuple(m for j, m in enumerate(system.columns) if j not in members)
-        po3 = count_partitions(N, _ODD_FILTER)
+        # the weight-N unknowns are the odd partitions of N into parts >= 3
+        po3 = sum(m.weight == N for m in system.columns)
         if N % 2:
             m_half = (N - 1) // 2
             counting_eq, counting_unk = m_half - 2, po3 - 1

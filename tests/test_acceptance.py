@@ -126,8 +126,8 @@ def test_criterion_04_numeric_cross_validation(capsys):
         for n in range(2, 9):
             for b in range(1, n // 2 + 1):
                 report = verify_expansion(n - b, b, digits)
-                devs = report.deviations()
-                top = max(devs["series_vs_symbolic"], devs["quadrature_vs_symbolic"])
+                symbolic = report.values["symbolic"]
+                top = max(abs(report.values[r] - symbolic) for r in ("series", "quadrature"))
                 if worst is None or top > worst:
                     worst = top
                 if top >= limit:

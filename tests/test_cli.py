@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -77,6 +78,9 @@ def test_expand_usage_errors(run_cli):
 def test_weight_cap_overrides(run_cli):
     assert run_cli("expand", "13", "12", "--max-weight", "30")[0] == 0
     assert run_cli("expand", "2", "1", "--max-weight", "banana")[0] == 1
+    # --max-weight itself stops where survey and partitions stop
+    assert run_cli("table", "41", "--max-weight", "41")[0] == 1
+    assert run_cli("expand", "2", "1", "--max-weight", "40")[0] == 0
 
 
 def test_table_weight_two(run_cli):
@@ -134,13 +138,12 @@ def test_verify_single_method(run_cli):
 
 
 def test_verify_reports_failure_with_exit_three(run_cli, monkeypatch):
-    real = cli._verify
+    real = cli.verify_expansion
 
-    def doctored(a, b, digits, routes):
-        values, deviation, threshold, _ = real(a, b, digits, routes)
-        return values, deviation, threshold, False
+    def doctored(a, b, digits, method):
+        return dataclasses.replace(real(a, b, digits, method), passed=False)
 
-    monkeypatch.setattr(cli, "_verify", doctored)
+    monkeypatch.setattr(cli, "verify_expansion", doctored)
     # every --method prints the one judgement's verdict
     for method in ("both", "series", "quadrature"):
         code, out, _ = run_cli("verify", "2", "1", "--digits", "15", "--method", method)

@@ -1,6 +1,6 @@
 """Structural guards: every module-level cache is bounded, the exact
-layers hold no floats, and the bench trace shim still finds and counts
-every name it wraps."""
+layers hold no floats, the CLI imports only public library names, and the
+bench trace shim still finds and counts every name it wraps."""
 
 from __future__ import annotations
 
@@ -54,6 +54,21 @@ def test_exact_layers_build_no_floats():
                     if module.split(".")[0] == "mpmath" or module.split(".")[-1] == "numerics":
                         found.append((name, node.lineno, module))
     assert found == []
+
+
+def test_cli_imports_only_public_names():
+    # the CLI prints what the library decides; a private import would let it
+    # judge through a path that library callers never see
+    tree = ast.parse((ROOT / "src" / "zetalog" / "cli.py").read_text())
+    private = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "zetalog")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 def test_bench_shim_targets_exist():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import mpmath
 import pytest
@@ -173,11 +174,19 @@ def test_verification_report():
     report = verify_expansion(4, 3, 30)
     assert report.passed
     assert report.max_deviation < report.threshold
-    devs = report.deviations()
-    assert set(devs) == {
-        "series_vs_symbolic",
-        "quadrature_vs_symbolic",
-        "series_vs_quadrature",
-    }
-    assert all(d <= report.max_deviation for d in devs.values())
-    assert (report.a, report.b, report.digits) == (4, 3, 30)
+    assert list(report.values) == ["symbolic", "series", "quadrature"]
+    with workdps(40):
+        devs = [abs(x - y) for x, y in combinations(report.values.values(), 2)]
+    assert len(devs) == 3 and max(devs) == report.max_deviation
+
+
+def test_verification_report_holds_only_the_routes_run():
+    report = verify_expansion(4, 3, 30, method="series")
+    assert set(report.values) == {"symbolic", "series"}
+    assert report.passed
+
+
+def test_verification_rejects_unknown_method():
+    # an unknown name must not run quadrature under its own label
+    with pytest.raises(ValueError):
+        verify_expansion(4, 3, 30, method="serie")
