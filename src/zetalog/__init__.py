@@ -8,7 +8,7 @@ identity by series and quadrature at configurable precision.
 """
 
 from .coefficients import big_c, c_tilde, little_c
-from .exact import PiPowerScalar, Rational, bernoulli_number, zeta_even_pi_coeff
+from .exact import Rational, bernoulli_number, zeta_even_pi_coeff
 from .expansion import (
     UNIT_MONOMIAL,
     MonomialParseError,
@@ -21,7 +21,6 @@ from .expansion import (
 )
 from .numerics import (
     PrecisionBudgetError,
-    STable,
     build_s_table,
     evaluate_reduced,
     lz_quadrature,
@@ -52,7 +51,6 @@ __all__ = [
     "big_c",
     "c_tilde",
     "little_c",
-    "PiPowerScalar",
     "Rational",
     "bernoulli_number",
     "zeta_even_pi_coeff",
@@ -65,7 +63,6 @@ __all__ = [
     "expand_weight",
     "reduce_even",
     "PrecisionBudgetError",
-    "STable",
     "build_s_table",
     "evaluate_reduced",
     "lz_quadrature",

@@ -12,15 +12,12 @@ free variables to zero, so results are reproducible across runs.
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 __all__ = [
     "Rational",
-    "PiPowerScalar",
     "RationalMatrix",
     "bernoulli_number",
     "zeta_even_pi_coeff",
@@ -31,23 +28,21 @@ __all__ = [
 Rational = Fraction
 
 _BERNOULLI: list[Fraction] = [Fraction(1)]
-_BERNOULLI_LOCK = threading.Lock()
 
 
 def bernoulli_number(m: int) -> Fraction:
     """Bernoulli number B_m in the convention B_1 = -1/2.
 
     Computed from the defining recurrence sum_{k=0}^{m} C(m+1,k) B_k = 0
-    and memoized in-process; safe to call from multiple threads.
+    and memoized in-process.
     """
     if m < 0:
         raise ValueError(f"Bernoulli index must be nonnegative, got {m}")
-    with _BERNOULLI_LOCK:
-        while len(_BERNOULLI) <= m:
-            j = len(_BERNOULLI)
-            acc = sum(math.comb(j + 1, k) * _BERNOULLI[k] for k in range(j))
-            _BERNOULLI.append(-acc / (j + 1))
-        return _BERNOULLI[m]
+    while len(_BERNOULLI) <= m:
+        j = len(_BERNOULLI)
+        acc = sum(math.comb(j + 1, k) * _BERNOULLI[k] for k in range(j))
+        _BERNOULLI.append(-acc / (j + 1))
+    return _BERNOULLI[m]
 
 
 # weight N needs n <= N/2: the survey cap of 40 uses 20 entries
@@ -64,34 +59,6 @@ def zeta_even_pi_coeff(n: int) -> Fraction:
     if q <= 0:
         raise AssertionError(f"zeta_even_pi_coeff({n}) computed nonpositive: {q}")
     return q
-
-
-@dataclass(frozen=True)
-class PiPowerScalar:
-    """A scalar of the form coeff * pi^pi_exponent with rational coeff.
-
-    pi_exponent is a nonnegative even integer; a zero coefficient forces
-    pi_exponent == 0 so that zero has one representation.
-    """
-
-    coeff: Fraction
-    pi_exponent: int = 0
-
-    def __post_init__(self) -> None:
-        coeff = self.coeff if isinstance(self.coeff, Fraction) else Fraction(self.coeff)
-        exponent = self.pi_exponent
-        if exponent < 0:
-            raise ValueError(f"pi exponent must be nonnegative, got {exponent}")
-        if exponent % 2 != 0:
-            raise ValueError(f"pi exponent must be even, got {exponent}")
-        if coeff == 0:
-            exponent = 0
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "pi_exponent", exponent)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coeff == 0
 
 
 def _as_fraction_rows(entries: Iterable[Iterable[Fraction]]) -> list[list[Fraction]]:

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Mapping, Union
 
 from .coefficients import little_c
-from .exact import PiPowerScalar, Rational, zeta_even_pi_coeff
+from .exact import Rational, zeta_even_pi_coeff
 from .partitions import PartitionElement, PartitionFilter, enumerate_partitions
 
 __all__ = [
@@ -178,10 +179,16 @@ class _Combination:
     """Immutable weight-N map {monomial: rational coefficient}.
 
     A term of weight w carries pi^(N-w); the exponent follows from the
-    weight alone and is never stored.
+    weight alone and is never stored.  Zero coefficients are dropped.
     """
 
     __slots__ = ("weight", "_terms")
+
+    def __init__(self, weight: int, terms: Mapping[ZetaMonomial, Rational]):
+        cleaned = {m: q for m, c in terms.items() if (q := Fraction(c))}
+        for mono in cleaned:
+            self._check(weight, mono)
+        self._set(weight, cleaned)
 
     def _set(self, weight: int, terms: Mapping[ZetaMonomial, Fraction]) -> None:
         object.__setattr__(self, "weight", weight)
@@ -196,6 +203,10 @@ class _Combination:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def terms(self) -> dict[ZetaMonomial, Fraction]:
+        return dict(self._terms)
 
     def coefficient(self, mono: ZetaMonomial) -> Fraction:
         return self._terms.get(mono, Fraction(0))
@@ -250,51 +261,38 @@ class ZetaCombination(_Combination):
 
     __slots__ = ()
 
-    def __init__(self, weight: int, terms: Mapping[ZetaMonomial, Rational]):
-        cleaned: dict[ZetaMonomial, Fraction] = {}
-        for mono, coeff in terms.items():
-            q = Fraction(coeff)
-            if q == 0:
-                continue
-            if mono.weight != weight:
-                raise ValueError(f"monomial {mono} has weight {mono.weight}, expected {weight}")
-            cleaned[mono] = q
-        self._set(weight, cleaned)
+    @staticmethod
+    def _check(weight: int, mono: ZetaMonomial) -> None:
+        if mono.weight != weight:
+            raise ValueError(f"monomial {mono} has weight {mono.weight}, expected {weight}")
 
-    @property
-    def terms(self) -> dict[ZetaMonomial, Fraction]:
-        return dict(self._terms)
+
+# bench/run.py reads .coeff and .pi_exponent from sorted_terms(); both go
+# once that reader moves to items()
+_PiTerm = namedtuple("_PiTerm", "coeff pi_exponent")
 
 
 class PiReducedCombination(_Combination):
-    """Combination over odd-only monomials with explicit pi-power scalars.
+    """Weight-N combination over odd-only monomials with rational coefficients.
 
-    Every term of weight w carries the factor pi^(N-w), so a weight-N
-    value is read back as {odd monomial: PiPowerScalar}.
+    A term of weight w stands for coefficient * pi^(N-w) * monomial, so
+    N - w must be even and nonnegative.
     """
 
     __slots__ = ()
 
-    def __init__(self, weight: int, terms: Mapping[ZetaMonomial, PiPowerScalar]):
-        cleaned: dict[ZetaMonomial, Fraction] = {}
-        for mono, scalar in terms.items():
-            if scalar.is_zero:
-                continue
-            if not mono.is_odd_only:
-                raise ValueError(f"monomial {mono} has even-argument factors")
-            if scalar.pi_exponent + mono.weight != weight:
-                raise ValueError(
-                    f"term {mono} with pi^{scalar.pi_exponent} does not reach weight {weight}"
-                )
-            cleaned[mono] = scalar.coeff
-        self._set(weight, cleaned)
+    @staticmethod
+    def _check(weight: int, mono: ZetaMonomial) -> None:
+        if not mono.is_odd_only:
+            raise ValueError(f"monomial {mono} has even-argument factors")
+        if mono.weight > weight or (weight - mono.weight) % 2:
+            raise ValueError(
+                f"term {mono} needs pi^{weight - mono.weight} to reach weight {weight}; "
+                "the pi exponent must be even and >= 0"
+            )
 
-    @property
-    def terms(self) -> dict[ZetaMonomial, PiPowerScalar]:
-        return {m: PiPowerScalar(c, self.weight - m.weight) for m, c in self._terms.items()}
-
-    def sorted_terms(self) -> list[tuple[ZetaMonomial, PiPowerScalar]]:
-        return [(m, PiPowerScalar(c, pi)) for c, pi, m in self.items()]
+    def sorted_terms(self) -> list[tuple[ZetaMonomial, _PiTerm]]:
+        return [(m, _PiTerm(c, pi)) for c, pi, m in self.items()]
 
 
 @lru_cache(maxsize=4)

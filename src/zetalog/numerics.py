@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Optional
+from typing import Callable
 
 from mpmath import mp, mpf, workdps
 
@@ -33,7 +33,6 @@ from .expansion import PiReducedCombination, expand_lz, reduce_even
 __all__ = [
     "PrecisionBudgetError",
     "zeta_value",
-    "STable",
     "build_s_table",
     "lz_series",
     "lz_quadrature",
@@ -105,49 +104,26 @@ def zeta_value(s: int, precision: int) -> mpf:
 # the S table: sums over compositions of n into k positive parts of prod 1/m_j
 
 
-@dataclass(frozen=True)
-class STable:
-    """S[k][n] for 1 <= k <= b_max, 0 <= n <= n_max; zero below the diagonal."""
-
-    b_max: int
-    n_max: int
-    rows: tuple[tuple, ...]  # rows[k][n], row 0 unused
-
-    def value(self, k: int, n: int):
-        if not 1 <= k <= self.b_max:
-            raise ValueError(f"order {k} outside 1..{self.b_max}")
-        if not 0 <= n <= self.n_max:
-            raise ValueError(f"index {n} outside 0..{self.n_max}")
-        return self.rows[k][n]
-
-
-def _build_table(b_max: int, n_max: int, one) -> STable:
-    # prefix form S_n^(k) = (k/n) * sum_{m<n} S_m^(k-1), O(b*n); one is
-    # Fraction(1) for the exact table or mp.one under the working precision
-    zero = 0 * one
-    rows = [None, [zero] + [one / n for n in range(1, n_max + 1)]]
-    for k in range(2, b_max + 1):
-        prev = rows[k - 1]
-        row = [zero] * (n_max + 1)
-        running = zero
-        for n in range(k, n_max + 1):
-            running += prev[n - 1]
-            row[n] = k * running / n
-        rows.append(row)
-    return STable(b_max, n_max, tuple(tuple(r) if r else () for r in rows))
-
-
 @lru_cache(maxsize=16)
-def build_s_table(b_max: int, n_max: int, precision: Optional[int] = None) -> STable:
-    """S table up to order b_max and index n_max; exact when precision is None."""
+def build_s_table(b_max: int, n_max: int, precision: int) -> tuple[tuple[mpf, ...], ...]:
+    """rows[k][n] = S_n^(k) for 1 <= k <= b_max and 0 <= n <= n_max, carried
+    to precision + 10 digits; zero below the diagonal, rows[0] empty."""
     if b_max < 1:
         raise ValueError(f"b_max must be >= 1, got {b_max}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    if precision is None:
-        return _build_table(b_max, n_max, Fraction(1))
     with workdps(precision + 10):
-        return _build_table(b_max, n_max, mp.one)
+        # prefix form S_n^(k) = (k/n) * sum_{m<n} S_m^(k-1), O(b*n)
+        rows = [(), (mp.zero,) + tuple(mp.one / n for n in range(1, n_max + 1))]
+        for k in range(2, b_max + 1):
+            prev = rows[k - 1]
+            row = [mp.zero] * (n_max + 1)
+            running = mp.zero
+            for n in range(k, n_max + 1):
+                running += prev[n - 1]
+                row[n] = k * running / n
+            rows.append(tuple(row))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -302,12 +278,8 @@ def lz_series(a: int, b: int, precision: int) -> mpf:
                 f"exhausted at {precision} digits"
             )
         table = build_s_table(max(a, b), n_max, precision)
-        first = mp.fsum(
-            table.value(b, n) * _half_moment(c, a - 1, n) for n in range(b, n_max + 1)
-        )
-        second = mp.fsum(
-            n * table.value(a, n) * _half_moment(c, b, n) for n in range(a, n_max + 1)
-        )
+        first = mp.fsum(table[b][n] * _half_moment(c, a - 1, n) for n in range(b, n_max + 1))
+        second = mp.fsum(n * table[a][n] * _half_moment(c, b, n) for n in range(a, n_max + 1))
         total = first / fb + second / fa
     sign = -1 if (a + b) % 2 == 0 else 1
     with workdps(precision):
@@ -347,10 +319,13 @@ def verify_expansion(a: int, b: int, precision: int, method: str = "both") -> Ve
     of method ("both", "series" or "quadrature").
 
     Values carry P+5 digits and are compared at P+10; the check passes when
-    the largest pairwise deviation is below 10^-(P-5).
+    the largest pairwise deviation is below 10^-(P-5), so P must be at least
+    6 for the threshold to lie below 1.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    if precision < 6:
+        raise ValueError(f"precision must be at least 6 digits, got {precision}")
     routes = ("series", "quadrature") if method == "both" else (method,)
     reduced = reduce_even(expand_lz(a, b))
     carried = precision + 5

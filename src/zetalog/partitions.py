@@ -78,22 +78,14 @@ class PartitionElement:
         support = tuple(sorted(counts.items()))
         return cls(sum(n * k for n, k in support), support)
 
-    @property
-    def parts(self) -> dict[int, int]:
-        return dict(self.support)
-
     @cached_property
     def norm(self) -> int:
         """Total number of parts, counted with multiplicity."""
         return sum(k for _, k in self.support)
 
-    @property
-    def min_part(self) -> int:
-        return self.support[0][0] if self.support else 0
-
-    def part_list(self, descending: bool = True) -> tuple[int, ...]:
-        flat = [n for n, k in self.support for _ in range(k)]
-        return tuple(sorted(flat, reverse=descending))
+    def part_list(self) -> tuple[int, ...]:
+        """The parts, largest first."""
+        return tuple(n for n, k in reversed(self.support) for _ in range(k))
 
     def __str__(self) -> str:
         return "+".join(str(p) for p in self.part_list()) if self.support else "0"

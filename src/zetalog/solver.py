@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .exact import PiPowerScalar, RationalMatrix, rref, solve_membership
+from .exact import RationalMatrix, rref, solve_membership
 from .expansion import (
     UNIT_MONOMIAL,
     PiReducedCombination,
@@ -121,18 +121,22 @@ def build_system(
 
 @dataclass(frozen=True, eq=False)
 class Certificate:
-    """Exact identity pi^(weight - wt(target)) * target = lz_terms + remainder."""
+    """Exact identity pi^(weight - wt(target)) * target = lz_terms + remainder.
+
+    lz_terms maps (a, b) to the rational multiplier of Lz(a,b); every pair
+    has a + b = weight, so no pi power rides on it.
+    """
 
     target: ZetaMonomial
     weight: int
-    lz_terms: dict[tuple[int, int], PiPowerScalar]
+    lz_terms: dict[tuple[int, int], Fraction]
     known_remainder: PiReducedCombination
 
     @property
     def target_pi_exponent(self) -> int:
         return self.weight - self.target.weight
 
-    def sorted_lz(self) -> list[tuple[tuple[int, int], PiPowerScalar]]:
+    def sorted_lz(self) -> list[tuple[tuple[int, int], Fraction]]:
         return sorted(self.lz_terms.items(), key=lambda ps: ps[0][1])
 
     def dependencies(self) -> list[ZetaMonomial]:
@@ -140,7 +144,7 @@ class Certificate:
 
     def _line(self, latex: bool) -> str:
         lhs = _render([(Fraction(1), self.target_pi_exponent, self.target)], latex)
-        items = [(s.coeff, s.pi_exponent, f"Lz({a},{b})") for (a, b), s in self.sorted_lz()]
+        items = [(c, 0, f"Lz({a},{b})") for (a, b), c in self.sorted_lz()]
         items += self.known_remainder.items()
         rhs = _render(items, latex)
         return f"{lhs}={rhs}" if latex else f"{lhs} = {rhs}"
@@ -158,8 +162,8 @@ class Certificate:
             "target": str(self.target),
             "weight": self.weight,
             "lz": [
-                {"a": a, "b": b, "coeff": str(s.coeff), "pi": s.pi_exponent}
-                for (a, b), s in self.sorted_lz()
+                {"a": a, "b": b, "coeff": str(c), "pi": 0}
+                for (a, b), c in self.sorted_lz()
             ],
             "known": self.known_remainder.payload(),
         }
@@ -173,10 +177,9 @@ def verify_certificate(cert: Certificate) -> bool:
         key = (mono, pi_exp)
         acc[key] = acc.get(key, Fraction(0)) + coeff
 
-    for (a, b), scalar in cert.lz_terms.items():
-        red = reduce_even(expand_lz(a, b))
-        for coeff, pi_exp, mono in red.items():
-            put(mono, pi_exp + scalar.pi_exponent, coeff * scalar.coeff)
+    for (a, b), lam in cert.lz_terms.items():
+        for coeff, pi_exp, mono in reduce_even(expand_lz(a, b)).items():
+            put(mono, pi_exp, coeff * lam)
     for coeff, pi_exp, mono in cert.known_remainder.items():
         put(mono, pi_exp, coeff)
     put(cert.target, cert.target_pi_exponent, Fraction(-1))
@@ -200,11 +203,7 @@ def _solve(target: ZetaMonomial, N: int, mode: str) -> Optional[Certificate]:
     lam = solve_membership(system.matrix(), unit)
     if lam is None:
         return None
-    lz_terms = {
-        row.pair: PiPowerScalar(coeff, 0)
-        for row, coeff in zip(system.rows, lam)
-        if coeff != 0
-    }
+    lz_terms = {row.pair: coeff for row, coeff in zip(system.rows, lam) if coeff != 0}
     remainder = PiReducedCombination(N, {})
     for row, coeff in zip(system.rows, lam):
         if coeff != 0:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from zetalog import PiPowerScalar, PiReducedCombination, ZetaCombination, ZetaMonomial
+from zetalog import PiReducedCombination, ZetaCombination, ZetaMonomial
 
 RAW = {
     (1, 1): {"z2": "-1"},
@@ -100,10 +100,11 @@ def raw_combination(a: int, b: int) -> ZetaCombination:
 
 def reduced_combination(a: int, b: int) -> PiReducedCombination:
     entry = REDUCED[(a, b)]
-    return PiReducedCombination(
-        a + b,
-        {
-            ZetaMonomial.parse(m): PiPowerScalar(Fraction(c), e)
-            for m, (c, e) in entry.items()
-        },
+    comb = PiReducedCombination(
+        a + b, {ZetaMonomial.parse(m): Fraction(c) for m, (c, _) in entry.items()}
     )
+    # the combination derives each pi exponent from the weight; it must be
+    # the one recorded
+    recorded = {ZetaMonomial.parse(m): e for m, (_, e) in entry.items()}
+    assert {mono: pi for _, pi, mono in comb.items()} == recorded, (a, b)
+    return comb

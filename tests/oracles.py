@@ -89,15 +89,17 @@ def s_composition_sum(k: int, n: int) -> Fraction:
     return total
 
 
-def elementary_reciprocal(k: int, n: int) -> Fraction:
-    """e_k(1, 1/2, ..., 1/(n-1)), expanded from prod (1 + x/j)."""
-    coeffs = [Fraction(1)]
-    for j in range(1, n):
-        nxt = coeffs + [Fraction(0)]
-        for i in range(len(coeffs), 0, -1):
-            nxt[i] += coeffs[i - 1] / j
-        coeffs = nxt
-    return coeffs[k] if k < len(coeffs) else Fraction(0)
+def elementary_reciprocals(k_max: int, n_max: int) -> list[list[Fraction]]:
+    """rows[n][k] = e_k(1, 1/2, ..., 1/(n-1)) for 0 <= n <= n_max, 0 <= k <= k_max.
+
+    One pass over n: row n+1 is row n times the factor (1 + x/n) of
+    prod (1 + x/j), truncated at x^k_max.
+    """
+    rows = [[Fraction(1)] + [Fraction(0)] * k_max] * 2  # n = 0, 1: no variables
+    for j in range(1, n_max):
+        prev = rows[-1]
+        rows.append([prev[0]] + [prev[i] + prev[i - 1] / j for i in range(1, k_max + 1)])
+    return rows
 
 
 def _bernoulli(m: int) -> Fraction:

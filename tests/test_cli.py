@@ -163,10 +163,13 @@ def test_verify_budget_exhaustion_exits_three(run_cli, monkeypatch):
 
 def test_verify_usage(run_cli):
     assert run_cli("verify", "2", "1", "--digits", "99")[0] == 1
+    # below 6 digits the threshold 10^-(P-5) is at least 1 and proves nothing
+    assert run_cli("verify", "3", "3", "--digits", "3")[0] == 1
     assert run_cli("verify", "0", "1")[0] == 1
     assert run_cli("verify", "13", "12")[0] == 1
     assert run_cli("verify", "3", "2", "--max-weight", "4")[0] == 1
     assert run_cli("verify", "2", "1", "--digits", "15", "--max-weight", "3")[0] == 0
+    assert run_cli("verify", "2", "1", "--digits", "6", "--max-weight", "3")[0] == 0
 
 
 def test_express_text_certificate(run_cli):

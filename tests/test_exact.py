@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from oracles import fraction_rref
 from zetalog.exact import (
-    PiPowerScalar,
     RationalMatrix,
     bernoulli_number,
     rref,
@@ -70,19 +69,6 @@ def test_even_zeta_coefficients_positive():
 def test_even_zeta_rejects_zero():
     with pytest.raises(ValueError):
         zeta_even_pi_coeff(0)
-
-
-def test_pi_power_scalar_normalizes_zero():
-    z = PiPowerScalar(F(0), 8)
-    assert z.is_zero and z.pi_exponent == 0
-    assert z == PiPowerScalar(F(0), 0)
-
-
-def test_pi_power_scalar_rejects_odd_or_negative_exponent():
-    with pytest.raises(ValueError):
-        PiPowerScalar(F(1), 3)
-    with pytest.raises(ValueError):
-        PiPowerScalar(F(1), -2)
 
 
 def test_matrix_shape_and_accessors():

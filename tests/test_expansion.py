@@ -6,7 +6,6 @@ import pytest
 
 import golden_data
 from oracles import reduced_lz_kernel
-from zetalog.exact import PiPowerScalar
 from zetalog.expansion import (
     MonomialParseError,
     PiReducedCombination,
@@ -38,7 +37,7 @@ def test_reduced_expansion_matches_kernel_oracle():
     for n in range(2, 25):
         for b in range(1, n):
             red = reduce_even(expand_lz(n - b, b))
-            got = [(mono.factors, scalar.coeff) for mono, scalar in red.terms.items()]
+            got = [(mono.factors, coeff) for mono, coeff in red.terms.items()]
             assert got == reduced_lz_kernel(n - b, b), (n - b, b)
 
 
@@ -195,10 +194,16 @@ def test_combination_validation_and_immutability():
 def test_reduced_combination_validation():
     z3 = ZetaMonomial.parse("z3")
     with pytest.raises(ValueError):
-        PiReducedCombination(7, {ZetaMonomial.parse("z4"): PiPowerScalar(F(1), 0)})
+        PiReducedCombination(7, {ZetaMonomial.parse("z4"): F(1)})
     with pytest.raises(ValueError):
-        PiReducedCombination(7, {z3: PiPowerScalar(F(1), 2)})  # 2 + 3 != 7
-    ok = PiReducedCombination(7, {z3: PiPowerScalar(F(1), 4)})
+        PiReducedCombination(6, {z3: F(1)})  # would need pi^3: odd exponent
+    with pytest.raises(ValueError):
+        PiReducedCombination(1, {z3: F(1)})  # would need pi^-2: negative exponent
+    # a zero term is dropped before its exponent is checked
+    assert len(PiReducedCombination(6, {z3: F(0)})) == 0
+    ok = PiReducedCombination(7, {z3: F(1)})
+    assert ok.items() == [(F(1), 4, z3)]
+    assert PiReducedCombination(7, {z3: F(1), ZetaMonomial.parse("z5"): F(0)}) == ok
     with pytest.raises(AttributeError):
         ok.weight = 9
 
@@ -218,7 +223,7 @@ def test_reduce_even_drops_nothing():
     for (a, b) in [(5, 2), (6, 3), (5, 4), (4, 4)]:
         red = reduce_even(expand_lz(a, b))
         assert red.weight == a + b
-        for mono, scalar in red.terms.items():
+        for _, pi_exp, mono in red.items():
             assert mono.is_odd_only
-            assert mono.weight + scalar.pi_exponent == a + b
-            assert scalar.pi_exponent % 2 == 0
+            assert mono.weight + pi_exp == a + b
+            assert pi_exp >= 0 and pi_exp % 2 == 0

@@ -1,6 +1,7 @@
 """Structural guards: every module-level cache is bounded, the exact
-layers hold no floats, the CLI imports only public library names, and the
-bench trace shim still finds and counts every name it wraps."""
+layers hold no floats, the CLI imports only public library names, every
+exported name exists, and the bench trace shim still finds and counts
+every name it wraps."""
 
 from __future__ import annotations
 
@@ -69,6 +70,23 @@ def test_cli_imports_only_public_names():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_every_export_resolves():
+    # a name left in __all__ after its definition is deleted breaks
+    # "from zetalog import *" and misleads readers of the public surface
+    modules = [zetalog] + [
+        importlib.import_module(f"zetalog.{info.name}")
+        for info in pkgutil.iter_modules(zetalog.__path__)
+    ]
+    stale = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+    assert stale == []
+    assert all(hasattr(module, "__all__") for module in modules)
 
 
 def test_bench_shim_targets_exist():

@@ -20,7 +20,7 @@ from zetalog.numerics import (
     verify_expansion,
     zeta_value,
 )
-from oracles import elementary_reciprocal, s_composition_sum
+from oracles import elementary_reciprocals, s_composition_sum
 
 F = Fraction
 
@@ -47,47 +47,57 @@ def test_zeta_rejects_small_argument():
         zeta_value(1, 30)
 
 
+def _mpf(q: Fraction):
+    return mp.mpf(q.numerator) / q.denominator
+
+
 def test_s_table_exact_against_brute_force():
-    table = build_s_table(4, 24)
-    for k in range(1, 5):
-        for n in range(25):
-            assert table.value(k, n) == s_composition_sum(k, n), (k, n)
+    table = build_s_table(4, 24, 30)
+    with workdps(45):
+        for k in range(1, 5):
+            for n in range(25):
+                want = _mpf(s_composition_sum(k, n))
+                assert abs(table[k][n] - want) <= _tol(33) * want, (k, n)
+
+
+def _s_exact(k_max: int, n_max: int):
+    # S_n^(k) = k!/n * e_{k-1}(1, 1/2, ..., 1/(n-1)) for 1 <= k <= n
+    e = elementary_reciprocals(k_max - 1, n_max)
+    return lambda k, n: F(math.factorial(k), n) * e[n][k - 1]
 
 
 def test_s_table_elementary_symmetric_identity():
-    # S_n^(k) = k!/n * e_{k-1}(1, 1/2, ..., 1/(n-1))
-    table = build_s_table(5, 40)
-    for k in range(1, 6):
-        for n in range(k, 41):
-            expected = (
-                F(math.factorial(k), n) * elementary_reciprocal(k - 1, n)
-            )
-            assert table.value(k, n) == expected
+    table = build_s_table(5, 40, 30)
+    exact = _s_exact(5, 40)
+    with workdps(45):
+        for k in range(1, 6):
+            for n in range(k, 41):
+                want = _mpf(exact(k, n))
+                assert abs(table[k][n] - want) < _tol(33) * want, (k, n)
 
 
 def test_s_table_float_matches_exact():
-    exact = build_s_table(4, 120)
-    approx = build_s_table(4, 120, precision=30)
-    with workdps(45):
-        for k in range(1, 5):
-            for n in range(k, 121):
-                want = mp.mpf(exact.value(k, n).numerator) / exact.value(k, n).denominator
-                assert abs(approx.value(k, n) - want) < _tol(33) * max(1, abs(want))
+    # a table carried at P + 10 digits is within relative 10^-(P+3) of the
+    # exact rationals, at every precision
+    exact = _s_exact(4, 120)
+    for digits in (15, 30, 60):
+        table = build_s_table(4, 120, digits)
+        with workdps(digits + 15):
+            for k in range(1, 5):
+                assert all(table[k][n] == 0 for n in range(k)), (digits, k)
+                for n in range(k, 121):
+                    want = _mpf(exact(k, n))
+                    assert abs(table[k][n] - want) < _tol(digits + 3) * want, (digits, k, n)
 
 
 def test_s_table_bounds_and_cache():
-    table = build_s_table(3, 10)
+    table = build_s_table(3, 10, 30)
+    assert table[0] == () and [len(row) for row in table[1:]] == [11, 11, 11]
+    assert build_s_table(3, 10, 30) is table
     with pytest.raises(ValueError):
-        table.value(0, 5)
+        build_s_table(0, 5, 30)
     with pytest.raises(ValueError):
-        table.value(4, 5)
-    with pytest.raises(ValueError):
-        table.value(2, 11)
-    assert build_s_table(3, 10) is table
-    with pytest.raises(ValueError):
-        build_s_table(0, 5)
-    with pytest.raises(ValueError):
-        build_s_table(2, -1)
+        build_s_table(2, -1, 30)
 
 
 def test_quadrature_matches_golden_values():
@@ -144,9 +154,8 @@ def test_series_relative_accuracy_on_tiny_value():
     got = lz_series(16, 16, digits)
     with workdps(90):
         want = mp.zero
-        for mono, scalar in reduce_even(expand_lz(16, 16)).sorted_terms():
-            term = mp.mpf(scalar.coeff.numerator) / scalar.coeff.denominator
-            term *= mp.pi**scalar.pi_exponent
+        for coeff, pi_exp, mono in reduce_even(expand_lz(16, 16)).items():
+            term = _mpf(coeff) * mp.pi**pi_exp
             for n, k in mono.factors:
                 term *= mp.zeta(n) ** k
             want += term
@@ -184,6 +193,13 @@ def test_verification_report_holds_only_the_routes_run():
     report = verify_expansion(4, 3, 30, method="series")
     assert set(report.values) == {"symbolic", "series"}
     assert report.passed
+
+
+def test_verification_rejects_vacuous_precision():
+    # the threshold 10^-(P-5) must lie below 1
+    with pytest.raises(ValueError):
+        verify_expansion(3, 3, 5)
+    assert verify_expansion(2, 1, 6).passed
 
 
 def test_verification_rejects_unknown_method():

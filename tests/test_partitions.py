@@ -104,11 +104,8 @@ def test_element_roundtrip():
     assert x.weight == 12
     assert x.support == ((2, 3), (3, 2))
     assert x.norm == 5
-    assert x.min_part == 2
     assert x.part_list() == (3, 3, 2, 2, 2)
-    assert x.part_list(descending=False) == (2, 2, 2, 3, 3)
     assert str(x) == "3+3+2+2+2"
-    assert x.parts == {2: 3, 3: 2}
 
 
 def test_element_validation():
