@@ -17,8 +17,6 @@ import json
 import sys
 import time
 
-from mpmath import mp
-
 from .expansion import (
     ZetaMonomial,
     expand_lz,
@@ -191,6 +189,8 @@ def _cmd_verify(args, started: float) -> int:
     if args.digits > DIGITS_CAP:
         raise ValueError(f"digits must be at most {DIGITS_CAP}")
     report = verify_expansion(args.a, args.b, args.digits, args.method)
+    from mpmath import mp  # loaded by verify_expansion; no exact command needs it
+
     shown = {**report.values, "deviation": report.max_deviation, "threshold": report.threshold}
     for name, value in shown.items():
         print(f"{name:>11}: {mp.nstr(value, args.digits)}")

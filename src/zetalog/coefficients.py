@@ -12,7 +12,10 @@ coefficient factors as c_b(X) = C_b(X) * Ct(X) where
 and is symmetric under b -> N - b.  Values are computed through a cached
 per-partition profile: the product over parts of the polynomials
 sum_{v=1}^{n-1} C(n,v) y^v, whose coefficient of y^b is C_b(X), so one
-product serves every b.
+product serves every b.  Each partition's profile, sign and denominator
+form one cached integer record, built from the record of the partition
+with one copy of its largest part removed, so a coefficient costs one
+Fraction.
 """
 
 from __future__ import annotations
@@ -31,29 +34,37 @@ __all__ = [
 ]
 
 
-# 6,153 partitions of 40 into parts >= 2 make up the largest weight a
-# survey reaches; the bound keeps one whole weight
+# Weight 40, the largest a survey reaches, needs 12,306 records: its 6,153
+# partitions into parts >= 2, which every pair (40 - b, b) re-reads, and as
+# many smaller ones they are built from, read once each.  8,192 keeps the
+# first set whole while the second streams through: at weight 40 a survey
+# of 3..40 misses 12,306 times, once per record
 @lru_cache(maxsize=8192)
-def _profile_from_support(support: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
-    # profile[b] = C_b(X); product over parts of (sum_{v=1}^{n-1} C(n,v) y^v)^k
-    prof = [1]
-    for size, mult in support:
-        row = [0] + [math.comb(size, v) for v in range(1, size)]
-        for _ in range(mult):
-            nxt = [0] * (len(prof) + len(row) - 1)
-            for i, a in enumerate(prof):
-                if a == 0:
-                    continue
-                for j, c in enumerate(row):
-                    if c:
-                        nxt[i + j] += a * c
-            prof = nxt
-    return tuple(prof)
+def _record(support: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], int, int]:
+    """(profile, sign, denominator) of the partition with this support:
+    profile[b] = C_b(X) and Ct(X) = sign / denominator.
+
+    Built from the record of X with one copy of its largest part s removed:
+    the profile gains the factor sum_{v=1}^{s-1} C(s,v) y^v, N + |X| grows by
+    s + 1, and the denominator gains the factor mult * s.
+    """
+    if not support:
+        return (1,), 1, 1
+    size, mult = support[-1]
+    rest = support[:-1] + ((size, mult - 1),) if mult > 1 else support[:-1]
+    prof, sign, denom = _record(rest)
+    row = [math.comb(size, v) for v in range(1, size)]
+    nxt = [0] * (len(prof) + size - 1)
+    for i, a in enumerate(prof, 1):
+        if a:
+            hi = i + size - 1
+            nxt[i:hi] = [u + a * c for u, c in zip(nxt[i:hi], row)]
+    return tuple(nxt), -sign if size % 2 == 0 else sign, denom * mult * size
 
 
 def composition_profile(x: PartitionElement) -> tuple[int, ...]:
     """C_b(X) for every b at once, indexed by b."""
-    return _profile_from_support(x.support)
+    return _record(x.support)[0]
 
 
 def big_c(x: PartitionElement, b: int) -> int:
@@ -64,15 +75,12 @@ def big_c(x: PartitionElement, b: int) -> int:
 
 
 def c_tilde(x: PartitionElement) -> Fraction:
-    sign = -1 if (x.weight + x.norm) % 2 else 1
-    denom = 1
-    for size, mult in x.support:
-        denom *= math.factorial(mult) * size**mult
+    _, sign, denom = _record(x.support)
     return Fraction(sign, denom)
 
 
 def little_c(x: PartitionElement, b: int) -> Fraction:
-    c = big_c(x, b)
-    if c == 0:
-        return Fraction(0)
-    return c * c_tilde(x)
+    prof, sign, denom = _record(x.support)
+    if 0 <= b < len(prof):
+        return Fraction(sign * prof[b], denom)
+    return Fraction(0)

@@ -52,7 +52,7 @@ def _exp_str(k: int) -> str:
     return f"^{k}" if k < 10 else f"^{{{k}}}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ZetaMonomial:
     """Product of zeta factors, stored as (argument, exponent) ascending."""
 
@@ -66,6 +66,16 @@ class ZetaMonomial:
             if k < 1:
                 raise ValueError(f"exponent must be >= 1 in factor ({n}, {k})")
             prev = n
+        # hashed once: monomials are the keys of every expansion and reduction
+        object.__setattr__(self, "_hash", hash((self.factors,)))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.factors == other.factors
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_partition(cls, x: PartitionElement) -> "ZetaMonomial":
@@ -112,16 +122,17 @@ class ZetaMonomial:
         return (-self.odd_weight, self.factors)
 
     @cached_property
-    def _even_fold(self) -> tuple["ZetaMonomial", Fraction]:
-        """(odd part, q): this monomial is q * pi^(even weight) * odd part."""
+    def _even_fold(self) -> tuple["ZetaMonomial", int, int]:
+        """(odd part, p, q): this monomial is p/q * pi^(even weight) * odd part,
+        p/q in lowest terms."""
         odd: list[tuple[int, int]] = []
-        q = Fraction(1)
+        r = Fraction(1)
         for n, k in self.factors:
             if n % 2 == 0:
-                q *= zeta_even_pi_coeff(n // 2) ** k
+                r *= zeta_even_pi_coeff(n // 2) ** k
             else:
                 odd.append((n, k))
-        return ZetaMonomial(tuple(odd)), q
+        return ZetaMonomial(tuple(odd)), r.numerator, r.denominator
 
     def __str__(self) -> str:
         if not self.factors:
@@ -190,13 +201,13 @@ class _Combination:
             self._check(weight, mono)
         self._set(weight, cleaned)
 
-    def _set(self, weight: int, terms: Mapping[ZetaMonomial, Fraction]) -> None:
+    def _set(self, weight: int, terms: dict[ZetaMonomial, Fraction]) -> None:
         object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "_terms", {m: c for m, c in terms.items() if c != 0})
+        object.__setattr__(self, "_terms", terms)
 
     @classmethod
-    def _of(cls, weight: int, terms: Mapping[ZetaMonomial, Fraction]):
-        # terms already valid for the weight; zero coefficients are dropped
+    def _of(cls, weight: int, terms: dict[ZetaMonomial, Fraction]):
+        # terms are valid for the weight and nonzero; the dict is taken over
         new = object.__new__(cls)
         new._set(weight, terms)
         return new
@@ -226,7 +237,7 @@ class _Combination:
 
     def scale(self, r: Rational):
         q = Fraction(r)
-        return self._of(self.weight, {m: c * q for m, c in self._terms.items()})
+        return self._of(self.weight, {m: p for m, c in self._terms.items() if (p := c * q)})
 
     def __add__(self, other):
         if type(other) is not type(self):
@@ -236,7 +247,7 @@ class _Combination:
         merged = dict(self._terms)
         for m, c in other._terms.items():
             merged[m] = merged.get(m, Fraction(0)) + c
-        return self._of(self.weight, merged)
+        return self._of(self.weight, {m: c for m, c in merged.items() if c})
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -296,11 +307,12 @@ class PiReducedCombination(_Combination):
 
 
 @lru_cache(maxsize=4)
-def _partitions_min2(n: int) -> tuple[tuple[PartitionElement, ZetaMonomial], ...]:
-    # one enumeration per weight, shared by every pair a+b = n; the monomial
-    # object is shared too, so its even fold is computed once per weight
+def _partitions_min2(n: int) -> tuple[tuple[PartitionElement, ZetaMonomial, int], ...]:
+    # one enumeration per weight, shared by every pair a+b = n, with each
+    # partition's monomial and part count; the monomial object is shared
+    # too, so its hash and even fold are computed once per weight
     return tuple(
-        (x, ZetaMonomial.from_partition(x))
+        (x, ZetaMonomial.from_partition(x), x.norm)
         for x in enumerate_partitions(n, PartitionFilter(min_part=2))
     )
 
@@ -314,11 +326,8 @@ def expand_lz(a: int, b: int) -> ZetaCombination:
         raise ValueError(f"need a >= 1 and b >= 1, got ({a}, {b})")
     n = a + b
     bound = min(a, b)  # coefficients vanish once the part count exceeds this
-    terms: dict[ZetaMonomial, Fraction] = {}
-    for x, mono in _partitions_min2(n):
-        if x.norm > bound:
-            continue
-        terms[mono] = little_c(x, b)
+    # C_b(X) > 0 for |X| <= min(a, b), so no term is zero
+    terms = {mono: little_c(x, b) for x, mono, norm in _partitions_min2(n) if norm <= bound}
     return ZetaCombination._of(n, terms)
 
 
@@ -328,14 +337,14 @@ def reduce_even(c: ZetaCombination) -> PiReducedCombination:
     # one common denominator; odd monomials keep first-appearance order
     groups: dict[ZetaMonomial, list[tuple[int, int]]] = {}
     for mono, q in c._terms.items():
-        odd, r = mono._even_fold
-        groups.setdefault(odd, []).append(
-            (q.numerator * r.numerator, q.denominator * r.denominator)
-        )
+        odd, p, r = mono._even_fold
+        groups.setdefault(odd, []).append((q.numerator * p, q.denominator * r))
     merged: dict[ZetaMonomial, Fraction] = {}
     for odd, products in groups.items():
         den = math.lcm(*(d for _, d in products))
-        merged[odd] = Fraction(sum(n * (den // d) for n, d in products), den)
+        num = sum(n * (den // d) for n, d in products)
+        if num:
+            merged[odd] = Fraction(num, den)
     return PiReducedCombination._of(c.weight, merged)
 
 

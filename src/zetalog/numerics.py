@@ -13,7 +13,8 @@ the endpoint log singularities cost nothing.
 zeta_value is an in-house Euler-Maclaurin evaluation with an explicit
 remainder bound; pi comes from the float library's certified constant.
 Working precision carries guard digits over the requested P and results
-are trusted to 10^(-P).
+are trusted to 10^(-P).  mpmath is imported on the first numeric call, so
+the exact commands never load it.
 """
 
 from __future__ import annotations
@@ -23,12 +24,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable
-
-from mpmath import mp, mpf, workdps
+from typing import TYPE_CHECKING, Callable
 
 from .exact import bernoulli_number
 from .expansion import PiReducedCombination, expand_lz, reduce_even
+
+if TYPE_CHECKING:
+    from mpmath import mpf
 
 __all__ = [
     "PrecisionBudgetError",
@@ -48,6 +50,20 @@ QUADRATURE_MAX_LEVEL = 12
 SERIES_MAX_TERMS = 2000
 
 
+class _Mpmath:
+    """Stands in for mpmath's context until the first attribute read, which
+    imports mpmath and rebinds the module global to the real context."""
+
+    def __getattr__(self, name: str):
+        global mp
+        from mpmath import mp
+
+        return getattr(mp, name)
+
+
+mp = _Mpmath()
+
+
 class PrecisionBudgetError(RuntimeError):
     """Requested precision unreachable within the configured budget."""
 
@@ -62,7 +78,7 @@ def _frac(q: Fraction) -> mpf:
 
 @lru_cache(maxsize=512)
 def _zeta_cached(s: int, wdps: int) -> mpf:
-    with workdps(wdps):
+    with mp.workdps(wdps):
         k = max(16, wdps)
         total = mp.zero
         for n in range(1, k):
@@ -96,7 +112,7 @@ def zeta_value(s: int, precision: int) -> mpf:
     if s < 2:
         raise ValueError(f"zeta_value needs s >= 2, got {s}")
     val = _zeta_cached(s, precision + 10)
-    with workdps(precision):
+    with mp.workdps(precision):
         return +val
 
 
@@ -112,7 +128,7 @@ def build_s_table(b_max: int, n_max: int, precision: int) -> tuple[tuple[mpf, ..
         raise ValueError(f"b_max must be >= 1, got {b_max}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    with workdps(precision + 10):
+    with mp.workdps(precision + 10):
         # prefix form S_n^(k) = (k/n) * sum_{m<n} S_m^(k-1), O(b*n)
         rows = [(), (mp.zero,) + tuple(mp.one / n for n in range(1, n_max + 1))]
         for k in range(2, b_max + 1):
@@ -160,7 +176,7 @@ def _tier_nodes(tier: int, wdps: int) -> tuple[tuple[mpf, ...], ...]:
     """Nodes new at this refinement level: v = odd multiples of 2^-tier."""
     vmax = _vmax(wdps)
     nodes: list[tuple[mpf, ...]] = []
-    with workdps(wdps + 5):
+    with mp.workdps(wdps + 5):
         if tier == 0:
             half = mp.mpf(1) / 2
             nodes.append((mp.pi / 4, half, half, -mp.log(2), -mp.log(2)))
@@ -180,7 +196,7 @@ def _integrate01(
 ) -> mpf:
     """Tanh-sinh on (0,1) of integrand(t, log t, log(1-t)): refine until two
     consecutive levels agree."""
-    with workdps(wdps):
+    with mp.workdps(wdps):
         tol = mp.mpf(10) ** (-agree_digits)
         tier_sums: list[mpf] = []
         prev = None
@@ -212,7 +228,7 @@ def lz_quadrature(a: int, b: int, precision: int) -> mpf:
         return log_t ** (a - 1) * log_mt**b / t
 
     val = _integrate01(integrand, wdps, precision + 2, f"Lz({a},{b}) quadrature")
-    with workdps(precision):
+    with mp.workdps(precision):
         return +val / norm
 
 
@@ -261,7 +277,7 @@ def lz_series(a: int, b: int, precision: int) -> mpf:
     if a < 1 or b < 1:
         raise ValueError(f"Lz needs a, b >= 1, got ({a}, {b})")
     wdps = precision + 10
-    with workdps(wdps):
+    with mp.workdps(wdps):
         c = _log2_powers(max(a - 1, b))
         fa, fb = math.factorial(a), math.factorial(b)
         # the first term of each sum (S_b^(b) = S_a^(a) = 1)
@@ -282,7 +298,7 @@ def lz_series(a: int, b: int, precision: int) -> mpf:
         second = mp.fsum(n * table[a][n] * _half_moment(c, b, n) for n in range(a, n_max + 1))
         total = first / fb + second / fa
     sign = -1 if (a + b) % 2 == 0 else 1
-    with workdps(precision):
+    with mp.workdps(precision):
         return +(sign * total)
 
 
@@ -293,7 +309,7 @@ def lz_series(a: int, b: int, precision: int) -> mpf:
 def evaluate_reduced(comb: PiReducedCombination, precision: int) -> mpf:
     """Numeric value of a pi-reduced combination from zeta_value and pi."""
     wdps = precision + 10
-    with workdps(wdps):
+    with mp.workdps(wdps):
         total = mp.zero
         for coeff, pi_exp, mono in comb.items():
             term = _frac(coeff)
@@ -302,7 +318,7 @@ def evaluate_reduced(comb: PiReducedCombination, precision: int) -> mpf:
             for n, k in mono.factors:
                 term *= zeta_value(n, wdps) ** k
             total += term
-    with workdps(precision):
+    with mp.workdps(precision):
         return +total
 
 
@@ -329,7 +345,7 @@ def verify_expansion(a: int, b: int, precision: int, method: str = "both") -> Ve
     routes = ("series", "quadrature") if method == "both" else (method,)
     reduced = reduce_even(expand_lz(a, b))
     carried = precision + 5
-    with workdps(precision + 10):
+    with mp.workdps(precision + 10):
         values = {"symbolic": evaluate_reduced(reduced, carried)}
         for name in routes:
             # looked up per call, so a rebound module attribute is the one run

@@ -105,7 +105,7 @@ def enumerate_partitions(
     def rec(remaining: int, max_part: int) -> None:
         if remaining == 0:
             if t is None or len(acc) == t:
-                out.append(PartitionElement.from_parts(acc))
+                out.append(_from_descending(n, acc))
             return
         if t is not None and len(acc) >= t:
             return
@@ -128,6 +128,23 @@ def enumerate_partitions(
     else:
         rec(n, n)
     return out
+
+
+def _from_descending(weight: int, parts: list[int]) -> PartitionElement:
+    # parts is non-empty, non-increasing and sums to weight, so the support
+    # needs neither from_parts' dict and sort nor the constructor's checks
+    support = []
+    size, mult = parts[-1], 0
+    for p in reversed(parts):
+        if p == size:
+            mult += 1
+        else:
+            support.append((size, mult))
+            size, mult = p, 1
+    support.append((size, mult))
+    x = object.__new__(PartitionElement)
+    x.__dict__.update(weight=weight, support=tuple(support), norm=len(parts))
+    return x
 
 
 def count_partitions(n: int, flt: Optional[PartitionFilter] = None) -> int:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import bivariate_big_c, brute_slot_values
+from zetalog import coefficients
 from zetalog.coefficients import big_c, c_tilde, composition_profile, little_c
 from zetalog.partitions import PartitionElement, enumerate_partitions
 
@@ -97,3 +98,31 @@ def test_little_c_is_big_c_times_c_tilde():
     for x in all_partitions(10):
         for b in range(x.weight + 1):
             assert little_c(x, b) == big_c(x, b) * c_tilde(x), (x, b)
+
+
+def test_records_do_not_depend_on_cache_state():
+    # a record is built from the cached record of a smaller partition; it
+    # must not matter whether that one came from an earlier, heavier weight
+    # (weight 14 before 8, no clearing) or was rebuilt from a cold cache
+    want = {}
+    for n in range(1, 13):
+        for x in enumerate_partitions(n):
+            sign = -1 if (x.weight + x.norm) % 2 else 1
+            ct = F(sign, math.prod(math.factorial(k) * size**k for size, k in x.support))
+            want[x] = [(bivariate_big_c(x.support, b), ct) for b in range(n + 1)]
+
+    def check(n):
+        for x in enumerate_partitions(n):
+            for b in range(n + 1):
+                if n > 12:
+                    little_c(x, b)
+                    continue
+                cb, ct = want[x][b]
+                assert (big_c(x, b), c_tilde(x), little_c(x, b)) == (cb, ct, cb * ct), (x, b)
+
+    coefficients._record.cache_clear()
+    for n in (14, 8, *range(12, 0, -1)):
+        check(n)
+    for n in range(1, 13):
+        coefficients._record.cache_clear()
+        check(n)

@@ -16,6 +16,7 @@ from zetalog.expansion import (
     expand_weight,
     reduce_even,
 )
+from zetalog.partitions import PartitionElement
 
 F = Fraction
 
@@ -113,6 +114,25 @@ def test_monomial_parse_merges_and_orders():
     assert ZetaMonomial.parse("z3*z3^2") == ZetaMonomial(((3, 3),))
     assert ZetaMonomial.parse(" z7 ") == ZetaMonomial(((7, 1),))
     assert ZetaMonomial.parse("1") is UNIT_MONOMIAL
+
+
+def test_monomial_hash_is_construction_independent():
+    # the hash is computed once per monomial; equal monomials built any way
+    # must hash alike, and the frozen class still refuses new attributes
+    built = [
+        ZetaMonomial.parse("z3^2*z2"),
+        ZetaMonomial.parse("z2*z3*z3"),
+        ZetaMonomial.from_partition(PartitionElement.from_parts([3, 2, 3])),
+        ZetaMonomial(((2, 1), (3, 2))),
+    ]
+    assert all(m == built[0] and hash(m) == hash(built[0]) for m in built)
+    assert len(set(built)) == 1
+    assert built[0] != ZetaMonomial.parse("z3*z5") and built[0] != built[0].factors
+    assert hash(ZetaMonomial(())) == hash(UNIT_MONOMIAL)
+    with pytest.raises(AttributeError):
+        built[0].factors = ((3, 1),)
+    with pytest.raises(AttributeError):
+        built[0].extra = 1
 
 
 def test_monomial_parse_failures():

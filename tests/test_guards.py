@@ -31,7 +31,7 @@ def test_every_module_cache_is_bounded():
                 caches[id(obj)] = (f"{module.__name__}.{name}", obj)
     unbounded = [name for name, fn in caches.values() if fn.cache_parameters()["maxsize"] is None]
     assert unbounded == []
-    # zeta_even_pi_coeff, _partitions_min2, expand_lz, _profile_from_support,
+    # zeta_even_pi_coeff, _partitions_min2, expand_lz, _record,
     # _fully_expressible, _zeta_cached, build_s_table, _tier_nodes
     assert len(caches) >= 8
 
@@ -87,6 +87,30 @@ def test_every_export_resolves():
     ]
     assert stale == []
     assert all(hasattr(module, "__all__") for module in modules)
+
+
+def test_exact_commands_never_import_mpmath():
+    # mpmath loads on the first numeric call: the exact commands never pay
+    # its import, verify still gets it, and the numeric module is present
+    # from the start (the bench shim wraps its functions right after import)
+    script = """
+import sys
+import zetalog.cli as cli
+seen = ["zetalog.numerics" in sys.modules, "mpmath" in sys.modules]
+for argv in (["expand", "3", "2"], ["table", "6", "--reduce"], ["express", "z3*z5"],
+             ["survey", "--from", "3", "--to", "8"], ["partitions", "8"]):
+    assert cli.main(argv) == 0, argv
+    seen.append("mpmath" in sys.modules)
+assert cli.main(["verify", "3", "2", "--digits", "15"]) == 0
+seen.append("mpmath" in sys.modules)
+print(seen, file=sys.stderr)
+"""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == str([True] + [False] * 6 + [True])
 
 
 def test_bench_shim_targets_exist():

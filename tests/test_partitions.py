@@ -124,3 +124,21 @@ def test_elements_hashable_and_equal():
     b = PartitionElement(6, ((2, 1), (4, 1)))
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+def test_enumerated_elements_match_validating_constructor():
+    # enumeration builds supports straight from its descending part list;
+    # each element must be the one from_parts validates, hash and all
+    filters = [
+        PartitionFilter(),
+        PartitionFilter(min_part=2),
+        PartitionFilter(min_part=3, parity="odd"),
+        PartitionFilter(exact_parts=3),
+        PartitionFilter(min_part=2, exact_parts=4),
+    ]
+    for flt in filters:
+        for n in range(21):
+            for x in enumerate_partitions(n, flt):
+                ref = PartitionElement.from_parts(x.part_list())
+                assert x == ref and hash(x) == hash(ref), (flt, x)
+                assert x.norm == ref.norm and str(x) == str(ref)
