@@ -126,13 +126,16 @@ class ZetaMonomial:
         """(odd part, p, q): this monomial is p/q * pi^(even weight) * odd part,
         p/q in lowest terms."""
         odd: list[tuple[int, int]] = []
-        r = Fraction(1)
+        p = q = 1
         for n, k in self.factors:
             if n % 2 == 0:
-                r *= zeta_even_pi_coeff(n // 2) ** k
+                r = zeta_even_pi_coeff(n // 2)
+                p *= r.numerator**k
+                q *= r.denominator**k
             else:
                 odd.append((n, k))
-        return ZetaMonomial(tuple(odd)), r.numerator, r.denominator
+        g = math.gcd(p, q)
+        return ZetaMonomial(tuple(odd)), p // g, q // g
 
     def __str__(self) -> str:
         if not self.factors:
@@ -317,8 +320,10 @@ def _partitions_min2(n: int) -> tuple[tuple[PartitionElement, ZetaMonomial, int]
     )
 
 
-# survey expands each pair once; only express re-reads a pair, through its
-# substitution check, its strict fallback and its recursion into dependencies
+# an optimistic survey expands no pair, and a strict one each pair once, for
+# its lower-weight columns; express re-reads a pair through a row's known
+# part, its substitution check, its strict fallback and its recursion into
+# dependencies
 @lru_cache(maxsize=64)
 def expand_lz(a: int, b: int) -> ZetaCombination:
     """Exact weight-(a+b) expansion of Lz(a,b)."""

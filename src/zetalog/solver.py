@@ -9,6 +9,14 @@ the full-weight odd monomials (partitions of N into odd parts >= 3);
 in optimistic mode lower-weight odd monomials count as already settled
 and land in the known part, while strict mode keeps them as columns.
 
+No even part can join a full-weight monomial m, so its coefficient in
+the reduced Lz(N-b, b) is the paper's c_b(X_m) = little_c(X_m, b) for
+the odd partition X_m of m, read without expanding the pair.  Only a
+row with a lower-weight column (strict mode, or a target whose weight
+is raised) reduces the whole expansion of its pair.  A row's known part
+is that expansion minus its columns; it is built on first read, which
+only a certificate does.
+
 A successful solve is packaged as a Certificate for the exact identity
 
     pi^(N - wt(target)) * target = sum lambda_i Lz(a_i, b_i) + remainder
@@ -21,9 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
+from .coefficients import little_c
 from .exact import RationalMatrix, rref, solve_membership
 from .expansion import (
     UNIT_MONOMIAL,
@@ -33,7 +42,7 @@ from .expansion import (
     expand_lz,
     reduce_even,
 )
-from .partitions import PartitionFilter, enumerate_partitions
+from .partitions import PartitionElement, PartitionFilter, enumerate_partitions
 
 __all__ = [
     "MODES",
@@ -67,7 +76,16 @@ def odd_monomials(weight: int) -> list[ZetaMonomial]:
 class SystemRow:
     pair: tuple[int, int]
     coefficients: tuple[Fraction, ...]
-    known: PiReducedCombination
+    columns: tuple[ZetaMonomial, ...]
+
+    @cached_property
+    def known(self) -> PiReducedCombination:
+        """The reduced Lz(pair) without its column terms, built on first read."""
+        red = reduce_even(expand_lz(*self.pair))
+        colset = set(self.columns)
+        return PiReducedCombination._of(
+            red.weight, {m: c for m, c in red._terms.items() if m not in colset}
+        )
 
 
 @dataclass(frozen=True)
@@ -104,19 +122,23 @@ def build_system(
         if mono not in columns:
             columns.append(mono)
     columns.sort(key=ZetaMonomial.sort_key)
-    colset = set(columns)
+    cols = tuple(columns)
+    # a full-weight column's partition, or None: its coefficient needs the
+    # reduced expansion of the pair
+    parts = [PartitionElement(N, m.factors) if m.weight == N else None for m in cols]
 
     rows: list[SystemRow] = []
     for b in range(1, N // 2 + 1):
-        red = reduce_even(expand_lz(N - b, b))
-        coeffs = tuple(red.coefficient(m) for m in columns)
+        red = None
+        coeffs = []
+        for m, x in zip(cols, parts):
+            if x is None and red is None:
+                red = reduce_even(expand_lz(N - b, b))
+            coeffs.append(red.coefficient(m) if x is None else little_c(x, b))
         if not any(coeffs):
             continue  # row touches no unknown; nothing to solve with
-        known = PiReducedCombination._of(
-            N, {m: c for m, c in red._terms.items() if m not in colset}
-        )
-        rows.append(SystemRow((N - b, b), coeffs, known))
-    return LinearSystem(N, mode, tuple(columns), tuple(rows))
+        rows.append(SystemRow((N - b, b), tuple(coeffs), cols))
+    return LinearSystem(N, mode, cols, tuple(rows))
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,7 +6,9 @@ dicts, partition counts come from Euler's pentagonal recurrence,
 composition sums are enumerated via explicit cut points, pi-reduced
 expansions come from a generating function with Bernoulli numbers from
 the Akiyama-Tanigawa algorithm, and row reduction is textbook Fraction
-Gauss-Jordan.
+Gauss-Jordan.  The one exception is expansion_system, which builds a
+linear system from the package's own reduced expansions: it is the
+reference for the solver's shortcut that skips them.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
+
+from zetalog.expansion import ZetaMonomial, expand_lz, reduce_even
 
 
 def _poly_mul(p: dict, q: dict) -> dict:
@@ -208,3 +212,31 @@ def fraction_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
         if r == len(rows):
             break
     return rows, pivots
+
+
+def expansion_system(N: int, mode: str, ensure=()):
+    """(columns, rows) of the weight-N system, every coefficient read from
+    reduce_even(expand_lz(N - b, b)).
+
+    Columns are factor tuples: the odd monomials of weight N, in strict
+    mode also those of every lower weight of the same parity, plus the
+    factors of each monomial in ensure, ordered by descending weight, then
+    by factors.  A row is (pair, coefficients, known) with known the
+    {factors: coefficient} terms of the reduced expansion off the columns;
+    rows without a nonzero coefficient are left out.
+    """
+    weights = range(N, 2, -2) if mode == "strict" else (N,)
+    colset = {
+        tuple(sorted((n, parts.count(n)) for n in set(parts)))
+        for w in weights
+        for parts in _odd_partitions(w, w)
+    } | {m.factors for m in ensure}
+    columns = sorted(colset, key=lambda f: (-sum(n * k for n, k in f), f))
+    rows = []
+    for b in range(1, N // 2 + 1):
+        red = reduce_even(expand_lz(N - b, b))
+        coeffs = tuple(red.coefficient(ZetaMonomial(f)) for f in columns)
+        if any(coeffs):
+            known = {m.factors: c for m, c in red.terms.items() if m.factors not in colset}
+            rows.append(((N - b, b), coeffs, known))
+    return columns, rows

@@ -157,10 +157,16 @@ def _load_bench_run():
 def test_traced_call_graph_reaches_every_layer(tmp_path):
     # bench/run.py --trace 1 aborts when a per-layer metric of a workload
     # reads zero, e.g. once expand_lz stops calling little_c; this replays
-    # one short op list per workload through the shim and applies that rule
+    # one short op list per workload through the shim and applies that rule.
+    # Like the workload, survey-range mixes both modes: an optimistic survey
+    # reads little_c directly, and only the strict one reaches expand_lz,
+    # reduce_even and the even-zeta constants
     bench_run = _load_bench_run()
     ops = {
-        "survey-range": [["survey", "--from", "3", "--to", "8", "--format", "json"]],
+        "survey-range": [
+            ["survey", "--from", "3", "--to", "8", "--format", "json"],
+            ["survey", "--from", "3", "--to", "8", "--mode", "strict", "--format", "json"],
+        ],
         "cli-queries": [
             ["expand", "3", "2"],
             ["table", "6", "--reduce"],

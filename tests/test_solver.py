@@ -5,10 +5,13 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, workdps
 
-from zetalog.expansion import PiReducedCombination, ZetaMonomial
+from oracles import expansion_system
+from zetalog.coefficients import little_c
+from zetalog.expansion import PiReducedCombination, ZetaMonomial, expand_lz, reduce_even
 from zetalog.numerics import evaluate_reduced, lz_quadrature, zeta_value
-from zetalog.partitions import PartitionFilter, count_partitions
+from zetalog.partitions import PartitionElement, PartitionFilter, count_partitions
 from zetalog.solver import (
+    MODES,
     Certificate,
     _solve,
     build_system,
@@ -65,6 +68,49 @@ def test_system_known_parts_stay_off_columns():
     for row in system.rows:
         for m in row.known.terms:
             assert m not in colset
+
+
+def test_full_weight_coefficient_is_little_c():
+    # no even part can join a weight-N odd monomial m, so its reduced
+    # coefficient in Lz(N-b, b) is c_b of its own odd partition
+    checked = 0
+    for n in range(3, 25):
+        for b in range(1, n):
+            red = reduce_even(expand_lz(n - b, b))
+            for m in odd_monomials(n):
+                assert red.coefficient(m) == little_c(PartitionElement(n, m.factors), b), (n, b, m)
+                checked += 1
+    assert checked == 2167
+
+
+def test_build_system_matches_expansion_builder():
+    def same(n, mode, ensure=()):
+        system = build_system(n, mode, ensure)
+        columns, rows = expansion_system(n, mode, ensure)
+        assert [m.factors for m in system.columns] == columns, (n, mode, ensure)
+        got = [
+            (row.pair, row.coefficients, {m.factors: c for m, c in row.known.terms.items()})
+            for row in system.rows
+        ]
+        assert got == rows, (n, mode, ensure)
+
+    for n in range(3, 25):
+        for mode in MODES:
+            same(n, mode)
+        # a raised-weight target brings a lower-weight column into an
+        # optimistic system
+        for m in odd_monomials(n - 2):
+            same(n, "optimistic", (m,))
+
+
+def test_optimistic_survey_expands_no_pair():
+    expand_lz.cache_clear()
+    survey(3, 24)
+    assert expand_lz.cache_info().misses == 0
+    row = build_system(12).rows[0]
+    assert expand_lz.cache_info().misses == 0
+    assert row.known.text() == "-(691/283783500)*pi^12"
+    assert expand_lz.cache_info().misses == 1
 
 
 def test_build_system_validation():
