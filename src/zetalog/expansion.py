@@ -52,7 +52,7 @@ def _exp_str(k: int) -> str:
     return f"^{k}" if k < 10 else f"^{{{k}}}"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ZetaMonomial:
     """Product of zeta factors, stored as (argument, exponent) ascending."""
 
@@ -66,16 +66,6 @@ class ZetaMonomial:
             if k < 1:
                 raise ValueError(f"exponent must be >= 1 in factor ({n}, {k})")
             prev = n
-        # hashed once: monomials are the keys of every expansion and reduction
-        object.__setattr__(self, "_hash", hash((self.factors,)))
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.factors == other.factors
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @classmethod
     def from_partition(cls, x: PartitionElement) -> "ZetaMonomial":
@@ -310,12 +300,12 @@ class PiReducedCombination(_Combination):
 
 
 @lru_cache(maxsize=4)
-def _partitions_min2(n: int) -> tuple[tuple[PartitionElement, ZetaMonomial, int], ...]:
+def _partitions_min2(n: int) -> tuple[tuple[PartitionElement, ZetaMonomial], ...]:
     # one enumeration per weight, shared by every pair a+b = n, with each
-    # partition's monomial and part count; the monomial object is shared
-    # too, so its hash and even fold are computed once per weight
+    # partition's monomial; the monomial object is shared too, so its even
+    # fold is computed once per weight
     return tuple(
-        (x, ZetaMonomial.from_partition(x), x.norm)
+        (x, ZetaMonomial.from_partition(x))
         for x in enumerate_partitions(n, PartitionFilter(min_part=2))
     )
 
@@ -332,7 +322,7 @@ def expand_lz(a: int, b: int) -> ZetaCombination:
     n = a + b
     bound = min(a, b)  # coefficients vanish once the part count exceeds this
     # C_b(X) > 0 for |X| <= min(a, b), so no term is zero
-    terms = {mono: little_c(x, b) for x, mono, norm in _partitions_min2(n) if norm <= bound}
+    terms = {mono: little_c(x, b) for x, mono in _partitions_min2(n) if x.norm <= bound}
     return ZetaCombination._of(n, terms)
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from .exact import bernoulli_number
 from .expansion import PiReducedCombination, expand_lz, reduce_even
@@ -77,7 +77,11 @@ def _frac(q: Fraction) -> mpf:
 
 
 @lru_cache(maxsize=512)
-def _zeta_cached(s: int, wdps: int) -> mpf:
+def zeta_value(s: int, precision: int) -> mpf:
+    """zeta(s) for integer s >= 2, accurate to 10^(-precision)."""
+    if s < 2:
+        raise ValueError(f"zeta_value needs s >= 2, got {s}")
+    wdps = precision + 10
     with mp.workdps(wdps):
         k = max(16, wdps)
         total = mp.zero
@@ -104,16 +108,8 @@ def _zeta_cached(s: int, wdps: int) -> mpf:
                 raise PrecisionBudgetError(
                     f"zeta({s}): correction budget of 400 terms exhausted at {wdps} digits"
                 )
-        return +total
-
-
-def zeta_value(s: int, precision: int) -> mpf:
-    """zeta(s) for integer s >= 2, accurate to 10^(-precision)."""
-    if s < 2:
-        raise ValueError(f"zeta_value needs s >= 2, got {s}")
-    val = _zeta_cached(s, precision + 10)
     with mp.workdps(precision):
-        return +val
+        return +total
 
 
 # ---------------------------------------------------------------------------
@@ -191,45 +187,34 @@ def _tier_nodes(tier: int, wdps: int) -> tuple[tuple[mpf, ...], ...]:
     return tuple(nodes)
 
 
-def _integrate01(
-    integrand: Callable[[mpf, mpf, mpf], mpf], wdps: int, agree_digits: int, what: str
-) -> mpf:
-    """Tanh-sinh on (0,1) of integrand(t, log t, log(1-t)): refine until two
-    consecutive levels agree."""
+def lz_quadrature(a: int, b: int, precision: int) -> mpf:
+    """Lz(a,b) by direct tanh-sinh integration of the normalized integral,
+    refined until two consecutive levels agree."""
+    if a < 1 or b < 1:
+        raise ValueError(f"Lz needs a, b >= 1, got ({a}, {b})")
+    wdps = precision + 10
+    norm = math.factorial(a - 1) * math.factorial(b)
     with mp.workdps(wdps):
-        tol = mp.mpf(10) ** (-agree_digits)
+        tol = mp.mpf(10) ** (-(precision + 2))
         tier_sums: list[mpf] = []
         prev = None
         for level in range(QUADRATURE_MAX_LEVEL + 1):
             acc = mp.zero
             for weight, t, mt, log_t, log_mt in _tier_nodes(level, wdps):
-                val = integrand(t, log_t, log_mt)
+                # log(t)^(a-1) log(1-t)^b / t at the node and at its mirror 1-t
+                val = log_t ** (a - 1) * log_mt**b / t
                 if t != mt:
-                    val += integrand(mt, log_mt, log_t)
+                    val += log_mt ** (a - 1) * log_t**b / mt
                 acc += weight * val
             tier_sums.append(acc)
             total = sum(tier_sums) / 2**level
             if level >= 5 and abs(total - prev) <= tol * max(1, abs(total)):
-                return +total
+                with mp.workdps(precision):
+                    return +total / norm
             prev = total
-        raise PrecisionBudgetError(
-            f"{what}: quadrature level budget ({QUADRATURE_MAX_LEVEL}) exhausted"
-        )
-
-
-def lz_quadrature(a: int, b: int, precision: int) -> mpf:
-    """Lz(a,b) by direct tanh-sinh integration of the normalized integral."""
-    if a < 1 or b < 1:
-        raise ValueError(f"Lz needs a, b >= 1, got ({a}, {b})")
-    wdps = precision + 10
-    norm = math.factorial(a - 1) * math.factorial(b)
-
-    def integrand(t: mpf, log_t: mpf, log_mt: mpf) -> mpf:
-        return log_t ** (a - 1) * log_mt**b / t
-
-    val = _integrate01(integrand, wdps, precision + 2, f"Lz({a},{b}) quadrature")
-    with mp.workdps(precision):
-        return +val / norm
+    raise PrecisionBudgetError(
+        f"Lz({a},{b}) quadrature: quadrature level budget ({QUADRATURE_MAX_LEVEL}) exhausted"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Restricted integer partitions as sparse multisets.
 
 A partition of N is stored by its support: (part size, multiplicity)
-pairs with ascending sizes.  Enumeration yields elements in decreasing
-lexicographic order of the descending part lists, e.g. for N = 6 with
-min_part = 2: 6, 4+2, 3+3, 2+2+2.  Counting runs the analogous dynamic
-program without materializing elements.
+pairs with ascending sizes.  Enumeration recurses over those pairs,
+larger sizes and then larger multiplicities first, so elements come in
+decreasing lexicographic order of the descending part lists, e.g. for
+N = 6 with min_part = 2: 6, 4+2, 3+3, 2+2+2.  Counting runs a part-wise
+dynamic program without materializing elements.
 """
 
 from __future__ import annotations
@@ -98,53 +99,37 @@ def enumerate_partitions(
     if n < 0:
         raise ValueError(f"cannot partition a negative integer: {n}")
     flt = flt or PartitionFilter()
-    t = flt.exact_parts
+    lo = flt.min_part + (not flt.allows_size(flt.min_part))  # smallest allowed size
     out: list[PartitionElement] = []
-    acc: list[int] = []
+    acc: list[tuple[int, int]] = []  # (size, multiplicity), sizes descending
 
-    def rec(remaining: int, max_part: int) -> None:
+    def rec(remaining: int, max_size: int, left: Optional[int]) -> None:
+        # fill remaining with sizes <= max_size, in exactly left parts if counted
         if remaining == 0:
-            if t is None or len(acc) == t:
-                out.append(_from_descending(n, acc))
+            if not left:
+                out.append(PartitionElement(n, tuple(reversed(acc))))
             return
-        if t is not None and len(acc) >= t:
-            return
-        slots_left = None if t is None else t - len(acc)
-        for p in range(min(max_part, remaining), flt.min_part - 1, -1):
-            if not flt.allows_size(p):
+        for size in range(min(max_size, remaining), flt.min_part - 1, -1):
+            if not flt.allows_size(size):
                 continue
-            rest = remaining - p
-            if slots_left is not None:
-                # rest must split into exactly slots_left - 1 parts, each in [min_part, p]
-                if rest < (slots_left - 1) * flt.min_part or rest > (slots_left - 1) * p:
-                    continue
-            acc.append(p)
-            rec(rest, p)
-            acc.pop()
+            top = remaining // size if left is None else min(remaining // size, left)
+            for mult in range(top, 0, -1):
+                rest = remaining - size * mult
+                if left is None:
+                    nxt = None
+                    if rest and min(rest, size - 1) < lo:  # no smaller size can start rest
+                        continue
+                else:
+                    nxt = left - mult
+                    # rest must split into exactly nxt parts in [min_part, size - 1]
+                    if not nxt * flt.min_part <= rest <= nxt * (size - 1):
+                        continue
+                acc.append((size, mult))
+                rec(rest, size - 1, nxt)
+                acc.pop()
 
-    if n == 0:
-        if t is None:
-            out.append(PartitionElement(0, ()))
-    else:
-        rec(n, n)
+    rec(n, n, flt.exact_parts)
     return out
-
-
-def _from_descending(weight: int, parts: list[int]) -> PartitionElement:
-    # parts is non-empty, non-increasing and sums to weight, so the support
-    # needs neither from_parts' dict and sort nor the constructor's checks
-    support = []
-    size, mult = parts[-1], 0
-    for p in reversed(parts):
-        if p == size:
-            mult += 1
-        else:
-            support.append((size, mult))
-            size, mult = p, 1
-    support.append((size, mult))
-    x = object.__new__(PartitionElement)
-    x.__dict__.update(weight=weight, support=tuple(support), norm=len(parts))
-    return x
 
 
 def count_partitions(n: int, flt: Optional[PartitionFilter] = None) -> int:

@@ -117,8 +117,8 @@ def test_monomial_parse_merges_and_orders():
 
 
 def test_monomial_hash_is_construction_independent():
-    # the hash is computed once per monomial; equal monomials built any way
-    # must hash alike, and the frozen class still refuses new attributes
+    # the dataclass hash and equality read only the factors; equal monomials
+    # built any way must hash alike, and the frozen class refuses new attributes
     built = [
         ZetaMonomial.parse("z3^2*z2"),
         ZetaMonomial.parse("z2*z3*z3"),

@@ -1,7 +1,8 @@
-"""Structural guards: every module-level cache is bounded, the exact
-layers hold no floats, the CLI imports only public library names, every
-exported name exists, and the bench trace shim still finds and counts
-every name it wraps."""
+"""Structural guards: every module-level cache is bounded, only the
+combination fast path bypasses a constructor, the exact layers hold no
+floats, the CLI imports only public library names, every exported name
+exists, and the bench trace shim still finds and counts every name it
+wraps."""
 
 from __future__ import annotations
 
@@ -32,8 +33,34 @@ def test_every_module_cache_is_bounded():
     unbounded = [name for name, fn in caches.values() if fn.cache_parameters()["maxsize"] is None]
     assert unbounded == []
     # zeta_even_pi_coeff, _partitions_min2, expand_lz, _record,
-    # _fully_expressible, _zeta_cached, build_s_table, _tier_nodes
+    # _fully_expressible, zeta_value, build_s_table, _tier_nodes
     assert len(caches) >= 8
+
+
+def test_object_new_only_in_combination_fast_path():
+    # partitions and monomials are built only through their validating
+    # constructors; _Combination._of alone skips __init__, for terms that
+    # combination arithmetic has already checked
+    def object_new_scopes(node, scope=""):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                yield from object_new_scopes(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if (
+                isinstance(child, ast.Attribute)
+                and child.attr == "__new__"
+                and isinstance(child.value, ast.Name)
+                and child.value.id == "object"
+            ):
+                yield scope
+            yield from object_new_scopes(child, scope)
+
+    found = [
+        f"{path.stem}:{scope}"
+        for path in sorted((ROOT / "src" / "zetalog").glob("*.py"))
+        for scope in object_new_scopes(ast.parse(path.read_text()))
+    ]
+    assert found == ["expansion:_Combination._of"]
 
 
 def test_exact_layers_build_no_floats():

@@ -4,6 +4,7 @@ import pytest
 
 from oracles import partition_counts
 from zetalog.partitions import (
+    PARITY_CHOICES,
     PartitionElement,
     PartitionFilter,
     count_partitions,
@@ -127,18 +128,23 @@ def test_elements_hashable_and_equal():
 
 
 def test_enumerated_elements_match_validating_constructor():
-    # enumeration builds supports straight from its descending part list;
-    # each element must be the one from_parts validates, hash and all
-    filters = [
-        PartitionFilter(),
-        PartitionFilter(min_part=2),
-        PartitionFilter(min_part=3, parity="odd"),
-        PartitionFilter(exact_parts=3),
-        PartitionFilter(min_part=2, exact_parts=4),
-    ]
-    for flt in filters:
-        for n in range(21):
-            for x in enumerate_partitions(n, flt):
-                ref = PartitionElement.from_parts(x.part_list())
-                assert x == ref and hash(x) == hash(ref), (flt, x)
-                assert x.norm == ref.norm and str(x) == str(ref)
+    # enumeration builds each support through the validating constructor,
+    # pruning on the filter as it goes; each element must be the one
+    # from_parts validates, hash and all, and a filtered enumeration must be
+    # the unrestricted one filtered afterwards, order included
+    def admits(flt, x):
+        sizes_ok = all(flt.allows_size(size) for size, _ in x.support)
+        return sizes_ok and flt.exact_parts in (None, x.norm)
+
+    for n in range(19):
+        everything = enumerate_partitions(n)
+        for x in everything:
+            ref = PartitionElement.from_parts(x.part_list())
+            assert x == ref and hash(x) == hash(ref), x
+            assert x.norm == ref.norm and str(x) == str(ref)
+        for min_part in range(1, 5):
+            for parity in PARITY_CHOICES:
+                for t in (None, 1, 2, 3, 4, 5):
+                    flt = PartitionFilter(min_part=min_part, exact_parts=t, parity=parity)
+                    want = [x for x in everything if admits(flt, x)]
+                    assert enumerate_partitions(n, flt) == want, (n, flt)
