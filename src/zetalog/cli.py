@@ -240,7 +240,7 @@ def _cmd_survey(args, started: float) -> int:
             "mode": report.mode,
             "records": [
                 {
-                    **vars(r),
+                    **r._asdict(),
                     "expressible": [str(m) for m in r.expressible],
                     "inexpressible": [str(m) for m in r.inexpressible],
                 }

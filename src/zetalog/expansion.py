@@ -18,14 +18,13 @@ from __future__ import annotations
 import math
 import re
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Mapping, Union
 
 from .coefficients import little_c
 from .exact import Rational, zeta_even_pi_coeff
-from .partitions import PartitionElement, PartitionFilter, enumerate_partitions
+from .partitions import PartitionElement, PartitionFilter, _ExactTuple, enumerate_partitions
 
 __all__ = [
     "MonomialParseError",
@@ -52,20 +51,20 @@ def _exp_str(k: int) -> str:
     return f"^{k}" if k < 10 else f"^{{{k}}}"
 
 
-@dataclass(frozen=True)
-class ZetaMonomial:
+class ZetaMonomial(_ExactTuple, namedtuple("ZetaMonomial", "factors")):
     """Product of zeta factors, stored as (argument, exponent) ascending."""
 
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, factors: tuple[tuple[int, int], ...]) -> "ZetaMonomial":
         prev = 1
-        for n, k in self.factors:
+        for n, k in factors:
             if n <= prev:
-                raise ValueError(f"factor arguments must be ascending and >= 2: {self.factors}")
+                raise ValueError(f"factor arguments must be ascending and >= 2: {factors}")
             if k < 1:
                 raise ValueError(f"exponent must be >= 1 in factor ({n}, {k})")
             prev = n
+        return tuple.__new__(cls, (factors,))
 
     @classmethod
     def from_partition(cls, x: PartitionElement) -> "ZetaMonomial":
@@ -111,22 +110,6 @@ class ZetaMonomial:
     def sort_key(self) -> tuple:
         return (-self.odd_weight, self.factors)
 
-    @cached_property
-    def _even_fold(self) -> tuple["ZetaMonomial", int, int]:
-        """(odd part, p, q): this monomial is p/q * pi^(even weight) * odd part,
-        p/q in lowest terms."""
-        odd: list[tuple[int, int]] = []
-        p = q = 1
-        for n, k in self.factors:
-            if n % 2 == 0:
-                r = zeta_even_pi_coeff(n // 2)
-                p *= r.numerator**k
-                q *= r.denominator**k
-            else:
-                odd.append((n, k))
-        g = math.gcd(p, q)
-        return ZetaMonomial(tuple(odd)), p // g, q // g
-
     def __str__(self) -> str:
         if not self.factors:
             return "1"
@@ -139,6 +122,25 @@ class ZetaMonomial:
 
 
 UNIT_MONOMIAL = ZetaMonomial(())
+
+
+# one entry per monomial: weight 40, the largest a survey reaches, has 6,153
+# partitions into parts >= 2, so every monomial of one weight folds once
+@lru_cache(maxsize=8192)
+def _even_fold(mono: ZetaMonomial) -> tuple[ZetaMonomial, int, int]:
+    """(odd part, p, q): mono is p/q * pi^(even weight) * odd part, p/q in
+    lowest terms."""
+    odd: list[tuple[int, int]] = []
+    p = q = 1
+    for n, k in mono.factors:
+        if n % 2 == 0:
+            r = zeta_even_pi_coeff(n // 2)
+            p *= r.numerator**k
+            q *= r.denominator**k
+        else:
+            odd.append((n, k))
+    g = math.gcd(p, q)
+    return ZetaMonomial(tuple(odd)), p // g, q // g
 
 
 def _render(items: list[tuple[Fraction, int, Union[ZetaMonomial, str]]], latex: bool) -> str:
@@ -300,12 +302,11 @@ class PiReducedCombination(_Combination):
 
 
 @lru_cache(maxsize=4)
-def _partitions_min2(n: int) -> tuple[tuple[PartitionElement, ZetaMonomial], ...]:
+def _partitions_min2(n: int) -> tuple[tuple[PartitionElement, int, ZetaMonomial], ...]:
     # one enumeration per weight, shared by every pair a+b = n, with each
-    # partition's monomial; the monomial object is shared too, so its even
-    # fold is computed once per weight
+    # partition's part count and monomial, so neither is rebuilt per pair
     return tuple(
-        (x, ZetaMonomial.from_partition(x))
+        (x, x.norm, ZetaMonomial.from_partition(x))
         for x in enumerate_partitions(n, PartitionFilter(min_part=2))
     )
 
@@ -322,7 +323,7 @@ def expand_lz(a: int, b: int) -> ZetaCombination:
     n = a + b
     bound = min(a, b)  # coefficients vanish once the part count exceeds this
     # C_b(X) > 0 for |X| <= min(a, b), so no term is zero
-    terms = {mono: little_c(x, b) for x, mono in _partitions_min2(n) if x.norm <= bound}
+    terms = {mono: little_c(x, b) for x, parts, mono in _partitions_min2(n) if parts <= bound}
     return ZetaCombination._of(n, terms)
 
 
@@ -332,7 +333,7 @@ def reduce_even(c: ZetaCombination) -> PiReducedCombination:
     # one common denominator; odd monomials keep first-appearance order
     groups: dict[ZetaMonomial, list[tuple[int, int]]] = {}
     for mono, q in c._terms.items():
-        odd, p, r = mono._even_fold
+        odd, p, r = _even_fold(mono)
         groups.setdefault(odd, []).append((q.numerator * p, q.denominator * r))
     merged: dict[ZetaMonomial, Fraction] = {}
     for odd, products in groups.items():

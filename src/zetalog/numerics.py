@@ -20,11 +20,10 @@ the exact commands never load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .exact import bernoulli_number
 from .expansion import PiReducedCombination, expand_lz, reduce_even
@@ -307,8 +306,7 @@ def evaluate_reduced(comb: PiReducedCombination, precision: int) -> mpf:
         return +total
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     values: dict[str, mpf]  # symbolic first, then each route run, in print order
     max_deviation: mpf
     threshold: mpf

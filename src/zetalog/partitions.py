@@ -10,8 +10,8 @@ dynamic program without materializing elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from collections import namedtuple
+from functools import lru_cache
 from typing import Iterable, Optional
 
 __all__ = [
@@ -25,21 +25,44 @@ __all__ = [
 PARITY_CHOICES = ("any", "odd", "even")
 
 
-@dataclass(frozen=True)
-class PartitionFilter:
+class _ExactTuple:
+    """Value semantics for a validated named tuple.
+
+    Equal only to an instance of the same class, so a plain tuple holding
+    the same fields is not equal; hashed as the field tuple.  _make, and
+    with it _replace, goes through the validating constructor.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return type(other) is not type(self) or tuple.__ne__(self, other)
+
+    __hash__ = tuple.__hash__
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class PartitionFilter(_ExactTuple, namedtuple("PartitionFilter", "min_part exact_parts parity")):
     """Constraints: minimum part size, exact part count, part parity."""
 
-    min_part: int = 1
-    exact_parts: Optional[int] = None
-    parity: str = "any"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.min_part < 1:
-            raise ValueError(f"min_part must be >= 1, got {self.min_part}")
-        if self.exact_parts is not None and self.exact_parts < 1:
-            raise ValueError(f"exact_parts must be >= 1, got {self.exact_parts}")
-        if self.parity not in PARITY_CHOICES:
-            raise ValueError(f"parity must be one of {PARITY_CHOICES}, got {self.parity!r}")
+    def __new__(
+        cls, min_part: int = 1, exact_parts: Optional[int] = None, parity: str = "any"
+    ) -> "PartitionFilter":
+        if min_part < 1:
+            raise ValueError(f"min_part must be >= 1, got {min_part}")
+        if exact_parts is not None and exact_parts < 1:
+            raise ValueError(f"exact_parts must be >= 1, got {exact_parts}")
+        if parity not in PARITY_CHOICES:
+            raise ValueError(f"parity must be one of {PARITY_CHOICES}, got {parity!r}")
+        return tuple.__new__(cls, (min_part, exact_parts, parity))
 
     def allows_size(self, n: int) -> bool:
         if n < self.min_part:
@@ -51,25 +74,24 @@ class PartitionFilter:
         return True
 
 
-@dataclass(frozen=True)
-class PartitionElement:
+class PartitionElement(_ExactTuple, namedtuple("PartitionElement", "weight support")):
     """A partition held as its support; hashable and immutable."""
 
-    weight: int
-    support: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, weight: int, support: tuple[tuple[int, int], ...]) -> "PartitionElement":
         total = 0
         prev = 0
-        for size, mult in self.support:
+        for size, mult in support:
             if size <= prev:
-                raise ValueError(f"support sizes must be strictly ascending: {self.support}")
+                raise ValueError(f"support sizes must be strictly ascending: {support}")
             if size < 1 or mult < 1:
                 raise ValueError(f"invalid support entry ({size}, {mult})")
             prev = size
             total += size * mult
-        if total != self.weight:
-            raise ValueError(f"support sums to {total}, declared weight {self.weight}")
+        if total != weight:
+            raise ValueError(f"support sums to {total}, declared weight {weight}")
+        return tuple.__new__(cls, (weight, support))
 
     @classmethod
     def from_parts(cls, parts: Iterable[int]) -> "PartitionElement":
@@ -79,7 +101,7 @@ class PartitionElement:
         support = tuple(sorted(counts.items()))
         return cls(sum(n * k for n, k in support), support)
 
-    @cached_property
+    @property
     def norm(self) -> int:
         """Total number of parts, counted with multiplicity."""
         return sum(k for _, k in self.support)

@@ -14,7 +14,7 @@ the reduced Lz(N-b, b) is the paper's c_b(X_m) = little_c(X_m, b) for
 the odd partition X_m of m, read without expanding the pair.  Only a
 row with a lower-weight column (strict mode, or a target whose weight
 is raised) reduces the whole expansion of its pair.  A row's known part
-is that expansion minus its columns; it is built on first read, which
+is that expansion minus its columns; it is built when read, which
 only a certificate does.
 
 A successful solve is packaged as a Certificate for the exact identity
@@ -27,10 +27,9 @@ is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from typing import Optional
+from functools import lru_cache
+from typing import NamedTuple, Optional
 
 from .coefficients import little_c
 from .exact import RationalMatrix, rref, solve_membership
@@ -72,15 +71,14 @@ def odd_monomials(weight: int) -> list[ZetaMonomial]:
     return sorted(found, key=lambda m: m.factors)
 
 
-@dataclass(frozen=True)
-class SystemRow:
+class SystemRow(NamedTuple):
     pair: tuple[int, int]
     coefficients: tuple[Fraction, ...]
     columns: tuple[ZetaMonomial, ...]
 
-    @cached_property
+    @property
     def known(self) -> PiReducedCombination:
-        """The reduced Lz(pair) without its column terms, built on first read."""
+        """The reduced Lz(pair) without its column terms, built on each read."""
         red = reduce_even(expand_lz(*self.pair))
         colset = set(self.columns)
         return PiReducedCombination._of(
@@ -88,8 +86,7 @@ class SystemRow:
         )
 
 
-@dataclass(frozen=True)
-class LinearSystem:
+class LinearSystem(NamedTuple):
     weight: int
     mode: str
     columns: tuple[ZetaMonomial, ...]
@@ -126,23 +123,27 @@ def build_system(
     # a full-weight column's partition, or None: its coefficient needs the
     # reduced expansion of the pair
     parts = [PartitionElement(N, m.factors) if m.weight == N else None for m in cols]
+    # C_b(X) vanishes for b < |X|; b <= N/2 <= N - |X| since parts are >= 3
+    norms = [0 if x is None else x.norm for x in parts]
 
     rows: list[SystemRow] = []
     for b in range(1, N // 2 + 1):
         red = None
         coeffs = []
-        for m, x in zip(cols, parts):
-            if x is None and red is None:
-                red = reduce_even(expand_lz(N - b, b))
-            coeffs.append(red.coefficient(m) if x is None else little_c(x, b))
+        for m, x, k in zip(cols, parts, norms):
+            if x is None:
+                if red is None:
+                    red = reduce_even(expand_lz(N - b, b))
+                coeffs.append(red.coefficient(m))
+            else:
+                coeffs.append(little_c(x, b) if b >= k else Fraction(0))
         if not any(coeffs):
             continue  # row touches no unknown; nothing to solve with
         rows.append(SystemRow((N - b, b), tuple(coeffs), cols))
     return LinearSystem(N, mode, cols, tuple(rows))
 
 
-@dataclass(frozen=True, eq=False)
-class Certificate:
+class Certificate(NamedTuple):
     """Exact identity pi^(weight - wt(target)) * target = lz_terms + remainder.
 
     lz_terms maps (a, b) to the rational multiplier of Lz(a,b); every pair
@@ -208,8 +209,7 @@ def verify_certificate(cert: Certificate) -> bool:
     return all(v == 0 for v in acc.values())
 
 
-@dataclass(frozen=True, eq=False)
-class ExpressOutcome:
+class ExpressOutcome(NamedTuple):
     target: ZetaMonomial
     mode: str
     weight: int
@@ -286,8 +286,7 @@ def express(
     return ExpressOutcome(target, mode, N, "expressible", cert, detail=detail)
 
 
-@dataclass(frozen=True)
-class SurveyRecord:
+class SurveyRecord(NamedTuple):
     weight: int
     equations: int
     unknowns: int
@@ -300,8 +299,7 @@ class SurveyRecord:
     rank_deficient: bool
 
 
-@dataclass(frozen=True)
-class SurveyReport:
+class SurveyReport(NamedTuple):
     mode: str
     records: tuple[SurveyRecord, ...]
 

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -141,7 +140,7 @@ def test_verify_reports_failure_with_exit_three(run_cli, monkeypatch):
     real = cli.verify_expansion
 
     def doctored(a, b, digits, method):
-        return dataclasses.replace(real(a, b, digits, method), passed=False)
+        return real(a, b, digits, method)._replace(passed=False)
 
     monkeypatch.setattr(cli, "verify_expansion", doctored)
     # every --method prints the one judgement's verdict

@@ -117,8 +117,9 @@ def test_monomial_parse_merges_and_orders():
 
 
 def test_monomial_hash_is_construction_independent():
-    # the dataclass hash and equality read only the factors; equal monomials
-    # built any way must hash alike, and the frozen class refuses new attributes
+    # equality and hash read only the factors; equal monomials built any way
+    # must hash alike, the hash is that of the field tuple while the field
+    # tuple itself is not equal, and fields and new attributes are refused
     built = [
         ZetaMonomial.parse("z3^2*z2"),
         ZetaMonomial.parse("z2*z3*z3"),
@@ -129,6 +130,10 @@ def test_monomial_hash_is_construction_independent():
     assert len(set(built)) == 1
     assert built[0] != ZetaMonomial.parse("z3*z5") and built[0] != built[0].factors
     assert hash(ZetaMonomial(())) == hash(UNIT_MONOMIAL)
+    m = built[0]
+    assert m != (m.factors,) and (m.factors,) != m
+    assert not (m == (m.factors,)) and not ((m.factors,) == m)
+    assert hash(m) == hash((m.factors,))
     with pytest.raises(AttributeError):
         built[0].factors = ((3, 1),)
     with pytest.raises(AttributeError):

@@ -1,8 +1,9 @@
 """Structural guards: every module-level cache is bounded, only the
 combination fast path bypasses a constructor, the exact layers hold no
 floats, the CLI imports only public library names, every exported name
-exists, and the bench trace shim still finds and counts every name it
-wraps."""
+exists, start-up and the exact commands load neither mpmath nor
+dataclasses, and the bench trace shim still finds and counts every name
+it wraps."""
 
 from __future__ import annotations
 
@@ -32,9 +33,9 @@ def test_every_module_cache_is_bounded():
                 caches[id(obj)] = (f"{module.__name__}.{name}", obj)
     unbounded = [name for name, fn in caches.values() if fn.cache_parameters()["maxsize"] is None]
     assert unbounded == []
-    # zeta_even_pi_coeff, _partitions_min2, expand_lz, _record,
+    # zeta_even_pi_coeff, _even_fold, _partitions_min2, expand_lz, _record,
     # _fully_expressible, zeta_value, build_s_table, _tier_nodes
-    assert len(caches) >= 8
+    assert len(caches) >= 9
 
 
 def test_object_new_only_in_combination_fast_path():
@@ -119,25 +120,30 @@ def test_every_export_resolves():
 def test_exact_commands_never_import_mpmath():
     # mpmath loads on the first numeric call: the exact commands never pay
     # its import, verify still gets it, and the numeric module is present
-    # from the start (the bench shim wraps its functions right after import)
+    # from the start (the bench shim wraps its functions right after import).
+    # Every process pays the start-up, so neither it nor an exact command
+    # may load dataclasses or the inspect machinery that module pulls in
     script = """
 import sys
 import zetalog.cli as cli
 seen = ["zetalog.numerics" in sys.modules, "mpmath" in sys.modules]
+heavy = [[m for m in ("dataclasses", "inspect") if m in sys.modules]]
 for argv in (["expand", "3", "2"], ["table", "6", "--reduce"], ["express", "z3*z5"],
              ["survey", "--from", "3", "--to", "8"], ["partitions", "8"]):
     assert cli.main(argv) == 0, argv
     seen.append("mpmath" in sys.modules)
+    heavy.append([m for m in ("dataclasses", "inspect") if m in sys.modules])
 assert cli.main(["verify", "3", "2", "--digits", "15"]) == 0
 seen.append("mpmath" in sys.modules)
 print(seen, file=sys.stderr)
+print(heavy, file=sys.stderr)
 """
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.strip() == str([True] + [False] * 6 + [True])
+    assert proc.stderr.strip().splitlines() == [str([True] + [False] * 6 + [True]), str([[]] * 6)]
 
 
 def test_bench_shim_targets_exist():

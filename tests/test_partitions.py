@@ -98,6 +98,24 @@ def test_filter_validation():
         PartitionFilter(exact_parts=0)
     with pytest.raises(ValueError):
         PartitionFilter(parity="prime")
+    with pytest.raises(ValueError):
+        PartitionFilter(min_part=2)._replace(min_part=0)
+
+
+def test_filter_is_a_value():
+    # equal by fields to a filter only: the field tuple hashes alike but is
+    # not equal, and fields and new attributes are refused
+    flt = PartitionFilter(min_part=3, parity="odd")
+    fields = (3, None, "odd")
+    assert flt == PartitionFilter(3, None, "odd") and flt != PartitionFilter(3)
+    assert flt != fields and fields != flt
+    assert not (flt == fields) and not (fields == flt)
+    assert hash(flt) == hash(fields)
+    assert flt._replace(parity="any") == PartitionFilter(min_part=3)
+    with pytest.raises(AttributeError):
+        flt.min_part = 2
+    with pytest.raises(AttributeError):
+        flt.extra = 1
 
 
 def test_element_roundtrip():
@@ -125,6 +143,14 @@ def test_elements_hashable_and_equal():
     b = PartitionElement(6, ((2, 1), (4, 1)))
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+    fields = (6, ((2, 1), (4, 1)))
+    assert a != fields and fields != a
+    assert not (a == fields) and not (fields == a)
+    assert hash(a) == hash(fields)
+    with pytest.raises(AttributeError):
+        a.weight = 7
+    with pytest.raises(AttributeError):
+        a.extra = 1
 
 
 def test_enumerated_elements_match_validating_constructor():

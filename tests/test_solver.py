@@ -8,6 +8,7 @@ from mpmath import mp, workdps
 from oracles import expansion_system
 from zetalog.coefficients import little_c
 from zetalog.expansion import PiReducedCombination, ZetaMonomial, expand_lz, reduce_even
+from zetalog import solver
 from zetalog.numerics import evaluate_reduced, lz_quadrature, zeta_value
 from zetalog.partitions import PartitionElement, PartitionFilter, count_partitions
 from zetalog.solver import (
@@ -101,6 +102,22 @@ def test_build_system_matches_expansion_builder():
         # optimistic system
         for m in odd_monomials(n - 2):
             same(n, "optimistic", (m,))
+
+
+def test_build_system_reads_no_vanishing_little_c(monkeypatch):
+    # C_b(X_m) = 0 for b < |X_m|; the system builder writes those zeros
+    # itself instead of asking little_c for them
+    returned = []
+
+    def recording(x, b):
+        returned.append(little_c(x, b))
+        return returned[-1]
+
+    monkeypatch.setattr(solver, "little_c", recording)
+    for mode in MODES:
+        returned.clear()
+        survey(3, 20, mode)
+        assert returned and all(returned), mode
 
 
 def test_optimistic_survey_expands_no_pair():
