@@ -13,8 +13,17 @@ the endpoint log singularities cost nothing.
 zeta_value is an in-house Euler-Maclaurin evaluation with an explicit
 remainder bound; pi comes from the float library's certified constant.
 Working precision carries guard digits over the requested P and results
-are trusted to 10^(-P).  mpmath is imported on the first numeric call, so
-the exact commands never load it.
+are trusted to 10^(-P).
+
+The series route and zeta_value sum in integer fixed point: Python ints
+in units of 2^-W, where every truncation is a floor division that loses
+under one unit, so W carries guard bits for a counted bound on the units
+lost.  Each result is rounded to an mpf once.  The S table is built the
+same way and rounded entry by entry.  Quadrature and the symbolic sum in
+evaluate_reduced stay on mpf, so the series route and the zeta values the
+symbolic sum reads share no summation arithmetic with quadrature.  mpmath
+is imported on the first numeric call, so the exact commands never load
+it.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import TYPE_CHECKING, NamedTuple
 
 from .exact import bernoulli_number
@@ -30,6 +39,8 @@ from .expansion import PiReducedCombination, expand_lz, reduce_even
 
 if TYPE_CHECKING:
     from mpmath import mpf
+
+    from .solver import Certificate
 
 __all__ = [
     "PrecisionBudgetError",
@@ -41,6 +52,7 @@ __all__ = [
     "METHODS",
     "VerificationReport",
     "verify_expansion",
+    "audit_certificate",
 ]
 
 # the routes verify can check the symbolic value against, as --method names them
@@ -80,35 +92,32 @@ def zeta_value(s: int, precision: int) -> mpf:
     """zeta(s) for integer s >= 2, accurate to 10^(-precision)."""
     if s < 2:
         raise ValueError(f"zeta_value needs s >= 2, got {s}")
+    from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
+
     wdps = precision + 10
-    with mp.workdps(wdps):
-        k = max(16, wdps)
-        total = mp.zero
-        for n in range(1, k):
-            total += mp.mpf(n) ** (-s)
-        kk = mp.mpf(k)
-        total += kk ** (1 - s) / (s - 1) + kk ** (-s) / 2
-        target = mp.mpf(10) ** (-(wdps + 2))
-        rising = s  # (s)_{2j-1}, here at j=1
-        j = 1
-        while True:
-            b2j = bernoulli_number(2 * j)
-            total += _frac(b2j / math.factorial(2 * j)) * rising * kk ** (-s - 2 * j + 1)
-            # remainder is bounded by the first omitted term for real s > 1
-            rising = rising * (s + 2 * j - 1) * (s + 2 * j)
-            b_next = bernoulli_number(2 * j + 2)
-            bound = abs(_frac(b_next / math.factorial(2 * j + 2))) * rising * kk ** (
-                -s - 2 * j - 1
+    k = max(16, wdps)
+    # the k-1 head terms in units of 2^-W, each floored: under k units low
+    W = dps_to_prec(wdps) + k.bit_length() + 2
+    total = sum((1 << W) // n**s for n in range(1, k))
+    # the Euler-Maclaurin correction at k, exactly
+    tail = Fraction(1, (s - 1) * k ** (s - 1)) + Fraction(1, 2 * k**s)
+    target = Fraction(1, 10 ** (wdps + 2))
+    rising = s  # (s)_{2j-1}, here at j=1
+    j = 1
+    while True:
+        tail += bernoulli_number(2 * j) / math.factorial(2 * j) * rising / k ** (s + 2 * j - 1)
+        # remainder is bounded by the first omitted term for real s > 1
+        rising = rising * (s + 2 * j - 1) * (s + 2 * j)
+        bound = abs(bernoulli_number(2 * j + 2)) / math.factorial(2 * j + 2) * rising
+        if bound / k ** (s + 2 * j + 1) < target:
+            break
+        j += 1
+        if j > 400:
+            raise PrecisionBudgetError(
+                f"zeta({s}): correction budget of 400 terms exhausted at {wdps} digits"
             )
-            if bound < target:
-                break
-            j += 1
-            if j > 400:
-                raise PrecisionBudgetError(
-                    f"zeta({s}): correction budget of 400 terms exhausted at {wdps} digits"
-                )
-    with mp.workdps(precision):
-        return +total
+    total += (tail.numerator << W) // tail.denominator
+    return mp.make_mpf(from_man_exp(total, -W, dps_to_prec(precision), round_nearest))
 
 
 # ---------------------------------------------------------------------------
@@ -123,18 +132,27 @@ def build_s_table(b_max: int, n_max: int, precision: int) -> tuple[tuple[mpf, ..
         raise ValueError(f"b_max must be >= 1, got {b_max}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    with mp.workdps(precision + 10):
-        # prefix form S_n^(k) = (k/n) * sum_{m<n} S_m^(k-1), O(b*n)
-        rows = [(), (mp.zero,) + tuple(mp.one / n for n in range(1, n_max + 1))]
-        for k in range(2, b_max + 1):
-            prev = rows[k - 1]
-            row = [mp.zero] * (n_max + 1)
-            running = mp.zero
-            for n in range(k, n_max + 1):
-                running += prev[n - 1]
-                row[n] = k * running / n
-            rows.append(tuple(row))
-    return tuple(rows)
+    from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
+
+    prec = dps_to_prec(precision + 10)
+    # prefix form S_n^(k) = (k/n) * sum_{m<n} S_m^(k-1), O(b*n), in units of
+    # 2^-W.  Every floor lowers an entry by under one unit, and S_n^(k) >= 1/n,
+    # so each row adds a relative error under n_max 2^-W: below 2^-(prec+1).
+    # At least 32 guard bits, so that below 2^31 entries no entry depends on
+    # the shape of the table holding it
+    W = prec + max(32, (b_max * n_max).bit_length() + 1)
+    row = [0] + [(1 << W) // n for n in range(1, n_max + 1)]
+    fixed = [row]
+    for k in range(2, b_max + 1):
+        prev, row, running = row, [0] * (n_max + 1), 0
+        for n in range(k, n_max + 1):
+            running += prev[n - 1]
+            row[n] = k * running // n
+        fixed.append(row)
+    args = (repeat(-W), repeat(prec), repeat(round_nearest))
+    return ((),) + tuple(
+        tuple(map(mp.make_mpf, map(from_man_exp, row, *args))) for row in fixed
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -154,14 +172,14 @@ def _vmax(wdps: int) -> float:
 
 def _make_node(v: mpf) -> tuple[mpf, ...]:
     """(base weight, t, 1-t, log t, log(1-t)) at v, all at full precision."""
-    u = mp.pi / 2 * mp.sinh(v)
+    ev = mp.exp(v)
+    u = mp.pi / 4 * (ev - 1 / ev)  # pi/2 sinh v
     emu = mp.exp(-2 * u)
-    log_big = -mp.log1p(emu)  # log of the side near 1
-    log_small = -2 * u + log_big
-    big = mp.exp(log_big)
-    small = emu * big
-    base_weight = (mp.pi / 4) * mp.cosh(v) / mp.cosh(u) ** 2
-    return (base_weight, big, small, log_big, log_small)
+    big = 1 / (1 + emu)  # the side near 1
+    log_big = -mp.log1p(emu)
+    # pi/4 cosh v / cosh(u)^2, with 1/cosh(u)^2 = 4 e^(-2u) / (1 + e^(-2u))^2
+    base_weight = mp.pi / 2 * (ev + 1 / ev) * emu * big**2
+    return (base_weight, big, emu * big, log_big, -2 * u + log_big)
 
 
 # one verify integrates at a single working precision: at most
@@ -220,22 +238,14 @@ def lz_quadrature(a: int, b: int, precision: int) -> mpf:
 # series route: the integral split at t = 1/2 into two positive series
 
 
-def _log2_powers(k: int) -> list:
-    """log(2)^m / m! for m = 0..k."""
-    c = [mp.one]
-    for m in range(1, k + 1):
-        c.append(c[-1] * mp.ln2 / m)
-    return c
-
-
-def _half_moment(c: list, k: int, n: int) -> mpf:
-    """(1/k!) |integral over (0,1/2) of log^k(t) t^(n-1) dt|; c = _log2_powers(>= k)."""
-    # = 2^-n * sum_{m=0..k} c_m / n^(k+1-m), Horner in 1/n
-    x = mp.one / n
+def _half_moment(c: list[int], k: int, n: int) -> int:
+    """2^n (1/k!) |integral over (0,1/2) of log^k(t) t^(n-1) dt|, in the units
+    of c, where c[m] = log(2)^m / m! for m = 0..(>= k)."""
+    # = sum_{m=0..k} c_m / n^(k+1-m), Horner in 1/n
     acc = c[0]
     for m in range(1, k + 1):
-        acc = acc * x + c[m]
-    return mp.ldexp(acc * x, -n)
+        acc = acc // n + c[m]
+    return acc // n
 
 
 def _term_bound(a: int, b: int, n: int) -> mpf:
@@ -247,6 +257,33 @@ def _term_bound(a: int, b: int, n: int) -> mpf:
     return mp.ldexp(first + second, 1 - n) / n
 
 
+def _series_cut(a: int, b: int, goal: mpf) -> int:
+    """The last term n_max of lz_series: the first n >= 3 max(a,b) - 1 with
+    4 _term_bound(a, b, n+1) <= goal, or SERIES_MAX_TERMS + 1 if there is none."""
+    # from n = 3 max(a,b) on, consecutive majorants shrink by at least 3/4,
+    # so the tail after n_max is at most 4 times the majorant of term n_max+1,
+    # and the test below is true up to some n and false from there on: double
+    # the step until it fails, then bisect
+    def needs_more(n: int) -> bool:
+        return n <= SERIES_MAX_TERMS and 4 * _term_bound(a, b, n + 1) > goal
+
+    lo = 3 * max(a, b) - 1
+    if not needs_more(lo):
+        return lo
+    step = 1
+    while needs_more(lo + step):
+        lo += step
+        step *= 2
+    hi = lo + step  # needs_more(lo) and not needs_more(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if needs_more(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def lz_series(a: int, b: int, precision: int) -> mpf:
     """Lz(a,b) as the two positive series of the integral split at t = 1/2.
 
@@ -256,34 +293,53 @@ def lz_series(a: int, b: int, precision: int) -> mpf:
     |Lz(a,b)| = sum_{n>=b} S_n^(b)/b! M_{a-1}(n) + sum_{n>=a} n S_n^(a)/a! M_b(n).
     Every term is positive, so the first term of each sum bounds the partial
     sum from below, and the cut is placed where the majorant of the tail is
-    at most 10^-(working digits) times that lower bound.
+    at most 10^-(working digits) times that lower bound.  Both sums run in
+    integer fixed point.
     """
     if a < 1 or b < 1:
         raise ValueError(f"Lz needs a, b >= 1, got ({a}, {b})")
+    from mpmath.libmp import dps_to_prec, from_man_exp, ln2_fixed, round_nearest, to_fixed
+
     wdps = precision + 10
+    fa, fb = math.factorial(a), math.factorial(b)
+    # 2^-L bounds the first term of either sum, hence the floor, from below:
+    # M_k(n) >= 2^-n / n^(k+1), and S_b^(b) = S_a^(a) = 1
+    L = min(b + (b**a * fb).bit_length(), a + (a**b * fa).bit_length())
+    # Fixed point in units of 2^-W, every truncation rounding down.  ln2_fixed
+    # and the c_m are low by under 4 units each, so a half moment is low by
+    # under 6(k+1) units; a term carries that times S_n^(k)/k! 2^-n <= e 2^-n
+    # (times n in the second sum), and sum_n n 2^-n = 2, so the two sums lose
+    # under 40(a+b+1) units together, which the guard bits absorb: the loss is
+    # below 2^-(working bits) times the floor
+    W = dps_to_prec(wdps) + L + (40 * (a + b + 1)).bit_length()
+    ln2 = ln2_fixed(W)
+    c = [1 << W]
+    for m in range(1, max(a - 1, b) + 1):
+        c.append((c[-1] * ln2 >> W) // m)
+    # the first term of each sum
+    floor = (_half_moment(c, a - 1, b) >> b) // fb + a * (_half_moment(c, b, a) >> a) // fa
     with mp.workdps(wdps):
-        c = _log2_powers(max(a - 1, b))
-        fa, fb = math.factorial(a), math.factorial(b)
-        # the first term of each sum (S_b^(b) = S_a^(a) = 1)
-        floor = _half_moment(c, a - 1, b) / fb + a * _half_moment(c, b, a) / fa
-        goal = mp.mpf(10) ** (-wdps) * floor
-        # from n = 3 max(a,b) on, consecutive majorants shrink by at least 3/4,
-        # so the tail after n_max is at most 4 times the majorant of term n_max+1
-        n_max = 3 * max(a, b) - 1
-        while n_max <= SERIES_MAX_TERMS and 4 * _term_bound(a, b, n_max + 1) > goal:
-            n_max += 1
-        if n_max > SERIES_MAX_TERMS:
-            raise PrecisionBudgetError(
-                f"Lz({a},{b}) series: term budget ({SERIES_MAX_TERMS}) "
-                f"exhausted at {precision} digits"
-            )
-        table = build_s_table(max(a, b), n_max, precision)
-        first = mp.fsum(table[b][n] * _half_moment(c, a - 1, n) for n in range(b, n_max + 1))
-        second = mp.fsum(n * table[a][n] * _half_moment(c, b, n) for n in range(a, n_max + 1))
-        total = first / fb + second / fa
-    sign = -1 if (a + b) % 2 == 0 else 1
-    with mp.workdps(precision):
-        return +(sign * total)
+        goal = mp.ldexp(mp.mpf(10) ** (-wdps) * floor, -W)
+        n_max = _series_cut(a, b, goal)
+    if n_max > SERIES_MAX_TERMS:
+        raise PrecisionBudgetError(
+            f"Lz({a},{b}) series: term budget ({SERIES_MAX_TERMS}) "
+            f"exhausted at {precision} digits"
+        )
+    table = build_s_table(max(a, b), n_max, precision)
+    # products of two W-unit numbers: the sums are in units of 2^-2W
+    first = sum(
+        to_fixed(table[b][n]._mpf_, W) * _half_moment(c, a - 1, n) >> n
+        for n in range(b, n_max + 1)
+    )
+    second = sum(
+        n * to_fixed(table[a][n]._mpf_, W) * _half_moment(c, b, n) >> n
+        for n in range(a, n_max + 1)
+    )
+    total = first // fb + second // fa
+    if (a + b) % 2 == 0:
+        total = -total
+    return mp.make_mpf(from_man_exp(total, -2 * W, dps_to_prec(precision), round_nearest))
 
 
 # ---------------------------------------------------------------------------
@@ -337,3 +393,19 @@ def verify_expansion(a: int, b: int, precision: int, method: str = "both") -> Ve
         max_dev = max(abs(x - y) for x, y in combinations(values.values(), 2))
         threshold = mp.mpf(10) ** (-(precision - 5))
         return VerificationReport(values, max_dev, threshold, bool(max_dev < threshold))
+
+
+def audit_certificate(cert: Certificate, precision: int = 30) -> mpf:
+    """Relative gap between the two sides of a certificate's identity
+    pi^k * target = sum lambda Lz(a,b) + remainder, evaluated at the given
+    precision: each Lz by lz_series, the target and the remainder by
+    evaluate_reduced.  The gap is |lhs - rhs| over sum |lambda Lz| + |lhs|,
+    about 10^-precision for a true identity.  Numeric evidence, not proof.
+    """
+    with mp.workdps(precision + 10):
+        lhs = evaluate_reduced(
+            PiReducedCombination(cert.weight, {cert.target: Fraction(1)}), precision
+        )
+        lz = [_frac(lam) * lz_series(a, b, precision) for (a, b), lam in cert.lz_terms.items()]
+        rhs = mp.fsum(lz) + evaluate_reduced(cert.known_remainder, precision)
+        return abs(lhs - rhs) / (mp.fsum(abs(x) for x in lz) + abs(lhs))

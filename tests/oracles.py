@@ -9,6 +9,10 @@ the Akiyama-Tanigawa algorithm, and row reduction is textbook Fraction
 Gauss-Jordan.  The one exception is expansion_system, which builds a
 linear system from the package's own reduced expansions: it is the
 reference for the solver's shortcut that skips them.
+
+The numeric oracles are mpf forms of the package's numeric kernels:
+lz_series_mpf sums the series route in mpf with a linear tail-cut scan,
+and make_node_mpf builds a tanh-sinh node from seven transcendental calls.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
+
+from mpmath import mp
 
 from zetalog.expansion import ZetaMonomial, expand_lz, reduce_even
 
@@ -240,3 +246,121 @@ def expansion_system(N: int, mode: str, ensure=()):
             known = {m.factors: c for m, c in red.terms.items() if m.factors not in colset}
             rows.append(((N - b, b), coeffs, known))
     return columns, rows
+
+
+# ---------------------------------------------------------------------------
+# numeric kernels in mpf
+
+
+@lru_cache(maxsize=16)
+def _s_table_mpf(b_max: int, n_max: int, precision: int) -> tuple:
+    """rows[k][n] = S_n^(k) by the prefix recurrence in mpf at precision + 10."""
+    with mp.workdps(precision + 10):
+        rows = [(), (mp.zero,) + tuple(mp.one / n for n in range(1, n_max + 1))]
+        for k in range(2, b_max + 1):
+            prev = rows[k - 1]
+            row = [mp.zero] * (n_max + 1)
+            running = mp.zero
+            for n in range(k, n_max + 1):
+                running += prev[n - 1]
+                row[n] = k * running / n
+            rows.append(tuple(row))
+    return tuple(rows)
+
+
+@lru_cache(maxsize=2048)
+def _half_moments_mpf(n: int, k_max: int, wdps: int) -> tuple:
+    """M_k(n) = (1/k!) |integral over (0,1/2) of log^k(t) t^(n-1) dt| for
+    k = 0..k_max, each by Horner in 1/n: 2^-n sum_{m<=k} c_m / n^(k+1-m)."""
+    with mp.workdps(wdps):
+        c = [mp.one]
+        for m in range(1, k_max + 1):
+            c.append(c[-1] * mp.ln2 / m)
+        x = mp.one / n
+        acc = c[0]
+        moments = [mp.ldexp(acc * x, -n)]
+        for m in range(1, k_max + 1):
+            acc = acc * x + c[m]
+            moments.append(mp.ldexp(acc * x, -n))
+    return tuple(moments)
+
+
+@lru_cache(maxsize=2048)
+def _bound_parts_mpf(n: int, k_max: int, wdps: int) -> tuple:
+    """(1 + log n)^k / (k! n) and (1 + log n)^k / k! for k = 0..k_max."""
+    with mp.workdps(wdps):
+        h = 1 + mp.log(n)
+        powers = [h**k for k in range(k_max + 1)]
+        return (
+            tuple(p / (math.factorial(k) * n) for k, p in enumerate(powers)),
+            tuple(p / math.factorial(k) for k, p in enumerate(powers)),
+        )
+
+
+def _term_bound_mpf(a: int, b: int, n: int, k_max: int, wdps: int):
+    """Majorant of term n of the two sums, as lz_series_mpf scans it."""
+    firsts, seconds = _bound_parts_mpf(n, k_max, wdps)
+    return mp.ldexp(firsts[b - 1] + seconds[a - 1], 1 - n) / n
+
+
+def _log_term_bound(a: int, b: int, n: int) -> float:
+    """The natural log of that majorant, in floats."""
+    h = math.log1p(math.log(n))
+    first = (b - 1) * h - math.lgamma(b) - math.log(n)
+    second = (a - 1) * h - math.lgamma(a)
+    top = max(first, second)
+    spread = math.log(math.exp(first - top) + math.exp(second - top))
+    return top + spread + (1 - n) * math.log(2) - math.log(n)
+
+
+def _ceil_pow2(n: int) -> int:
+    return 1 << max(n - 1, 1).bit_length()
+
+
+def lz_series_mpf(a: int, b: int, precision: int):
+    """(Lz(a,b), n_max) by the split-at-1/2 series in mpf, the tail cut found
+    by a linear scan of the majorant from n = 3 max(a,b) - 1 on, and each sum
+    taken as one mpf dot product.
+
+    The scan tests every n in turn; the mpf majorant is evaluated only where
+    its float log lies within 1 of the goal's, a margin far wider than the
+    float error, so each answer is the mpf one.  The S table, the half
+    moments and the two parts of the majorant are shared between calls:
+    each is the same number whatever the size of the table holding it.
+    """
+    wdps = precision + 10
+    k_max = max(a, b, 40)
+    with mp.workdps(wdps):
+        fa, fb = math.factorial(a), math.factorial(b)
+        floor = _half_moments_mpf(b, k_max, wdps)[a - 1] / fb
+        floor += a * _half_moments_mpf(a, k_max, wdps)[b] / fa
+        goal = mp.mpf(10) ** (-wdps) * floor
+        log_goal = float(mp.log(goal / 4))
+        n_max = 3 * max(a, b) - 1
+        while True:
+            near = _log_term_bound(a, b, n_max + 1) < log_goal + 1
+            if near and 4 * _term_bound_mpf(a, b, n_max + 1, k_max, wdps) <= goal:
+                break
+            n_max += 1
+        table = _s_table_mpf(k_max, _ceil_pow2(n_max + 1), precision)
+        moments = {n: _half_moments_mpf(n, k_max, wdps) for n in range(1, n_max + 1)}
+        first = mp.fdot(table[b][b : n_max + 1], [moments[n][a - 1] for n in range(b, n_max + 1)])
+        second = mp.fdot(
+            table[a][a : n_max + 1], [n * moments[n][b] for n in range(a, n_max + 1)]
+        )
+        total = first / fb + second / fa
+    sign = -1 if (a + b) % 2 == 0 else 1
+    with mp.workdps(precision):
+        return +(sign * total), n_max
+
+
+def make_node_mpf(v):
+    """(base weight, t, 1-t, log t, log(1-t)) of the tanh-sinh node at v."""
+    u = mp.pi / 2 * mp.sinh(v)
+    emu = mp.exp(-2 * u)
+    log_big = -mp.log1p(emu)
+    log_small = -2 * u + log_big
+    big = mp.exp(log_big)
+    small = emu * big
+    base_weight = (mp.pi / 4) * mp.cosh(v) / mp.cosh(u) ** 2
+    return (base_weight, big, small, log_big, log_small)

@@ -193,7 +193,8 @@ def test_traced_call_graph_reaches_every_layer(tmp_path):
     # one short op list per workload through the shim and applies that rule.
     # Like the workload, survey-range mixes both modes: an optimistic survey
     # reads little_c directly, and only the strict one reaches expand_lz,
-    # reduce_even and the even-zeta constants
+    # reduce_even and the even-zeta constants.  On verify-digits, lz_series
+    # must still call build_s_table and evaluate_reduced zeta_value
     bench_run = _load_bench_run()
     ops = {
         "survey-range": [
@@ -204,6 +205,10 @@ def test_traced_call_graph_reaches_every_layer(tmp_path):
             ["expand", "3", "2"],
             ["table", "6", "--reduce"],
             ["express", "z3*z5", "--format", "latex"],
+        ],
+        "verify-digits": [
+            ["verify", "3", "2", "--digits", "15"],
+            ["verify", "4", "3", "--digits", "20", "--method", "both"],
         ],
     }
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}

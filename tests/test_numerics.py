@@ -20,7 +20,7 @@ from zetalog.numerics import (
     verify_expansion,
     zeta_value,
 )
-from oracles import elementary_reciprocals, s_composition_sum
+from oracles import elementary_reciprocals, lz_series_mpf, make_node_mpf, s_composition_sum
 
 F = Fraction
 
@@ -30,11 +30,13 @@ def _tol(digits: int):
 
 
 def test_zeta_matches_reference_library():
-    for digits in (30, 50):
-        with workdps(digits + 5):
-            for s in range(2, 13):
+    # through weight 40; 75 digits is what evaluate_reduced asks for at the
+    # 60-digit cap
+    for digits in (30, 50, 75):
+        with workdps(digits + 20):
+            for s in range(2, 41):
                 ref = mpmath.zeta(s)
-                assert abs(zeta_value(s, digits) - ref) < _tol(digits)
+                assert abs(zeta_value(s, digits) - ref) < _tol(digits), (digits, s)
 
 
 def test_zeta_high_precision():
@@ -90,6 +92,13 @@ def test_s_table_float_matches_exact():
                     assert abs(table[k][n] - want) < _tol(digits + 3) * want, (digits, k, n)
 
 
+def test_s_table_entries_do_not_depend_on_shape():
+    full = build_s_table(40, 600, 30)
+    for b_max, n_max in [(1, 0), (3, 10), (5, 40), (12, 200), (39, 599)]:
+        table = build_s_table(b_max, n_max, 30)
+        assert table == ((),) + tuple(row[: n_max + 1] for row in full[1 : b_max + 1])
+
+
 def test_s_table_bounds_and_cache():
     table = build_s_table(3, 10, 30)
     assert table[0] == () and [len(row) for row in table[1:]] == [11, 11, 11]
@@ -142,6 +151,37 @@ def test_orientation_sum_validation():
         lz_series(0, 1, 20)
 
 
+@pytest.mark.parametrize("digits", [6, 30, 60])
+def test_series_matches_mpf_oracle_on_every_pair(digits, monkeypatch):
+    # every ordered pair of weight <= 40: the fixed-point sums print the same
+    # P+5 digits as the mpf sums, and the cut found by doubling and bisection
+    # is the one the linear scan finds
+    real_table, real_cut = numerics.build_s_table, numerics._series_cut
+    cuts = []
+
+    def cut(*args):
+        cuts.append(real_cut(*args))
+        return cuts[-1]
+
+    def table(b_max, n_max, precision):
+        # one real table per precision, sliced; the test above shows that
+        # slicing gives the table of the smaller shape
+        assert b_max <= 40 and n_max <= 600
+        full = real_table(40, 600, precision)
+        return ((),) + tuple(row[: n_max + 1] for row in full[1 : b_max + 1])
+
+    monkeypatch.setattr(numerics, "_series_cut", cut)
+    monkeypatch.setattr(numerics, "build_s_table", table)
+    carried = digits + 5
+    for weight in range(2, 41):
+        for a in range(1, weight):
+            b = weight - a
+            got = lz_series(a, b, carried)
+            want, n_max = lz_series_mpf(a, b, carried)
+            assert mp.nstr(got, carried) == mp.nstr(want, carried), (a, b)
+            assert cuts[-1] == n_max, (a, b)
+
+
 def test_series_budget_error(monkeypatch):
     monkeypatch.setattr(numerics, "SERIES_MAX_TERMS", 16)
     with pytest.raises(PrecisionBudgetError):
@@ -161,6 +201,26 @@ def test_series_relative_accuracy_on_tiny_value():
             want += term
         assert abs(want) < mp.mpf("1e-30")
         assert abs(got - want) / abs(want) < mp.mpf("1e-30")
+
+
+def test_nodes_match_the_seven_call_formula():
+    # the nodes of tiers 0..3 at 45 working digits: each of the five fields
+    # of _make_node agrees with the sinh/cosh/exp/log1p form to relative 10^-45
+    wdps = 45
+    vmax = numerics._vmax(wdps)
+    for tier in range(4):
+        nodes = numerics._tier_nodes(tier, wdps)
+        if tier == 0:
+            vs = range(1, int(vmax) + 1)
+            nodes = nodes[1:]  # the centre node t = 1/2 is not made by _make_node
+        else:
+            vs = [k / 2**tier for k in range(1, int(vmax * 2**tier) + 1, 2)]
+        assert len(nodes) == len(vs), tier
+        with workdps(wdps + 5):
+            for v, node in zip(vs, nodes):
+                want = make_node_mpf(mp.mpf(v))
+                for got_field, want_field in zip(node, want):
+                    assert abs(got_field - want_field) <= _tol(wdps) * abs(want_field), (tier, v)
 
 
 def test_quadrature_budget_error(monkeypatch):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from mpmath import mp, workdps
@@ -8,8 +9,8 @@ from mpmath import mp, workdps
 from oracles import expansion_system
 from zetalog.coefficients import little_c
 from zetalog.expansion import PiReducedCombination, ZetaMonomial, expand_lz, reduce_even
-from zetalog import solver
-from zetalog.numerics import evaluate_reduced, lz_quadrature, zeta_value
+from zetalog import expansion, numerics, solver
+from zetalog.numerics import audit_certificate, evaluate_reduced, lz_quadrature, zeta_value
 from zetalog.partitions import PartitionElement, PartitionFilter, count_partitions
 from zetalog.solver import (
     MODES,
@@ -280,6 +281,63 @@ def test_certificate_numeric_substitution():
             rhs += mp.mpf(c.numerator) / c.denominator * lz_quadrature(a, b, digits)
         rhs += evaluate_reduced(cert.known_remainder, digits)
         assert abs(lhs - rhs) < mp.mpf(10) ** (-(digits - 3))
+
+
+def _failed_audits(max_weight: int) -> list[tuple[str, str]]:
+    """(mode, certificate) for every certificate of weight <= max_weight, in
+    both modes and at the target's own and each raised weight, whose two
+    sides differ by more than relative 10^-25 at 30 digits."""
+    # express returns the certificate of one of these solves, or none
+    failed = []
+    for weight in range(3, max_weight + 1):
+        for target in (m for w in range(weight, 2, -2) for m in odd_monomials(w)):
+            for mode in MODES:
+                cert = _solve(target, weight, mode)
+                if cert is not None and audit_certificate(cert) > mp.mpf("1e-25"):
+                    failed.append((mode, cert.text()))
+    return failed
+
+
+def _memoized_series(monkeypatch):
+    # the certificates of one weight share their pairs
+    monkeypatch.setattr(numerics, "lz_series", lru_cache(maxsize=512)(numerics.lz_series))
+
+
+def test_every_certificate_passes_the_numeric_audit(monkeypatch):
+    _memoized_series(monkeypatch)
+    assert _failed_audits(24) == []
+
+
+@pytest.fixture
+def six_two_tripled(monkeypatch):
+    """little_c tripled on the partition 6+2, as both the expansion and the
+    system read it, with the caches that hold its values cleared around."""
+    six_two = PartitionElement.from_parts([6, 2])
+
+    def tripled(x, b):
+        value = little_c(x, b)
+        return 3 * value if x == six_two else value
+
+    monkeypatch.setattr(expansion, "little_c", tripled)
+    monkeypatch.setattr(solver, "little_c", tripled)
+    caches = (expand_lz.cache_clear, solver._fully_expressible.cache_clear)
+    for clear in caches:
+        clear()
+    yield
+    monkeypatch.undo()
+    for clear in caches:
+        clear()
+
+
+def test_numeric_audit_catches_a_wrong_even_partition_coefficient(six_two_tripled, monkeypatch):
+    # the substitution check reads the same wrong value on both sides and
+    # accepts the certificate; the audit evaluates Lz(6,2) by its series
+    cert = express(mono("z3*z5")).certificate
+    assert cert.text() == "z3*z5 = Lz(6,2) - (1/4536)*pi^8"
+    assert verify_certificate(cert)
+    assert audit_certificate(cert) > 1
+    _memoized_series(monkeypatch)
+    assert ("optimistic", cert.text()) in _failed_audits(8)
 
 
 def test_survey_small_weights():
