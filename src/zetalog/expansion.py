@@ -311,9 +311,10 @@ def _partitions_min2(n: int) -> tuple[tuple[PartitionElement, int, ZetaMonomial]
     )
 
 
-# an optimistic survey expands no pair, and a strict one each pair once, for
-# its lower-weight columns; express re-reads a pair through a row's known
-# part, its substitution check, its strict fallback and its recursion into
+# an optimistic survey expands no pair, and a strict one only the pairs
+# (d - j, j), j <= d/2, of each even d it needs a kernel phi_d for, once
+# each; express re-reads a pair through a row's known part, its
+# substitution check, its strict fallback and its recursion into
 # dependencies
 @lru_cache(maxsize=64)
 def expand_lz(a: int, b: int) -> ZetaCombination:

@@ -11,11 +11,17 @@ and land in the known part, while strict mode keeps them as columns.
 
 No even part can join a full-weight monomial m, so its coefficient in
 the reduced Lz(N-b, b) is the paper's c_b(X_m) = little_c(X_m, b) for
-the odd partition X_m of m, read without expanding the pair.  Only a
-row with a lower-weight column (strict mode, or a target whose weight
-is raised) reduces the whole expansion of its pair.  A row's known part
-is that expansion minus its columns; it is built when read, which
-only a certificate does.
+the odd partition X_m of m, read without expanding the pair.  A column
+m of lower weight w takes its even parts from the pi^(N-w) factor, and
+its coefficient is the convolution
+
+    sum_j little_c(X_m, j) * phi_(N-w)[b - j]
+
+with phi_d[j] the pi^d coefficient of the reduced Lz(d-j, j): one
+kernel per even d, shared by every weight, so no row reduces the
+expansion of its own pair.  A row's known part is that reduced
+expansion minus its columns; it is built when read, which only a
+certificate does.
 
 A successful solve is packaged as a Certificate for the exact identity
 
@@ -27,11 +33,12 @@ is returned.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .coefficients import little_c
+from .coefficients import composition_profile, c_tilde, little_c
 from .exact import RationalMatrix, rref, solve_membership
 from .expansion import (
     UNIT_MONOMIAL,
@@ -120,27 +127,53 @@ def build_system(
             columns.append(mono)
     columns.sort(key=ZetaMonomial.sort_key)
     cols = tuple(columns)
-    # a full-weight column's partition, or None: its coefficient needs the
-    # reduced expansion of the pair
-    parts = [PartitionElement(N, m.factors) if m.weight == N else None for m in cols]
-    # C_b(X) vanishes for b < |X|; b <= N/2 <= N - |X| since parts are >= 3
-    norms = [0 if x is None else x.norm for x in parts]
+    by_column = [_column(PartitionElement(m.weight, m.factors), N) for m in cols]
 
     rows: list[SystemRow] = []
-    for b in range(1, N // 2 + 1):
-        red = None
-        coeffs = []
-        for m, x, k in zip(cols, parts, norms):
-            if x is None:
-                if red is None:
-                    red = reduce_even(expand_lz(N - b, b))
-                coeffs.append(red.coefficient(m))
-            else:
-                coeffs.append(little_c(x, b) if b >= k else Fraction(0))
+    for b, coeffs in enumerate(zip(*by_column), 1):
         if not any(coeffs):
             continue  # row touches no unknown; nothing to solve with
-        rows.append(SystemRow((N - b, b), tuple(coeffs), cols))
+        rows.append(SystemRow((N - b, b), coeffs, cols))
     return LinearSystem(N, mode, cols, tuple(rows))
+
+
+def _column(x: PartitionElement, N: int) -> list[Fraction]:
+    """Coefficients of the odd monomial of x in the reduced Lz(N - b, b),
+    b = 1..N/2, for wt(x) <= N."""
+    k = x.norm
+    if x.weight == N:
+        # C_b(X) vanishes for b < |X|; b <= N/2 <= N - |X| since parts are >= 3
+        return [little_c(x, b) if b >= k else Fraction(0) for b in range(1, N // 2 + 1)]
+    # sum_j c_j(x) * phi_d[b - j], d = N - wt(x); C_j(x) vanishes outside
+    # |x| <= j <= wt(x) - |x|, and phi_d[i] outside 0 < i < d
+    d = N - x.weight
+    prof = composition_profile(x)
+    ct = c_tilde(x)
+    phi, den = _even_kernel(d)
+    den *= ct.denominator
+    col = []
+    for b in range(1, N // 2 + 1):
+        j_range = range(max(k, b - d + 1), min(x.weight - k, b - 1) + 1)
+        col.append(Fraction(ct.numerator * sum(prof[j] * phi[b - j] for j in j_range), den))
+    return col
+
+
+# one entry per even d; a survey to weight 40 reads d = 2..36
+@lru_cache(maxsize=32)
+def _even_kernel(d: int) -> tuple[tuple[int, ...], int]:
+    """(numerators, denominator) with phi_d[j] = numerators[j] / denominator,
+    j = 0..d, where phi_d[j] is the pi^d coefficient of the reduced Lz(d-j, j).
+
+    phi_d[0] = phi_d[d] = 0, and phi_d[j] = phi_d[d-j] since C_b is
+    symmetric under b -> d - b, so only the pairs with j <= d/2 are reduced.
+    """
+    half = [
+        reduce_even(expand_lz(d - j, j)).coefficient(UNIT_MONOMIAL)
+        for j in range(1, d // 2 + 1)
+    ]
+    den = math.lcm(*(q.denominator for q in half))
+    nums = [q.numerator * (den // q.denominator) for q in half]
+    return (0, *nums, *reversed(nums[: (d - 1) // 2]), 0), den
 
 
 class Certificate(NamedTuple):

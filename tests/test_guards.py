@@ -34,8 +34,8 @@ def test_every_module_cache_is_bounded():
     unbounded = [name for name, fn in caches.values() if fn.cache_parameters()["maxsize"] is None]
     assert unbounded == []
     # zeta_even_pi_coeff, _even_fold, _partitions_min2, expand_lz, _record,
-    # _fully_expressible, zeta_value, build_s_table, _tier_nodes
-    assert len(caches) >= 9
+    # _even_kernel, _fully_expressible, zeta_value, build_s_table, _tier_nodes
+    assert len(caches) >= 10
 
 
 def test_object_new_only_in_combination_fast_path():
@@ -193,7 +193,8 @@ def test_traced_call_graph_reaches_every_layer(tmp_path):
     # one short op list per workload through the shim and applies that rule.
     # Like the workload, survey-range mixes both modes: an optimistic survey
     # reads little_c directly, and only the strict one reaches expand_lz,
-    # reduce_even and the even-zeta constants.  On verify-digits, lz_series
+    # reduce_even and the even-zeta constants, through the even kernels of
+    # its lower-weight columns.  On verify-digits, lz_series
     # must still call build_s_table and evaluate_reduced zeta_value
     bench_run = _load_bench_run()
     ops = {

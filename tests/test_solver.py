@@ -6,9 +6,16 @@ from functools import lru_cache
 import pytest
 from mpmath import mp, workdps
 
-from oracles import expansion_system
+from oracles import _even_kernel as recurrence_kernel, expansion_system
 from zetalog.coefficients import little_c
-from zetalog.expansion import PiReducedCombination, ZetaMonomial, expand_lz, reduce_even
+from zetalog.exact import zeta_even_pi_coeff
+from zetalog.expansion import (
+    UNIT_MONOMIAL,
+    PiReducedCombination,
+    ZetaMonomial,
+    expand_lz,
+    reduce_even,
+)
 from zetalog import expansion, numerics, solver
 from zetalog.numerics import audit_certificate, evaluate_reduced, lz_quadrature, zeta_value
 from zetalog.partitions import PartitionElement, PartitionFilter, count_partitions
@@ -97,12 +104,26 @@ def test_build_system_matches_expansion_builder():
         assert got == rows, (n, mode, ensure)
 
     for n in range(3, 25):
-        for mode in MODES:
-            same(n, mode)
+        same(n, "optimistic")
         # a raised-weight target brings a lower-weight column into an
         # optimistic system
         for m in odd_monomials(n - 2):
             same(n, "optimistic", (m,))
+    # strict lower-weight columns come from the convolution with phi
+    for n in range(3, 29):
+        same(n, "strict")
+
+
+def test_even_kernel_matches_recurrence_oracle():
+    # phi_d read from the partition engine against the Phi recurrence, which
+    # never reads a c_b; j > d/2 checks the mirror phi_d[j] = phi_d[d - j]
+    for d in range(2, 31, 2):
+        phi, den = solver._even_kernel(d)
+        assert len(phi) == d + 1
+        for j in range(d + 1):
+            assert F(phi[j], den) == recurrence_kernel(d).get((d - j, j), 0), (d, j)
+            assert phi[j] == phi[d - j]
+        assert phi[0] == phi[d] == 0
 
 
 def test_build_system_reads_no_vanishing_little_c(monkeypatch):
@@ -129,6 +150,19 @@ def test_optimistic_survey_expands_no_pair():
     assert expand_lz.cache_info().misses == 0
     assert row.known.text() == "-(691/283783500)*pi^12"
     assert expand_lz.cache_info().misses == 1
+
+
+def test_strict_survey_expands_only_even_kernel_pairs():
+    # a strict column of weight w < N reads phi_(N - w), built once per even
+    # d from the pairs (d - j, j) with j <= d/2; no row expands its own pair
+    solver._even_kernel.cache_clear()
+    expand_lz.cache_clear()
+    survey(3, 24, "strict")
+    pairs = [(d - j, j) for d in range(2, 21, 2) for j in range(1, d // 2 + 1)]
+    assert expand_lz.cache_info().misses == len(pairs) == 55
+    for pair in pairs:
+        expand_lz(*pair)
+    assert expand_lz.cache_info().misses == len(pairs)
 
 
 def test_build_system_validation():
@@ -320,7 +354,11 @@ def six_two_tripled(monkeypatch):
 
     monkeypatch.setattr(expansion, "little_c", tripled)
     monkeypatch.setattr(solver, "little_c", tripled)
-    caches = (expand_lz.cache_clear, solver._fully_expressible.cache_clear)
+    caches = (
+        expand_lz.cache_clear,
+        solver._even_kernel.cache_clear,
+        solver._fully_expressible.cache_clear,
+    )
     for clear in caches:
         clear()
     yield
@@ -390,3 +428,62 @@ def test_survey_validation_and_lookup():
         survey(9, 5)
     with pytest.raises(KeyError):
         survey(3, 5).record(9)
+
+
+# ---------------------------------------------------------------------------
+# the survey's structure in closed form, checked exactly over a weight range
+
+
+def _rank_by_count(n: int) -> int:
+    # #{(i, j) >= 0 : 2i + 3j = n} - [n even]
+    return sum((n - 3 * j) % 2 == 0 for j in range(n // 3 + 1)) - (n % 2 == 0)
+
+
+def test_optimistic_rank_and_expressible_set():
+    extra = {6: ["z3^2"], 8: ["z3*z5"], 9: ["z3^3"], 11: ["z3^2*z5"]}
+    for rec in survey(3, 40).records:
+        n = rec.weight
+        assert rec.rank == _rank_by_count(n), n
+        want = sorted(extra.get(n, []) + ([f"z{n}"] if n % 2 else []))
+        assert sorted(str(m) for m in rec.expressible) == want, n
+
+
+def test_strict_rank_and_expressible_set():
+    # one relation among the rows at every even weight from 6 on; weight 4
+    # has no column, so no row
+    for rec in survey(3, 30, "strict").records:
+        n = rec.weight
+        assert rec.rank == rec.equations - (n % 2 == 0 and n >= 6), n
+        names = sorted(str(m) for m in rec.expressible)
+        if n % 2 and n >= 9:
+            assert names == [f"z{n}"], n
+        elif n in (8, 10):
+            assert names == ["z3*z5", "z3^2"], n
+        elif n % 2 == 0 and n >= 12:
+            assert names == [], n
+
+
+def _even_relation(n: int) -> dict[int, int]:
+    """b -> mu_b with sum_b mu_b Lz(n - b, b) a rational multiple of pi^n:
+    mu_b = w_b (-1)^(h - b) for b = 2..h = n/2, w_b = 2 below h and w_h = 1."""
+    h = n // 2
+    return {b: (2 if b < h else 1) * (-1) ** (h - b) for b in range(2, h + 1)}
+
+
+def test_strict_relation_is_a_pi_power():
+    # sum_b mu_b Lz(n - b, b) = (-1)^(h+1) zeta(n) / 2^(n-2), exactly
+    for n in range(4, 31, 2):
+        total = PiReducedCombination(n, {})
+        for b, mu in _even_relation(n).items():
+            total = total + reduce_even(expand_lz(n - b, b)).scale(mu)
+        value = (-1) ** (n // 2 + 1) * zeta_even_pi_coeff(n // 2) / 2 ** (n - 2)
+        assert total == PiReducedCombination(n, {UNIT_MONOMIAL: value}), n
+
+
+def test_strict_relation_annihilates_strict_rows():
+    # the relation, stated without the system builder, kills every column
+    for n in range(6, 31, 2):
+        system = build_system(n, "strict")
+        mu = _even_relation(n)
+        for c in range(len(system.columns)):
+            assert sum(mu.get(r.pair[1], 0) * r.coefficients[c] for r in system.rows) == 0, (n, c)
