@@ -117,75 +117,48 @@ def _build_parser() -> _Parser:
 # parsed arguments that are not inputs: the subcommand, the output form, the cap
 _NOT_INPUTS = ("command", "format", "max_weight")
 
-
-def _print_envelope(args, result: dict, started: float) -> None:
-    envelope = {
-        "schema_version": SCHEMA_VERSION,
-        "command": args.command,
-        "inputs": {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS},
-        "result": result,
-        "elapsed_ms": int((time.monotonic() - started) * 1000),
-    }
-    print(json.dumps(envelope))
+# each handler prints its text or LaTeX output and returns (exit code, JSON
+# result or None); main wraps a JSON result in the one envelope
 
 
-def _cmd_expand(args, started: float) -> int:
+def _check_pair(args) -> None:
+    # expand and verify read one pair (a, b) under the weight cap
     if args.a < 1 or args.b < 1:
-        raise ValueError("expand needs a >= 1 and b >= 1")
+        raise ValueError(f"{args.command} needs a >= 1 and b >= 1")
     if args.a + args.b > args.max_weight:
         raise ValueError(f"a+b = {args.a + args.b} exceeds the weight cap {args.max_weight}")
+
+
+def _cmd_expand(args):
+    _check_pair(args)
     comb = expand_lz(args.a, args.b)
     obj = reduce_even(comb) if args.reduce else comb
     if args.format == "json":
-        result = {
-            "weight": obj.weight,
-            "reduced": args.reduce,
-            "terms": obj.payload(),
-        }
-        _print_envelope(args, result, started)
-    elif args.format == "latex":
-        print(f"Lz({args.a},{args.b})={obj.latex()}")
-    else:
-        print(obj.text())
-    return 0
+        return 0, {"weight": obj.weight, "reduced": args.reduce, "terms": obj.payload()}
+    print(f"Lz({args.a},{args.b})={obj.latex()}" if args.format == "latex" else obj.text())
+    return 0, None
 
 
-def _cmd_table(args, started: float) -> int:
+def _cmd_table(args):
     if not 2 <= args.N <= args.max_weight:
         raise ValueError(f"table needs 2 <= N <= {args.max_weight}")
-    entries = expand_weight(args.N)
     shown = {
         pair: (reduce_even(comb) if args.reduce else comb)
-        for pair, comb in entries.items()
+        for pair, comb in expand_weight(args.N).items()
     }
     if args.format == "json":
-        result = {
-            "weight": args.N,
-            "reduced": args.reduce,
-            "entries": [
-                {
-                    "a": a,
-                    "b": b,
-                    "terms": obj.payload(),
-                }
-                for (a, b), obj in shown.items()
-            ],
-        }
-        _print_envelope(args, result, started)
-    elif args.format == "latex":
-        for (a, b), obj in shown.items():
+        entries = [{"a": a, "b": b, "terms": obj.payload()} for (a, b), obj in shown.items()]
+        return 0, {"weight": args.N, "reduced": args.reduce, "entries": entries}
+    for (a, b), obj in shown.items():
+        if args.format == "latex":
             print(f"Lz({a},{b})={obj.latex()}")
-    else:
-        for (a, b), obj in shown.items():
+        else:
             print(f"Lz({a},{b}) = {obj.text()}")
-    return 0
+    return 0, None
 
 
-def _cmd_verify(args, started: float) -> int:
-    if args.a < 1 or args.b < 1:
-        raise ValueError("verify needs a >= 1 and b >= 1")
-    if args.a + args.b > args.max_weight:
-        raise ValueError(f"a+b = {args.a + args.b} exceeds the weight cap {args.max_weight}")
+def _cmd_verify(args):
+    _check_pair(args)
     if args.digits > DIGITS_CAP:
         raise ValueError(f"digits must be at most {DIGITS_CAP}")
     report = verify_expansion(args.a, args.b, args.digits, args.method)
@@ -195,76 +168,68 @@ def _cmd_verify(args, started: float) -> int:
     for name, value in shown.items():
         print(f"{name:>11}: {mp.nstr(value, args.digits)}")
     print("PASS" if report.passed else "FAIL")
-    return 0 if report.passed else 3
+    return (0 if report.passed else 3), None
 
 
-def _cmd_express(args, started: float) -> int:
+def _cmd_express(args):
     target = ZetaMonomial.parse(args.monomial)
     weight = args.weight if args.weight is not None else target.weight
     if weight > args.max_weight:
         raise ValueError(f"weight {weight} exceeds the weight cap {args.max_weight}")
     outcome = express(target, mode=args.mode, weight=args.weight)
-
+    cert = outcome.certificate
+    code = 0 if outcome.status == "expressible" else 2
     if args.format == "json":
-        result = {
+        return code, {
             "status": outcome.status,
             "mode": outcome.mode,
             "weight": outcome.weight,
             "detail": outcome.detail,
-            "certificate": outcome.certificate.to_payload()
-            if outcome.certificate
-            else None,
+            "certificate": cert.to_payload() if cert else None,
         }
-        _print_envelope(args, result, started)
-    elif args.format == "latex":
-        if outcome.certificate is not None:
-            print(outcome.certificate.latex())
-        else:
-            print(f"% {outcome.status}: {outcome.target.latex()}")
-    else:
-        print(f"status: {outcome.status}")
-        if outcome.detail:
-            print(f"detail: {outcome.detail}")
-        if outcome.certificate is not None:
-            print(outcome.certificate.text())
-    return 0 if outcome.status == "expressible" else 2
+    if args.format == "latex":
+        print(cert.latex() if cert is not None else f"% {outcome.status}: {target.latex()}")
+        return code, None
+    print(f"status: {outcome.status}")
+    if outcome.detail:
+        print(f"detail: {outcome.detail}")
+    if cert is not None:
+        print(cert.text())
+    return code, None
 
 
-def _cmd_survey(args, started: float) -> int:
+def _cmd_survey(args):
     lo, hi = vars(args)["from"], args.to
     if not 3 <= lo <= hi <= SURVEY_WEIGHT_CAP:
         raise ValueError(f"survey range must satisfy 3 <= from <= to <= {SURVEY_WEIGHT_CAP}")
     report = survey(lo, hi, mode=args.mode)
     if args.format == "json":
-        result = {
-            "mode": report.mode,
-            "records": [
-                {
-                    **r._asdict(),
-                    "expressible": [str(m) for m in r.expressible],
-                    "inexpressible": [str(m) for m in r.inexpressible],
-                }
-                for r in report.records
-            ],
-        }
-        _print_envelope(args, result, started)
-    elif args.format == "latex":
-        for r in report.records:
+        records = [
+            {
+                **r._asdict(),
+                "expressible": [str(m) for m in r.expressible],
+                "inexpressible": [str(m) for m in r.inexpressible],
+            }
+            for r in report.records
+        ]
+        return 0, {"mode": report.mode, "records": records}
+    if args.format == "text":
+        print("  N  eq unk rank counting    inexpressible")
+    for r in report.records:
+        if args.format == "latex":
             bad = ",".join(str(m) for m in r.inexpressible) or "-"
             print(f"{r.weight} & {r.equations} & {r.unknowns} & {r.rank} & {bad} \\\\")
-    else:
-        print("  N  eq unk rank counting    inexpressible")
-        for r in report.records:
+        else:
             counting = f"{r.counting_equations}/{r.counting_unknowns}"
             bad = ", ".join(str(m) for m in r.inexpressible) or "-"
             print(
                 f"{r.weight:>3} {r.equations:>3} {r.unknowns:>3} {r.rank:>4}"
                 f" {counting:>8}    {bad}"
             )
-    return 0
+    return 0, None
 
 
-def _cmd_partitions(args, started: float) -> int:
+def _cmd_partitions(args):
     if not 1 <= args.N <= SURVEY_WEIGHT_CAP:
         raise ValueError(f"partitions needs 1 <= N <= {SURVEY_WEIGHT_CAP}")
     flt = PartitionFilter(
@@ -272,22 +237,16 @@ def _cmd_partitions(args, started: float) -> int:
     )
     elems = enumerate_partitions(args.N, flt)
     if args.format == "json":
-        result = {
+        return 0, {
             "n": args.N,
-            "filter": {
-                "min_part": args.min_part,
-                "parts": args.parts,
-                "parity": args.parity,
-            },
+            "filter": {"min_part": args.min_part, "parts": args.parts, "parity": args.parity},
             "partitions": [list(x.part_list()) for x in elems],
             "count": len(elems),
         }
-        _print_envelope(args, result, started)
-    else:
-        for x in elems:
-            print(x)
-        print(f"count = {len(elems)}")
-    return 0
+    for x in elems:
+        print(x)
+    print(f"count = {len(elems)}")
+    return 0, None
 
 
 _DISPATCH = {
@@ -308,13 +267,23 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     started = time.monotonic()
     try:
-        return _DISPATCH[args.command](args, started)
+        code, result = _DISPATCH[args.command](args)
     except PrecisionBudgetError as exc:
         sys.stderr.write(f"zetalog {args.command}: precision budget: {exc}\n")
         return 3
     except ValueError as exc:
         sys.stderr.write(f"zetalog {args.command}: {exc}\n")
         return 1
+    if result is not None:
+        envelope = {
+            "schema_version": SCHEMA_VERSION,
+            "command": args.command,
+            "inputs": {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS},
+            "result": result,
+            "elapsed_ms": int((time.monotonic() - started) * 1000),
+        }
+        print(json.dumps(envelope))
+    return code
 
 
 def console_main() -> None:

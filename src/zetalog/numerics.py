@@ -12,8 +12,9 @@ the endpoint log singularities cost nothing.
 
 zeta_value is an in-house Euler-Maclaurin evaluation with an explicit
 remainder bound; pi comes from the float library's certified constant.
-Working precision carries guard digits over the requested P and results
-are trusted to 10^(-P).
+Every evaluation works with a fixed 10 guard digits over the P it returns.
+The symbolic sum in evaluate_reduced is accurate only in absolute terms:
+cancellation among its terms can cost more digits than the guard holds.
 
 The series route and zeta_value sum in integer fixed point: Python ints
 in units of 2^-W, where every truncation is a floor division that loses

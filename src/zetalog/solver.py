@@ -9,26 +9,24 @@ the full-weight odd monomials (partitions of N into odd parts >= 3);
 in optimistic mode lower-weight odd monomials count as already settled
 and land in the known part, while strict mode keeps them as columns.
 
-No even part can join a full-weight monomial m, so its coefficient in
-the reduced Lz(N-b, b) is the paper's c_b(X_m) = little_c(X_m, b) for
-the odd partition X_m of m, read without expanding the pair.  A column
-m of lower weight w takes its even parts from the pi^(N-w) factor, and
-its coefficient is the convolution
-
-    sum_j little_c(X_m, j) * phi_(N-w)[b - j]
-
-with phi_d[j] the pi^d coefficient of the reduced Lz(d-j, j): one
-kernel per even d, shared by every weight, so no row reduces the
-expansion of its own pair.  A row's known part is that reduced
-expansion minus its columns; it is built when read, which only a
-certificate does.
+Every column m, of weight w, takes its coefficient in Lz(N-b, b) by one
+rule: the y^b coefficient of Ct(X_m) * C_(X_m)(y) * phi_(N-w)(y), with
+X_m the odd partition of m (Ct * C_j is the paper's c_j), phi_d[j] the
+pi^d coefficient of the reduced Lz(d-j, j) for d > 0, and phi_0 = 1.  So
+a full-weight column reads c_b(X_m) itself and an optimistic system
+expands no pair, while the kernel of each even d serves every weight and
+no row reduces the expansion of its own pair.  A row's known part is
+that reduced expansion minus its columns; it is built when read, which
+only a certificate does.
 
 A successful solve is packaged as a Certificate for the exact identity
 
     pi^(N - wt(target)) * target = sum lambda_i Lz(a_i, b_i) + remainder
 
 and machine-verified by substituting the expansions back in before it
-is returned.
+is returned.  The columns read the partition records through the profile
+and Ct, the check through expand_lz; the two share only those records
+and the even fold, and the known part comes from the check's expansions.
 """
 
 from __future__ import annotations
@@ -36,9 +34,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import NamedTuple, Optional
 
-from .coefficients import composition_profile, c_tilde, little_c
+from .coefficients import composition_profile, c_tilde
 from .exact import RationalMatrix, rref, solve_membership
 from .expansion import (
     UNIT_MONOMIAL,
@@ -115,9 +114,8 @@ def build_system(
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     columns = list(odd_monomials(N))
     if mode == "strict":
-        for w in range(N - 2, 2, -1):
-            if (N - w) % 2 == 0:
-                columns.extend(odd_monomials(w))
+        for w in range(N - 2, 2, -2):
+            columns.extend(odd_monomials(w))
     for mono in ensure:
         if mono.is_unit or not mono.is_odd_only:
             raise ValueError(f"cannot carry {mono} as an unknown column")
@@ -139,13 +137,8 @@ def build_system(
 
 def _column(x: PartitionElement, N: int) -> list[Fraction]:
     """Coefficients of the odd monomial of x in the reduced Lz(N - b, b),
-    b = 1..N/2, for wt(x) <= N."""
-    k = x.norm
-    if x.weight == N:
-        # C_b(X) vanishes for b < |X|; b <= N/2 <= N - |X| since parts are >= 3
-        return [little_c(x, b) if b >= k else Fraction(0) for b in range(1, N // 2 + 1)]
-    # sum_j c_j(x) * phi_d[b - j], d = N - wt(x); C_j(x) vanishes outside
-    # |x| <= j <= wt(x) - |x|, and phi_d[i] outside 0 < i < d
+    b = 1..N/2, for wt(x) <= N: the y^b coefficients of
+    Ct(x) * C_x(y) * phi_d(y), d = N - wt(x)."""
     d = N - x.weight
     prof = composition_profile(x)
     ct = c_tilde(x)
@@ -153,20 +146,26 @@ def _column(x: PartitionElement, N: int) -> list[Fraction]:
     den *= ct.denominator
     col = []
     for b in range(1, N // 2 + 1):
-        j_range = range(max(k, b - d + 1), min(x.weight - k, b - 1) + 1)
-        col.append(Fraction(ct.numerator * sum(prof[j] * phi[b - j] for j in j_range), den))
+        # sum_j C_j(x) * phi_d[b - j] over 0 <= b - j <= d; phi_d is
+        # symmetric, so phi_d[b - j] = phi_d[d - b + j] and both run upward
+        lo = max(0, b - d)
+        conv = sum(map(mul, prof[lo : b + 1], phi[d - b + lo :]))
+        col.append(Fraction(ct.numerator * conv, den))
     return col
 
 
-# one entry per even d; a survey to weight 40 reads d = 2..36
+# one entry per even d; a survey to weight 40 reads d = 0..36
 @lru_cache(maxsize=32)
 def _even_kernel(d: int) -> tuple[tuple[int, ...], int]:
     """(numerators, denominator) with phi_d[j] = numerators[j] / denominator,
-    j = 0..d, where phi_d[j] is the pi^d coefficient of the reduced Lz(d-j, j).
+    j = 0..d, where phi_d[j] is the pi^d coefficient of the reduced Lz(d-j, j)
+    for d > 0, and phi_0 = 1.
 
-    phi_d[0] = phi_d[d] = 0, and phi_d[j] = phi_d[d-j] since C_b is
-    symmetric under b -> d - b, so only the pairs with j <= d/2 are reduced.
+    phi_d[0] = phi_d[d] = 0 for d > 0, and phi_d[j] = phi_d[d-j] since C_b
+    is symmetric under b -> d - b, so only the pairs with j <= d/2 are reduced.
     """
+    if d == 0:
+        return (1,), 1
     half = [
         reduce_even(expand_lz(d - j, j)).coefficient(UNIT_MONOMIAL)
         for j in range(1, d // 2 + 1)
@@ -226,20 +225,17 @@ class Certificate(NamedTuple):
 
 
 def verify_certificate(cert: Certificate) -> bool:
-    """Substitute the expansions back in; True iff the identity is exact."""
-    acc: dict[tuple[ZetaMonomial, int], Fraction] = {}
-
-    def put(mono: ZetaMonomial, pi_exp: int, coeff: Fraction) -> None:
-        key = (mono, pi_exp)
-        acc[key] = acc.get(key, Fraction(0)) + coeff
-
-    for (a, b), lam in cert.lz_terms.items():
-        for coeff, pi_exp, mono in reduce_even(expand_lz(a, b)).items():
-            put(mono, pi_exp, coeff * lam)
-    for coeff, pi_exp, mono in cert.known_remainder.items():
-        put(mono, pi_exp, coeff)
-    put(cert.target, cert.target_pi_exponent, Fraction(-1))
-    return all(v == 0 for v in acc.values())
+    """Substitute the expansions back in; True iff the identity is exact.
+    A pair or remainder off the certificate's weight makes it False."""
+    try:
+        lhs = PiReducedCombination(cert.weight, {cert.target: Fraction(1)})
+        rhs = sum(
+            (reduce_even(expand_lz(a, b)).scale(lam) for (a, b), lam in cert.lz_terms.items()),
+            cert.known_remainder,
+        )
+    except ValueError:  # terms of two weights, or a target off the weight
+        return False
+    return lhs == rhs
 
 
 class ExpressOutcome(NamedTuple):
@@ -259,10 +255,10 @@ def _solve(target: ZetaMonomial, N: int, mode: str) -> Optional[Certificate]:
     if lam is None:
         return None
     lz_terms = {row.pair: coeff for row, coeff in zip(system.rows, lam) if coeff != 0}
-    remainder = PiReducedCombination(N, {})
-    for row, coeff in zip(system.rows, lam):
-        if coeff != 0:
-            remainder = remainder + row.known.scale(-coeff)
+    remainder = sum(
+        (row.known.scale(-coeff) for row, coeff in zip(system.rows, lam) if coeff != 0),
+        PiReducedCombination(N, {}),
+    )
     cert = Certificate(target, N, lz_terms, remainder)
     if not verify_certificate(cert):
         raise RuntimeError(f"certificate for {target} failed the substitution check")

@@ -16,8 +16,14 @@ from zetalog.expansion import (
     expand_lz,
     reduce_even,
 )
-from zetalog import expansion, numerics, solver
-from zetalog.numerics import audit_certificate, evaluate_reduced, lz_quadrature, zeta_value
+from zetalog import coefficients, expansion, numerics, solver
+from zetalog.numerics import (
+    audit_certificate,
+    evaluate_reduced,
+    lz_quadrature,
+    lz_series,
+    zeta_value,
+)
 from zetalog.partitions import PartitionElement, PartitionFilter, count_partitions
 from zetalog.solver import (
     MODES,
@@ -127,19 +133,25 @@ def test_even_kernel_matches_recurrence_oracle():
 
 
 def test_build_system_reads_no_vanishing_little_c(monkeypatch):
-    # C_b(X_m) = 0 for b < |X_m|; the system builder writes those zeros
-    # itself instead of asking little_c for them
+    # columns read the partition records through the profile and Ct, never
+    # little_c; only the pairs behind a strict survey's even kernels do, and
+    # expand_lz asks for no c_b that vanishes
     returned = []
 
     def recording(x, b):
         returned.append(little_c(x, b))
         return returned[-1]
 
-    monkeypatch.setattr(solver, "little_c", recording)
+    monkeypatch.setattr(expansion, "little_c", recording)
     for mode in MODES:
         returned.clear()
+        expand_lz.cache_clear()
+        solver._even_kernel.cache_clear()
         survey(3, 20, mode)
-        assert returned and all(returned), mode
+        if mode == "optimistic":
+            assert returned == []
+        else:
+            assert returned and all(returned)
 
 
 def test_optimistic_survey_expands_no_pair():
@@ -344,8 +356,9 @@ def test_every_certificate_passes_the_numeric_audit(monkeypatch):
 
 @pytest.fixture
 def six_two_tripled(monkeypatch):
-    """little_c tripled on the partition 6+2, as both the expansion and the
-    system read it, with the caches that hold its values cleared around."""
+    """little_c tripled on the partition 6+2, as the expansion reads it, with
+    the caches that hold its values cleared around.  The optimistic weight-8
+    system never reads 6+2, whose odd part is the unit."""
     six_two = PartitionElement.from_parts([6, 2])
 
     def tripled(x, b):
@@ -353,7 +366,6 @@ def six_two_tripled(monkeypatch):
         return 3 * value if x == six_two else value
 
     monkeypatch.setattr(expansion, "little_c", tripled)
-    monkeypatch.setattr(solver, "little_c", tripled)
     caches = (
         expand_lz.cache_clear,
         solver._even_kernel.cache_clear,
@@ -376,6 +388,37 @@ def test_numeric_audit_catches_a_wrong_even_partition_coefficient(six_two_triple
     assert audit_certificate(cert) > 1
     _memoized_series(monkeypatch)
     assert ("optimistic", cert.text()) in _failed_audits(8)
+
+
+def test_substitution_catches_a_wrong_odd_partition_coefficient(monkeypatch):
+    # the columns read the records through the profile and Ct, so a wrong
+    # little_c reaches only the expansion that the substitution check reads
+    five_three = PartitionElement.from_parts([5, 3])
+
+    def wrong(x, b):
+        value = little_c(x, b)
+        return value + 1 if x == five_three else value
+
+    for module in (coefficients, expansion, solver):
+        if hasattr(module, "little_c"):
+            monkeypatch.setattr(module, "little_c", wrong)
+    caches = (expand_lz, solver._even_kernel, solver._fully_expressible)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="substitution check"):
+            express(mono("z3*z5"))
+    finally:
+        monkeypatch.undo()
+        for cache in caches:
+            cache.cache_clear()
+
+
+def test_verify_certificate_rejects_terms_off_the_weight():
+    cert = express(mono("z3*z5")).certificate
+    assert not verify_certificate(cert._replace(lz_terms={(5, 2): F(1)}))
+    assert not verify_certificate(cert._replace(known_remainder=PiReducedCombination(10, {})))
+    assert not verify_certificate(cert._replace(weight=10))
 
 
 def test_survey_small_weights():
@@ -478,6 +521,15 @@ def test_strict_relation_is_a_pi_power():
             total = total + reduce_even(expand_lz(n - b, b)).scale(mu)
         value = (-1) ** (n // 2 + 1) * zeta_even_pi_coeff(n // 2) / 2 ** (n - 2)
         assert total == PiReducedCombination(n, {UNIT_MONOMIAL: value}), n
+
+
+def test_strict_relation_holds_numerically_above_the_cap():
+    # at N = 42, past every exact check, through the series route alone
+    n, h, digits = 42, 21, 40
+    with workdps(digits + 10):
+        lhs = mp.fsum(mu * lz_series(n - b, b, digits) for b, mu in _even_relation(n).items())
+        rhs = (-1) ** (h + 1) * zeta_value(n, digits) / mp.mpf(2) ** (n - 2)
+        assert abs(lhs - rhs) < abs(rhs) * mp.mpf(10) ** (1 - digits)
 
 
 def test_strict_relation_annihilates_strict_rows():
