@@ -34,11 +34,13 @@ __all__ = [
 ]
 
 
-# Weight 40, the largest a survey reaches, needs 12,306 records: its 6,153
-# partitions into parts >= 2, which every pair (40 - b, b) re-reads, and as
-# many smaller ones they are built from, read once each.  8,192 keeps the
-# first set whole while the second streams through: at weight 40 a survey
-# of 3..40 misses 12,306 times, once per record
+# Weight 40, the largest a pair is expanded at (table 40 --reduce, expand and
+# verify at --max-weight 40), needs 12,306 records: its 6,153 partitions into
+# parts >= 2, which every pair (40 - b, b) re-reads, and as many smaller ones
+# they are built from, read once each.  8,192 keeps the first set whole while
+# the second streams through: table 40 --reduce misses 12,306 times, once per
+# record.  No survey expands a pair above weight 36; a strict survey of 3..40
+# misses 12,825 times over all its weights
 @lru_cache(maxsize=8192)
 def _record(support: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], int, int]:
     """(profile, sign, denominator) of the partition with this support:

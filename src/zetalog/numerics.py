@@ -20,11 +20,11 @@ The series route and zeta_value sum in integer fixed point: Python ints
 in units of 2^-W, where every truncation is a floor division that loses
 under one unit, so W carries guard bits for a counted bound on the units
 lost.  Each result is rounded to an mpf once.  The S table is built the
-same way and rounded entry by entry.  Quadrature and the symbolic sum in
-evaluate_reduced stay on mpf, so the series route and the zeta values the
-symbolic sum reads share no summation arithmetic with quadrature.  mpmath
-is imported on the first numeric call, so the exact commands never load
-it.
+same way and stays in integers, which lz_series multiplies into its sums.
+Quadrature and the symbolic sum in evaluate_reduced stay on mpf, so the
+series route and the zeta values the symbolic sum reads share no summation
+arithmetic with quadrature.  mpmath is imported on the first numeric call,
+so the exact commands never load it.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, repeat
+from itertools import combinations
 from typing import TYPE_CHECKING, NamedTuple
 
 from .exact import bernoulli_number
@@ -126,34 +126,38 @@ def zeta_value(s: int, precision: int) -> mpf:
 
 
 @lru_cache(maxsize=16)
-def build_s_table(b_max: int, n_max: int, precision: int) -> tuple[tuple[mpf, ...], ...]:
-    """rows[k][n] = S_n^(k) for 1 <= k <= b_max and 0 <= n <= n_max, carried
-    to precision + 10 digits; zero below the diagonal, rows[0] empty."""
+def build_s_table(
+    b_max: int, n_max: int, precision: int
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(W, rows), where rows[k][n] is S_n^(k) in units of 2^-W, rounded down,
+    for 1 <= k <= b_max and 0 <= n <= n_max; zero below the diagonal, rows[0]
+    empty.
+
+    W is the working bits of precision + 10 digits plus at least 32 guard
+    bits, so that below 2^31 entries no entry depends on the shape of the
+    table holding it.  Each entry is low by under k n 2^-W of its value, so
+    every entry by under b_max n_max 2^-W <= 2^-(working bits + 1).
+    """
     if b_max < 1:
         raise ValueError(f"b_max must be >= 1, got {b_max}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
+    from mpmath.libmp import dps_to_prec
 
-    prec = dps_to_prec(precision + 10)
-    # prefix form S_n^(k) = (k/n) * sum_{m<n} S_m^(k-1), O(b*n), in units of
-    # 2^-W.  Every floor lowers an entry by under one unit, and S_n^(k) >= 1/n,
-    # so each row adds a relative error under n_max 2^-W: below 2^-(prec+1).
-    # At least 32 guard bits, so that below 2^31 entries no entry depends on
-    # the shape of the table holding it
-    W = prec + max(32, (b_max * n_max).bit_length() + 1)
-    row = [0] + [(1 << W) // n for n in range(1, n_max + 1)]
-    fixed = [row]
+    W = dps_to_prec(precision + 10) + max(32, (b_max * n_max).bit_length() + 1)
+    # prefix form S_n^(k) = (k/n) * sum_{m<n} S_m^(k-1), O(b*n).  Each floor
+    # loses under one unit, and S_n^(k) >= 1/n: if row k-1 is low by under
+    # (k-1) m 2^-W of S_m^(k-1), row k is low by under ((k-1)(n-1) + n) 2^-W
+    # <= k n 2^-W of S_n^(k)
+    row = (0,) + tuple((1 << W) // n for n in range(1, n_max + 1))
+    rows = [(), row]
     for k in range(2, b_max + 1):
         prev, row, running = row, [0] * (n_max + 1), 0
         for n in range(k, n_max + 1):
             running += prev[n - 1]
             row[n] = k * running // n
-        fixed.append(row)
-    args = (repeat(-W), repeat(prec), repeat(round_nearest))
-    return ((),) + tuple(
-        tuple(map(mp.make_mpf, map(from_man_exp, row, *args))) for row in fixed
-    )
+        rows.append(tuple(row))
+    return W, tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -187,22 +191,13 @@ def _make_node(v: mpf) -> tuple[mpf, ...]:
 # QUADRATURE_MAX_LEVEL + 1 = 13 entries
 @lru_cache(maxsize=64)
 def _tier_nodes(tier: int, wdps: int) -> tuple[tuple[mpf, ...], ...]:
-    """Nodes new at this refinement level: v = odd multiples of 2^-tier."""
-    vmax = _vmax(wdps)
-    nodes: list[tuple[mpf, ...]] = []
+    """Nodes new at this refinement level, up to _vmax: v = k 2^-tier for
+    k = 0, 1, 2, ... at level 0 and for odd k above it."""
+    step = 2 if tier else 1
     with mp.workdps(wdps + 5):
-        if tier == 0:
-            half = mp.mpf(1) / 2
-            nodes.append((mp.pi / 4, half, half, -mp.log(2), -mp.log(2)))
-            for k in range(1, int(vmax) + 1):
-                nodes.append(_make_node(mp.mpf(k)))
-        else:
-            h = mp.mpf(1) / 2**tier
-            k = 1
-            while k * float(h) <= vmax:
-                nodes.append(_make_node(k * h))
-                k += 2
-    return tuple(nodes)
+        h = mp.mpf(2) ** -tier
+        ks = range(step - 1, int(_vmax(wdps) * 2**tier) + 1, step)
+        return tuple(_make_node(k * h) for k in ks)
 
 
 def lz_quadrature(a: int, b: int, precision: int) -> mpf:
@@ -214,7 +209,7 @@ def lz_quadrature(a: int, b: int, precision: int) -> mpf:
     norm = math.factorial(a - 1) * math.factorial(b)
     with mp.workdps(wdps):
         tol = mp.mpf(10) ** (-(precision + 2))
-        tier_sums: list[mpf] = []
+        running = mp.zero
         prev = None
         for level in range(QUADRATURE_MAX_LEVEL + 1):
             acc = mp.zero
@@ -224,8 +219,8 @@ def lz_quadrature(a: int, b: int, precision: int) -> mpf:
                 if t != mt:
                     val += log_mt ** (a - 1) * log_t**b / mt
                 acc += weight * val
-            tier_sums.append(acc)
-            total = sum(tier_sums) / 2**level
+            running += acc
+            total = running / 2**level
             if level >= 5 and abs(total - prev) <= tol * max(1, abs(total)):
                 with mp.workdps(precision):
                     return +total / norm
@@ -299,7 +294,7 @@ def lz_series(a: int, b: int, precision: int) -> mpf:
     """
     if a < 1 or b < 1:
         raise ValueError(f"Lz needs a, b >= 1, got ({a}, {b})")
-    from mpmath.libmp import dps_to_prec, from_man_exp, ln2_fixed, round_nearest, to_fixed
+    from mpmath.libmp import dps_to_prec, from_man_exp, ln2_fixed, round_nearest
 
     wdps = precision + 10
     fa, fb = math.factorial(a), math.factorial(b)
@@ -327,20 +322,19 @@ def lz_series(a: int, b: int, precision: int) -> mpf:
             f"Lz({a},{b}) series: term budget ({SERIES_MAX_TERMS}) "
             f"exhausted at {precision} digits"
         )
-    table = build_s_table(max(a, b), n_max, precision)
-    # products of two W-unit numbers: the sums are in units of 2^-2W
-    first = sum(
-        to_fixed(table[b][n]._mpf_, W) * _half_moment(c, a - 1, n) >> n
-        for n in range(b, n_max + 1)
-    )
-    second = sum(
-        n * to_fixed(table[a][n]._mpf_, W) * _half_moment(c, b, n) >> n
-        for n in range(a, n_max + 1)
-    )
+    # S entries are in units of 2^-T, each low by under 2^-(working bits + 1)
+    # of itself, so they lower each sum by under that share of the sum.  The
+    # shifts and divisions of the 2^-(W+T) products lose under one unit of
+    # 2^-W more.  With the tail, cut at 10^-(working digits) of the floor, the
+    # result is low by under 3 10^-(P+10) of |Lz| before the final rounding to
+    # P digits, which is 10 digits coarser
+    T, rows = build_s_table(max(a, b), n_max, precision)
+    first = sum(rows[b][n] * _half_moment(c, a - 1, n) >> n for n in range(b, n_max + 1))
+    second = sum(n * rows[a][n] * _half_moment(c, b, n) >> n for n in range(a, n_max + 1))
     total = first // fb + second // fa
     if (a + b) % 2 == 0:
         total = -total
-    return mp.make_mpf(from_man_exp(total, -2 * W, dps_to_prec(precision), round_nearest))
+    return mp.make_mpf(from_man_exp(total, -(W + T), dps_to_prec(precision), round_nearest))
 
 
 # ---------------------------------------------------------------------------

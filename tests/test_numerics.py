@@ -7,6 +7,7 @@ from itertools import combinations
 import mpmath
 import pytest
 from mpmath import mp, workdps
+from mpmath.libmp import dps_to_prec
 
 import golden_data
 from zetalog import numerics
@@ -53,55 +54,52 @@ def _mpf(q: Fraction):
     return mp.mpf(q.numerator) / q.denominator
 
 
+def _assert_entries_within_bound(table, exact, k_max, n_max):
+    # each entry is S 2^W rounded down and low by under k n 2^-W of S,
+    # checked exactly; below the diagonal S = 0 and the entry is 0
+    W, rows = table
+    for k in range(1, k_max + 1):
+        for n in range(n_max + 1):
+            want = exact(k, n)
+            gap = want * 2**W - rows[k][n]
+            assert 0 <= gap < k * n * want or gap == want == 0, (W, k, n)
+
+
 def test_s_table_exact_against_brute_force():
-    table = build_s_table(4, 24, 30)
-    with workdps(45):
-        for k in range(1, 5):
-            for n in range(25):
-                want = _mpf(s_composition_sum(k, n))
-                assert abs(table[k][n] - want) <= _tol(33) * want, (k, n)
+    _assert_entries_within_bound(build_s_table(4, 24, 30), s_composition_sum, 4, 24)
 
 
 def _s_exact(k_max: int, n_max: int):
     # S_n^(k) = k!/n * e_{k-1}(1, 1/2, ..., 1/(n-1)) for 1 <= k <= n
     e = elementary_reciprocals(k_max - 1, n_max)
-    return lambda k, n: F(math.factorial(k), n) * e[n][k - 1]
+    return lambda k, n: F(math.factorial(k), n) * e[n][k - 1] if n >= k else F(0)
 
 
 def test_s_table_elementary_symmetric_identity():
-    table = build_s_table(5, 40, 30)
-    exact = _s_exact(5, 40)
-    with workdps(45):
-        for k in range(1, 6):
-            for n in range(k, 41):
-                want = _mpf(exact(k, n))
-                assert abs(table[k][n] - want) < _tol(33) * want, (k, n)
+    _assert_entries_within_bound(build_s_table(5, 40, 30), _s_exact(5, 40), 5, 40)
 
 
-def test_s_table_float_matches_exact():
-    # a table carried at P + 10 digits is within relative 10^-(P+3) of the
-    # exact rationals, at every precision
+def test_s_table_matches_exact_at_every_precision():
+    # W is the working bits of P + 10 digits plus 32 guard bits, so every
+    # entry is within relative b_max n_max 2^-W <= 2^-(working bits + 1)
     exact = _s_exact(4, 120)
     for digits in (15, 30, 60):
         table = build_s_table(4, 120, digits)
-        with workdps(digits + 15):
-            for k in range(1, 5):
-                assert all(table[k][n] == 0 for n in range(k)), (digits, k)
-                for n in range(k, 121):
-                    want = _mpf(exact(k, n))
-                    assert abs(table[k][n] - want) < _tol(digits + 3) * want, (digits, k, n)
+        assert table[0] == dps_to_prec(digits + 10) + 32, digits
+        _assert_entries_within_bound(table, exact, 4, 120)
 
 
 def test_s_table_entries_do_not_depend_on_shape():
-    full = build_s_table(40, 600, 30)
+    W, full = build_s_table(40, 600, 30)
     for b_max, n_max in [(1, 0), (3, 10), (5, 40), (12, 200), (39, 599)]:
         table = build_s_table(b_max, n_max, 30)
-        assert table == ((),) + tuple(row[: n_max + 1] for row in full[1 : b_max + 1])
+        assert table == (W, ((),) + tuple(row[: n_max + 1] for row in full[1 : b_max + 1]))
 
 
 def test_s_table_bounds_and_cache():
     table = build_s_table(3, 10, 30)
-    assert table[0] == () and [len(row) for row in table[1:]] == [11, 11, 11]
+    rows = table[1]
+    assert rows[0] == () and [len(row) for row in rows[1:]] == [11, 11, 11]
     assert build_s_table(3, 10, 30) is table
     with pytest.raises(ValueError):
         build_s_table(0, 5, 30)
@@ -156,22 +154,14 @@ def test_series_matches_mpf_oracle_on_every_pair(digits, monkeypatch):
     # every ordered pair of weight <= 40: the fixed-point sums print the same
     # P+5 digits as the mpf sums, and the cut found by doubling and bisection
     # is the one the linear scan finds
-    real_table, real_cut = numerics.build_s_table, numerics._series_cut
+    real_cut = numerics._series_cut
     cuts = []
 
     def cut(*args):
         cuts.append(real_cut(*args))
         return cuts[-1]
 
-    def table(b_max, n_max, precision):
-        # one real table per precision, sliced; the test above shows that
-        # slicing gives the table of the smaller shape
-        assert b_max <= 40 and n_max <= 600
-        full = real_table(40, 600, precision)
-        return ((),) + tuple(row[: n_max + 1] for row in full[1 : b_max + 1])
-
     monkeypatch.setattr(numerics, "_series_cut", cut)
-    monkeypatch.setattr(numerics, "build_s_table", table)
     carried = digits + 5
     for weight in range(2, 41):
         for a in range(1, weight):
@@ -210,17 +200,18 @@ def test_nodes_match_the_seven_call_formula():
     vmax = numerics._vmax(wdps)
     for tier in range(4):
         nodes = numerics._tier_nodes(tier, wdps)
-        if tier == 0:
-            vs = range(1, int(vmax) + 1)
-            nodes = nodes[1:]  # the centre node t = 1/2 is not made by _make_node
-        else:
-            vs = [k / 2**tier for k in range(1, int(vmax * 2**tier) + 1, 2)]
+        step = 2 if tier else 1
+        vs = [k / 2**tier for k in range(step - 1, int(vmax * 2**tier) + 1, step)]
         assert len(nodes) == len(vs), tier
         with workdps(wdps + 5):
             for v, node in zip(vs, nodes):
                 want = make_node_mpf(mp.mpf(v))
                 for got_field, want_field in zip(node, want):
                     assert abs(got_field - want_field) <= _tol(wdps) * abs(want_field), (tier, v)
+    # the centre node t = 1/2 is its own mirror, which lz_quadrature counts once
+    with workdps(wdps + 5):
+        centre = (mp.pi / 4, mp.mpf(0.5), mp.mpf(0.5), -mp.log(2), -mp.log(2))
+    assert numerics._tier_nodes(0, wdps)[0] == centre
 
 
 def test_quadrature_budget_error(monkeypatch):
