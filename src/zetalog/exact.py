@@ -27,21 +27,28 @@ __all__ = [
 
 Rational = Fraction
 
-_BERNOULLI: list[Fraction] = [Fraction(1)]
+_BERNOULLI: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
 
 
 def bernoulli_number(m: int) -> Fraction:
     """Bernoulli number B_m in the convention B_1 = -1/2.
 
-    Computed from the defining recurrence sum_{k=0}^{m} C(m+1,k) B_k = 0
-    and memoized in-process.
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), from the tangent numbers T_k
+    of the integer recurrence of Brent and Harvey (arXiv:1108.0286).  When m
+    runs past the in-process memo, the tangent numbers are rebuilt for at
+    least twice its length, so increasing calls rebuild them O(log m) times.
     """
     if m < 0:
         raise ValueError(f"Bernoulli index must be nonnegative, got {m}")
-    while len(_BERNOULLI) <= m:
-        j = len(_BERNOULLI)
-        acc = sum(math.comb(j + 1, k) * _BERNOULLI[k] for k in range(j))
-        _BERNOULLI.append(-acc / (j + 1))
+    if m >= len(_BERNOULLI):
+        n = max(m // 2, len(_BERNOULLI))
+        t = [0] + [math.factorial(k - 1) for k in range(1, n + 1)]  # swept into T_k
+        for k in range(2, n + 1):
+            for j in range(k, n + 1):
+                t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+        for k in range(len(_BERNOULLI) // 2, n + 1):
+            b = Fraction((-1) ** (k - 1) * 2 * k * t[k], 4**k * (4**k - 1))
+            _BERNOULLI.extend((b, Fraction(0)))
     return _BERNOULLI[m]
 
 

@@ -16,15 +16,16 @@ Every evaluation works with a fixed 10 guard digits over the P it returns.
 The symbolic sum in evaluate_reduced is accurate only in absolute terms:
 cancellation among its terms can cost more digits than the guard holds.
 
-The series route and zeta_value sum in integer fixed point: Python ints
-in units of 2^-W, where every truncation is a floor division that loses
-under one unit, so W carries guard bits for a counted bound on the units
-lost.  Each result is rounded to an mpf once.  The S table is built the
-same way and stays in integers, which lz_series multiplies into its sums.
-Quadrature and the symbolic sum in evaluate_reduced stay on mpf, so the
-series route and the zeta values the symbolic sum reads share no summation
-arithmetic with quadrature.  mpmath is imported on the first numeric call,
-so the exact commands never load it.
+Both routes and zeta_value sum in integer fixed point: Python ints in
+units of 2^-W, where every truncation is a floor division that loses under
+one unit, so W carries guard bits for a counted bound on the units lost.
+Each result is rounded to an mpf once; only evaluate_reduced sums on mpf.
+Besides mpmath's conversions, the series route reads only ln2_fixed from
+libmp and quadrature pi_fixed, exp_fixed, mpf_log and ln2_fixed.  The two
+share no code of their own: the series never evaluates the integrand,
+quadrature never expands it, and each has its own sum, error bound and
+stopping rule.  mpmath is imported on the first numeric call, so the exact
+commands never load it.
 """
 
 from __future__ import annotations
@@ -161,7 +162,7 @@ def build_s_table(
 
 
 # ---------------------------------------------------------------------------
-# tanh-sinh quadrature over (0,1) with precomputed endpoint data
+# tanh-sinh quadrature over (0,1) in integer fixed point
 
 
 def _vmax(wdps: int) -> float:
@@ -175,56 +176,89 @@ def _vmax(wdps: int) -> float:
     return v
 
 
-def _make_node(v: mpf) -> tuple[mpf, ...]:
-    """(base weight, t, 1-t, log t, log(1-t)) at v, all at full precision."""
-    ev = mp.exp(v)
-    u = mp.pi / 4 * (ev - 1 / ev)  # pi/2 sinh v
-    emu = mp.exp(-2 * u)
-    big = 1 / (1 + emu)  # the side near 1
-    log_big = -mp.log1p(emu)
-    # pi/4 cosh v / cosh(u)^2, with 1/cosh(u)^2 = 4 e^(-2u) / (1 + e^(-2u))^2
-    base_weight = mp.pi / 2 * (ev + 1 / ev) * emu * big**2
-    return (base_weight, big, emu * big, log_big, -2 * u + log_big)
-
-
 # one verify integrates at a single working precision: at most
 # QUADRATURE_MAX_LEVEL + 1 = 13 entries
 @lru_cache(maxsize=64)
-def _tier_nodes(tier: int, wdps: int) -> tuple[tuple[mpf, ...], ...]:
-    """Nodes new at this refinement level, up to _vmax: v = k 2^-tier for
-    k = 0, 1, 2, ... at level 0 and for odd k above it."""
+def _tier_nodes(tier: int, wdps: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(B, nodes new at this level up to _vmax): v = k 2^-tier for k = 0, 1,
+    2, ... at level 0 and for odd k above it.  With u = pi/2 sinh v and
+    x = e^(-2u) = E 2^-(B+n), node (c, M, L, E, n) has t = 1/(1+x),
+    |log t| = log1p(x) = M 2^-(B+n), |log(1-t)| = 2u + log1p(x) = L 2^-B and
+    base weight c x/(1+x) 2^-B.  c, M, L and E are at least 2^(B-1) and within
+    3 units, so all keep relative precision however tiny x is.  B is the
+    working bits of wdps + 5 digits plus 32 guard bits."""
+    from mpmath.libmp import dps_to_prec, from_man_exp, ln2_fixed, mpf_log, pi_fixed, to_fixed
+    from mpmath.libmp.libelefun import exp_fixed
+
+    B = dps_to_prec(wdps + 5) + 32
+    W = B + 16  # e^v, 2u and n stay below 2^12: 2u and r within 2^-(B+2)
+    pi, ln2 = pi_fixed(W), ln2_fixed(W)
     step = 2 if tier else 1
-    with mp.workdps(wdps + 5):
-        h = mp.mpf(2) ** -tier
-        ks = range(step - 1, int(_vmax(wdps) * 2**tier) + 1, step)
-        return tuple(_make_node(k * h) for k in ks)
+    nodes = []
+    for k in range(step - 1, int(_vmax(wdps) * 2**tier) + 1, step):
+        ev = exp_fixed(k << (W - tier), W, ln2)
+        emv = (1 << 2 * W) // ev
+        y = pi * (ev - emv) >> (W + 1)  # 2u
+        # x = e^r 2^-n with r = n ln2 - 2u in [0, ln2)
+        n = -(-y // ln2)
+        E = exp_fixed(n * ln2 - y, W, ln2) >> (W - B)
+        one_x = (1 << (B + n)) + E  # 1 + x in units of 2^-(B+n)
+        if 2 * n > B + 2:
+            # x < 2^(1-n) and x^3/3 is below one unit
+            M = E - (E * E >> (B + n + 1))
+        else:
+            M = to_fixed(mpf_log(from_man_exp(one_x, -(B + n)), B + 4), B + n)
+        c = ((pi * (ev + emv) >> (W + 1)) << (2 * B + n - W)) // one_x
+        nodes.append((c, M, (y >> (W - B)) + (M >> n), E, n))
+    return B, tuple(nodes)
+
+
+def _fpow(x: int, k: int, B: int) -> int:
+    """x^k in units of 2^-B for x in units of 2^-B, each product floored."""
+    r = 1 << B
+    for bit in bin(k)[2:]:
+        r = r * r >> B
+        if bit == "1":
+            r = r * x >> B
+    return r
 
 
 def lz_quadrature(a: int, b: int, precision: int) -> mpf:
     """Lz(a,b) by direct tanh-sinh integration of the normalized integral,
-    refined until two consecutive levels agree."""
+    refined until two consecutive levels agree to 10^-(precision+2) of
+    their value.  The level sums are integers, rounded to an mpf once."""
     if a < 1 or b < 1:
         raise ValueError(f"Lz needs a, b >= 1, got ({a}, {b})")
+    from mpmath.libmp import dps_to_prec, from_int, from_man_exp, mpf_div, round_nearest
+
     wdps = precision + 10
-    norm = math.factorial(a - 1) * math.factorial(b)
-    with mp.workdps(wdps):
-        tol = mp.mpf(10) ** (-(precision + 2))
-        running = mp.zero
-        prev = None
-        for level in range(QUADRATURE_MAX_LEVEL + 1):
-            acc = mp.zero
-            for weight, t, mt, log_t, log_mt in _tier_nodes(level, wdps):
-                # log(t)^(a-1) log(1-t)^b / t at the node and at its mirror 1-t
-                val = log_t ** (a - 1) * log_mt**b / t
-                if t != mt:
-                    val += log_mt ** (a - 1) * log_t**b / mt
-                acc += weight * val
-            running += acc
-            total = running / 2**level
-            if level >= 5 and abs(total - prev) <= tol * max(1, abs(total)):
-                with mp.workdps(precision):
-                    return +total / norm
-            prev = total
+    # The integrand keeps one sign and is at least ln2^b (1-t)^(a-1) on (1/2,1)
+    # and ln2^(a-1) t^(b-1) on (0,1/2), so |integral| >= max(ln2^b/(a 2^a),
+    # ln2^(a-1)/(b 2^b)) >= 2^(working bits + 20 - S).  Each half adds its floor
+    # in units of 2^-S, or nothing when its bit bound is below one unit: under
+    # one unit lost, and under 2^16 halves by level 12.  Node fields within 3
+    # units and powers of values >= ln2, each product floored, put each half
+    # within relative 2^(a+b+7-B): through weight 40, 10^-wdps in all.
+    lg = math.log2(math.log(2))
+    bound_bits = min(a + math.log2(a) - b * lg, b + math.log2(b) - (a - 1) * lg)
+    S = dps_to_prec(wdps) + 20 + math.ceil(bound_bits)
+    running = prev = 0
+    for level in range(QUADRATURE_MAX_LEVEL + 1):
+        B, nodes = _tier_nodes(level, wdps)
+        for c, M, L, E, n in nodes:
+            # the integrand times the base weight at 1-t, c |log(1-t)|^(a-1)
+            # |log t|^b, and at t, c x |log t|^(a-1) |log(1-t)|^b; the centre
+            # (n = 0) is its own mirror and counts once.  M, E < 2^(B+1)
+            ec, eL = c.bit_length() - B, L.bit_length() - B
+            if ec + (a - 1) * eL + b * (1 - n) + S > 0:
+                running += c * _fpow(L, a - 1, B) * _fpow(M, b, B) >> (3 * B + n * b - S)
+            if n and ec + a * (1 - n) + b * eL + S > 0:
+                running += c * E * _fpow(M, a - 1, B) * _fpow(L, b, B) >> (4 * B + n * a - S)
+        if level >= 5 and abs(running - 2 * prev) * 10 ** (precision + 2) <= running:
+            total = from_man_exp(-running if (a + b) % 2 == 0 else running, -(S + level))
+            norm = from_int(math.factorial(a - 1) * math.factorial(b))
+            return mp.make_mpf(mpf_div(total, norm, dps_to_prec(precision), round_nearest))
+        prev = running
     raise PrecisionBudgetError(
         f"Lz({a},{b}) quadrature: quadrature level budget ({QUADRATURE_MAX_LEVEL}) exhausted"
     )

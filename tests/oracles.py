@@ -112,14 +112,21 @@ def elementary_reciprocals(k_max: int, n_max: int) -> list[list[Fraction]]:
     return rows
 
 
+_AKIYAMA_TANIGAWA: list[Fraction] = []  # the algorithm's row after step i
+_AT_VALUES: list[Fraction] = []  # B_0, ..., B_i
+
+
 def _bernoulli(m: int) -> Fraction:
-    """B_m by the Akiyama-Tanigawa algorithm (B_1 = +1/2; only even m used)."""
-    a = [Fraction(0)] * (m + 1)
-    for i in range(m + 1):
-        a[i] = Fraction(1, i + 1)
+    """B_m by the Akiyama-Tanigawa algorithm (B_1 = +1/2; only even m used),
+    whose step i gives B_i, so the row carries over from one call to the next."""
+    row = _AKIYAMA_TANIGAWA
+    while len(_AT_VALUES) <= m:
+        i = len(row)
+        row.append(Fraction(1, i + 1))
         for j in range(i, 0, -1):
-            a[j - 1] = j * (a[j - 1] - a[j])
-    return a[0]
+            row[j - 1] = j * (row[j - 1] - row[j])
+        _AT_VALUES.append(row[0])
+    return _AT_VALUES[m]
 
 
 def _p_poly(n: int) -> dict:

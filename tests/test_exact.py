@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fraction_rref
+from oracles import _bernoulli, fraction_rref
+from zetalog import exact
 from zetalog.exact import (
     RationalMatrix,
     bernoulli_number,
@@ -40,6 +41,20 @@ def test_bernoulli_known_values():
 def test_bernoulli_odd_vanish():
     for m in range(3, 40, 2):
         assert bernoulli_number(m) == 0
+
+
+def test_bernoulli_matches_oracle_and_memo_grows_geometrically(monkeypatch):
+    # B_2..B_200 from tangent numbers against Akiyama-Tanigawa; calls in
+    # increasing m rebuild the tangent table only when the memo at least
+    # doubles, not once per call
+    monkeypatch.setattr(exact, "_BERNOULLI", [F(1), F(-1, 2)])
+    lengths = []
+    for m in range(2, 201, 2):
+        assert bernoulli_number(m) == _bernoulli(m), m
+        lengths.append(len(exact._BERNOULLI))
+    grown = sorted(set(lengths))
+    assert len(grown) <= 8
+    assert all(2 * x <= y for x, y in zip(grown, grown[1:]))
 
 
 def test_bernoulli_rejects_negative():

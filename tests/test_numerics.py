@@ -7,7 +7,7 @@ from itertools import combinations
 import mpmath
 import pytest
 from mpmath import mp, workdps
-from mpmath.libmp import dps_to_prec
+from mpmath.libmp import dps_to_prec, ln2_fixed, pi_fixed
 
 import golden_data
 from zetalog import numerics
@@ -193,25 +193,65 @@ def test_series_relative_accuracy_on_tiny_value():
         assert abs(got - want) / abs(want) < mp.mpf("1e-30")
 
 
+def _node_fields(B, node):
+    # (base weight, t, 1-t, log t, log(1-t)) rebuilt from an integer node,
+    # where x = e^(-2u) = E 2^-(B+n)
+    c, M, L, E, n = node
+    x = mp.ldexp(E, -(B + n))
+    return (
+        mp.ldexp(c, -B) * x / (1 + x),
+        1 / (1 + x),
+        x / (1 + x),
+        -mp.ldexp(M, -(B + n)),
+        -mp.ldexp(L, -B),
+    )
+
+
 def test_nodes_match_the_seven_call_formula():
     # the nodes of tiers 0..3 at 45 working digits: each of the five fields
-    # of _make_node agrees with the sinh/cosh/exp/log1p form to relative 10^-45
+    # rebuilt from (c, M, L, E, n) agrees with the sinh/cosh/exp/log1p form
+    # to relative 10^-45
     wdps = 45
     vmax = numerics._vmax(wdps)
     for tier in range(4):
-        nodes = numerics._tier_nodes(tier, wdps)
+        B, nodes = numerics._tier_nodes(tier, wdps)
         step = 2 if tier else 1
         vs = [k / 2**tier for k in range(step - 1, int(vmax * 2**tier) + 1, step)]
         assert len(nodes) == len(vs), tier
         with workdps(wdps + 5):
             for v, node in zip(vs, nodes):
                 want = make_node_mpf(mp.mpf(v))
-                for got_field, want_field in zip(node, want):
+                for got_field, want_field in zip(_node_fields(B, node), want):
                     assert abs(got_field - want_field) <= _tol(wdps) * abs(want_field), (tier, v)
-    # the centre node t = 1/2 is its own mirror, which lz_quadrature counts once
+    # the centre t = 1/2 is its own mirror, which lz_quadrature counts once:
+    # x = 1 exactly, c = pi/2, and log t = log(1-t) = -log 2, each floored
+    B, nodes = numerics._tier_nodes(0, wdps)
+    assert nodes[0] == (pi_fixed(B) >> 1, ln2_fixed(B), ln2_fixed(B), 1 << B, 0)
     with workdps(wdps + 5):
-        centre = (mp.pi / 4, mp.mpf(0.5), mp.mpf(0.5), -mp.log(2), -mp.log(2))
-    assert numerics._tier_nodes(0, wdps)[0] == centre
+        assert _node_fields(B, nodes[0])[1:3] == (0.5, 0.5)
+
+
+def test_quadrature_is_correctly_rounded_on_every_pair(monkeypatch):
+    # every ordered pair of weight <= 16 at 11, 35 and 65 digits: the value is
+    # the series value at P + 25 digits rounded to P digits, and refinement
+    # stops at level 5 (6 at 65 digits)
+    real_nodes = numerics._tier_nodes
+    tiers = []
+
+    def nodes(tier, wdps):
+        tiers.append(tier)
+        return real_nodes(tier, wdps)
+
+    monkeypatch.setattr(numerics, "_tier_nodes", nodes)
+    for digits, level in [(11, 5), (35, 5), (65, 6)]:
+        for weight in range(2, 17):
+            for a in range(1, weight):
+                tiers.clear()
+                got = lz_quadrature(a, weight - a, digits)
+                with workdps(digits):
+                    want = +lz_series(a, weight - a, digits + 25)
+                assert got == want, (a, weight - a, digits)
+                assert max(tiers) == level, (a, weight - a, digits)
 
 
 def test_quadrature_budget_error(monkeypatch):
