@@ -7,7 +7,7 @@ as combinations of Lz values, and the numerics layer cross-checks every
 identity by series and quadrature at configurable precision.
 """
 
-from .coefficients import big_c, c_tilde, little_c
+from .coefficients import c_tilde, little_c
 from .exact import Rational, bernoulli_number, zeta_even_pi_coeff
 from .expansion import (
     UNIT_MONOMIAL,
@@ -48,7 +48,6 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "big_c",
     "c_tilde",
     "little_c",
     "Rational",

@@ -28,7 +28,6 @@ from .partitions import PartitionElement
 
 __all__ = [
     "composition_profile",
-    "big_c",
     "c_tilde",
     "little_c",
 ]
@@ -67,13 +66,6 @@ def _record(support: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], int,
 def composition_profile(x: PartitionElement) -> tuple[int, ...]:
     """C_b(X) for every b at once, indexed by b."""
     return _record(x.support)[0]
-
-
-def big_c(x: PartitionElement, b: int) -> int:
-    prof = composition_profile(x)
-    if 0 <= b < len(prof):
-        return prof[b]
-    return 0
 
 
 def c_tilde(x: PartitionElement) -> Fraction:

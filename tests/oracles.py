@@ -6,9 +6,11 @@ dicts, partition counts come from Euler's pentagonal recurrence,
 composition sums are enumerated via explicit cut points, pi-reduced
 expansions come from a generating function with Bernoulli numbers from
 the Akiyama-Tanigawa algorithm, and row reduction is textbook Fraction
-Gauss-Jordan.  The one exception is expansion_system, which builds a
+Gauss-Jordan.  The exceptions are expansion_system, which builds a
 linear system from the package's own reduced expansions: it is the
-reference for the solver's shortcut that skips them.
+reference for the solver's shortcut that skips them; and big_c, which
+reads C_b(X) off the package's composition profile for the tests that
+check it.
 
 The numeric oracles are mpf forms of the package's numeric kernels:
 lz_series_mpf sums the series route in mpf with a linear tail-cut scan,
@@ -24,6 +26,7 @@ from functools import lru_cache
 
 from mpmath import mp
 
+from zetalog.coefficients import composition_profile
 from zetalog.expansion import ZetaMonomial, expand_lz, reduce_even
 
 
@@ -56,6 +59,12 @@ def bivariate_big_c(support, b: int) -> int:
         for _ in range(mult):
             prod = _poly_mul(prod, factor)
     return prod.get((total - b, b), 0)
+
+
+def big_c(x, b: int) -> int:
+    """C_b(X) from composition_profile, and 0 outside the profile."""
+    prof = composition_profile(x)
+    return prof[b] if 0 <= b < len(prof) else 0
 
 
 def partition_counts(limit: int) -> list[int]:

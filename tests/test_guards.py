@@ -85,6 +85,20 @@ def test_exact_layers_build_no_floats():
     assert found == []
 
 
+def test_numerics_imports_nothing_from_exact():
+    # zeta_value checks the pi-coefficients that exact's Bernoulli numbers
+    # produce, so it must not be built from them too
+    tree = ast.parse((ROOT / "src" / "zetalog" / "numerics.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [alias.name for alias in node.names]
+            if isinstance(node, ast.ImportFrom):
+                modules += [node.module or ""]
+            found += [(node.lineno, m) for m in modules if m.split(".")[-1] == "exact"]
+    assert found == []
+
+
 def test_cli_imports_only_public_names():
     # the CLI prints what the library decides; a private import would let it
     # judge through a path that library callers never see

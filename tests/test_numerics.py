@@ -31,13 +31,15 @@ def _tol(digits: int):
 
 
 def test_zeta_matches_reference_library():
-    # through weight 40; 75 digits is what evaluate_reduced asks for at the
-    # 60-digit cap
-    for digits in (30, 50, 75):
-        with workdps(digits + 20):
-            for s in range(2, 41):
-                ref = mpmath.zeta(s)
-                assert abs(zeta_value(s, digits) - ref) < _tol(digits), (digits, s)
+    # correctly rounded through weight 40 at every P = 16..80: verify asks
+    # for P+15 = 21..75 digits and audit_certificate for 40, so this pins the
+    # printed digits of both
+    with workdps(100):
+        refs = {s: mpmath.zeta(s) for s in range(2, 41)}
+    for digits in range(16, 81):
+        with workdps(digits):
+            for s, ref in refs.items():
+                assert zeta_value(s, digits) == +ref, (digits, s)
 
 
 def test_zeta_high_precision():
