@@ -27,32 +27,30 @@ __all__ = [
 
 Rational = Fraction
 
-_BERNOULLI: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
-
 
 def bernoulli_number(m: int) -> Fraction:
     """Bernoulli number B_m in the convention B_1 = -1/2.
 
-    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), from the tangent numbers T_k
-    of the integer recurrence of Brent and Harvey (arXiv:1108.0286).  When m
-    runs past the in-process memo, the tangent numbers are rebuilt for at
-    least twice its length, so increasing calls rebuild them O(log m) times.
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), from the tangent numbers
+    T_1..T_k of the integer recurrence of Brent and Harvey (arXiv:1108.0286),
+    computed afresh on each call.
     """
     if m < 0:
         raise ValueError(f"Bernoulli index must be nonnegative, got {m}")
-    if m >= len(_BERNOULLI):
-        n = max(m // 2, len(_BERNOULLI))
-        t = [0] + [math.factorial(k - 1) for k in range(1, n + 1)]  # swept into T_k
-        for k in range(2, n + 1):
-            for j in range(k, n + 1):
-                t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-        for k in range(len(_BERNOULLI) // 2, n + 1):
-            b = Fraction((-1) ** (k - 1) * 2 * k * t[k], 4**k * (4**k - 1))
-            _BERNOULLI.extend((b, Fraction(0)))
-    return _BERNOULLI[m]
+    if m == 0:
+        return Fraction(1)
+    if m % 2:
+        return Fraction(-1, 2) if m == 1 else Fraction(0)
+    n = m // 2
+    t = [0] + [math.factorial(k - 1) for k in range(1, n + 1)]  # swept into T_k
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return Fraction((-1) ** (n - 1) * 2 * n * t[n], 4**n * (4**n - 1))
 
 
-# weight N needs n <= N/2: the survey cap of 40 uses 20 entries
+# the one cache on the Bernoulli chain; weight N needs n <= N/2, so the
+# survey cap of 40 uses 20 entries
 @lru_cache(maxsize=128)
 def zeta_even_pi_coeff(n: int) -> Fraction:
     """The rational q with zeta(2n) = q * pi^(2n), for n >= 1.

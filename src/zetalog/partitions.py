@@ -1,17 +1,19 @@
 """Restricted integer partitions as sparse multisets.
 
 A partition of N is stored by its support: (part size, multiplicity)
-pairs with ascending sizes.  Enumeration recurses over those pairs,
-larger sizes and then larger multiplicities first, so elements come in
-decreasing lexicographic order of the descending part lists, e.g. for
-N = 6 with min_part = 2: 6, 4+2, 3+3, 2+2+2.  Counting runs a part-wise
-dynamic program without materializing elements.
+pairs with ascending sizes.  Both functions start from one list of the
+part sizes a filter allows, largest first.  Enumeration recurses down
+that list, larger sizes and then larger multiplicities first, so
+elements come in decreasing lexicographic order of the descending part
+lists, e.g. for N = 6 with min_part = 2: 6, 4+2, 3+3, 2+2+2.  Counting
+fills a table over the same list from the bottom up, without
+materializing elements; it shares nothing else with enumeration, so
+each checks the other.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 from typing import Iterable, Optional
 
 __all__ = [
@@ -114,6 +116,11 @@ class PartitionElement(_ExactTuple, namedtuple("PartitionElement", "weight suppo
         return "+".join(str(p) for p in self.part_list()) if self.support else "0"
 
 
+def _sizes(n: int, flt: PartitionFilter) -> list[int]:
+    """The part sizes up to n that flt allows, largest first."""
+    return [size for size in range(n, flt.min_part - 1, -1) if flt.allows_size(size)]
+
+
 def enumerate_partitions(
     n: int, flt: Optional[PartitionFilter] = None
 ) -> list[PartitionElement]:
@@ -121,65 +128,52 @@ def enumerate_partitions(
     if n < 0:
         raise ValueError(f"cannot partition a negative integer: {n}")
     flt = flt or PartitionFilter()
-    lo = flt.min_part + (not flt.allows_size(flt.min_part))  # smallest allowed size
+    sizes = _sizes(n, flt)
     out: list[PartitionElement] = []
     acc: list[tuple[int, int]] = []  # (size, multiplicity), sizes descending
 
-    def rec(remaining: int, max_size: int, left: Optional[int]) -> None:
-        # fill remaining with sizes <= max_size, in exactly left parts if counted
+    def rec(remaining: int, i: int, left: Optional[int]) -> None:
+        # fill remaining with sizes[i:], in exactly left parts if counted
         if remaining == 0:
             if not left:
                 out.append(PartitionElement(n, tuple(reversed(acc))))
             return
-        for size in range(min(max_size, remaining), flt.min_part - 1, -1):
-            if not flt.allows_size(size):
-                continue
+        for j in range(i, len(sizes)):
+            size = sizes[j]
+            below = sizes[j + 1] if j + 1 < len(sizes) else 0  # largest size left for rest
             top = remaining // size if left is None else min(remaining // size, left)
             for mult in range(top, 0, -1):
                 rest = remaining - size * mult
                 if left is None:
                     nxt = None
-                    if rest and min(rest, size - 1) < lo:  # no smaller size can start rest
+                    if rest and not (below and rest >= sizes[-1]):
                         continue
                 else:
                     nxt = left - mult
-                    # rest must split into exactly nxt parts in [min_part, size - 1]
-                    if not nxt * flt.min_part <= rest <= nxt * (size - 1):
+                    # rest must split into exactly nxt parts of sizes[j + 1:]
+                    if not nxt * sizes[-1] <= rest <= nxt * below:
                         continue
                 acc.append((size, mult))
-                rec(rest, size - 1, nxt)
+                rec(rest, j + 1, nxt)
                 acc.pop()
 
-    rec(n, n, flt.exact_parts)
+    rec(n, 0, flt.exact_parts)
     return out
 
 
 def count_partitions(n: int, flt: Optional[PartitionFilter] = None) -> int:
-    """Number of partitions of n satisfying flt, by dynamic programming."""
+    """Number of partitions of n satisfying flt, by a table over the part sizes."""
     if n < 0:
         raise ValueError(f"cannot partition a negative integer: {n}")
     flt = flt or PartitionFilter()
-    if n == 0:
-        return 1 if flt.exact_parts is None else 0
-    t = flt.exact_parts
-
-    @lru_cache(maxsize=None)
-    def cnt(remaining: int, max_part: int, parts_left: Optional[int]) -> int:
-        if remaining == 0:
-            return 1 if parts_left in (None, 0) else 0
-        if parts_left == 0 or max_part < flt.min_part:
-            return 0
-        total = 0
-        nxt = None if parts_left is None else parts_left - 1
-        for p in range(min(max_part, remaining), flt.min_part - 1, -1):
-            if not flt.allows_size(p):
-                continue
-            rest = remaining - p
-            if nxt is not None and (rest < nxt * flt.min_part or rest > nxt * p):
-                continue
-            total += cnt(rest, p, nxt)
-        return total
-
-    result = cnt(n, n, t)
-    cnt.cache_clear()
-    return result
+    k = flt.exact_parts
+    # rows[j][m]: partitions of m into exactly j parts (any number of parts in
+    # the one row when k is None) from the sizes taken so far.  The row read
+    # from is updated first and m runs upward, so each size may repeat
+    rows = [[1] + [0] * n] + [[0] * (n + 1) for _ in range(k or 0)]
+    steps = list(zip(rows, rows[1:])) if k else [(rows[0], rows[0])]
+    for size in _sizes(n, flt):
+        for fewer, row in steps:
+            for m in range(size, n + 1):
+                row[m] += fewer[m - size]
+    return rows[-1][n]

@@ -1,9 +1,9 @@
-"""Structural guards: every module-level cache is bounded, only the
-combination fast path bypasses a constructor, the exact layers hold no
-floats, the CLI imports only public library names, every exported name
-exists, start-up and the exact commands load neither mpmath nor
-dataclasses, and the bench trace shim still finds and counts every name
-it wraps."""
+"""Structural guards: every module-level cache is bounded and no module
+holds other growable state, only the combination fast path bypasses a
+constructor, the exact layers hold no floats, the CLI imports only
+public library names, every exported name exists, start-up and the
+exact commands load neither mpmath nor dataclasses, and the bench trace
+shim still finds and counts every name it wraps."""
 
 from __future__ import annotations
 
@@ -36,6 +36,24 @@ def test_every_module_cache_is_bounded():
     # zeta_even_pi_coeff, _even_fold, _partitions_min2, expand_lz, _record,
     # _even_kernel, _fully_expressible, zeta_value, build_s_table, _tier_nodes
     assert len(caches) >= 10
+
+
+def test_no_module_level_containers():
+    # every cache must be a bounded lru_cache that the audit above sees: a
+    # module-level list, dict, set or bytearray is state that can grow past
+    # it.  __builtins__ and a package's __path__ belong to the import system
+    modules = [zetalog] + [
+        importlib.import_module(f"zetalog.{info.name}")
+        for info in pkgutil.iter_modules(zetalog.__path__)
+    ]
+    allowed = {"__all__", "__builtins__", "__path__"}
+    found = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name, obj in vars(module).items()
+        if isinstance(obj, (list, dict, set, bytearray)) and name not in allowed
+    ]
+    assert found == ["zetalog.cli._DISPATCH"]
 
 
 def test_object_new_only_in_combination_fast_path():
@@ -206,9 +224,9 @@ def test_traced_call_graph_reaches_every_layer(tmp_path):
     # reads zero, e.g. once expand_lz stops calling little_c; this replays
     # one short op list per workload through the shim and applies that rule.
     # Like the workload, survey-range mixes both modes: an optimistic survey
-    # reads little_c directly, and only the strict one reaches expand_lz,
-    # reduce_even and the even-zeta constants, through the even kernels of
-    # its lower-weight columns.  On verify-digits, lz_series
+    # makes no little_c call, and only the strict one reaches little_c,
+    # expand_lz, reduce_even and the even-zeta constants, through the even
+    # kernels of its lower-weight columns.  On verify-digits, lz_series
     # must still call build_s_table and evaluate_reduced zeta_value
     bench_run = _load_bench_run()
     ops = {

@@ -20,8 +20,14 @@ def test_unrestricted_counts_match_pentagonal_recurrence():
 
 
 def test_enumeration_agrees_with_count():
-    for n in range(16):
-        assert len(enumerate_partitions(n)) == count_partitions(n)
+    # counting fills a table and enumeration recurses; they share only the
+    # list of allowed sizes, so agreement checks both
+    for n in range(25):
+        for min_part in range(1, 5):
+            for parity in PARITY_CHOICES:
+                for t in (None, 1, 2, 3, 4, 5, 6):
+                    flt = PartitionFilter(min_part=min_part, exact_parts=t, parity=parity)
+                    assert count_partitions(n, flt) == len(enumerate_partitions(n, flt)), (n, flt)
 
 
 def test_p_ten_is_forty_two():
