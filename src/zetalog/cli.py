@@ -50,6 +50,8 @@ def _weight_cap(text: str) -> int:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {value}")
     if value > SURVEY_WEIGHT_CAP:
         raise argparse.ArgumentTypeError(f"must be at most {SURVEY_WEIGHT_CAP}, got {value}")
     return value
@@ -68,7 +70,7 @@ def _build_parser() -> _Parser:
             "--max-weight",
             type=_weight_cap,
             default=DEFAULT_MAX_WEIGHT,
-            help=f"weight cap (default {DEFAULT_MAX_WEIGHT}, at most {SURVEY_WEIGHT_CAP})",
+            help=f"weight cap (default {DEFAULT_MAX_WEIGHT}, 2 to {SURVEY_WEIGHT_CAP})",
         )
 
     p = sub.add_parser("expand", help="expand Lz(a,b) into zeta monomials")

@@ -4,7 +4,8 @@ Two independent numeric routes are provided.  The series route splits the
 defining integral at t = 1/2 and expands each half as a power series whose
 coefficients are composition sums S_n^(k) (sums over compositions of n into
 k positive parts of prod 1/m_j); every term is positive and falls like
-2^-n, and the sum is cut where an explicit majorant of the tail is below
+2^-n, and the sum is cut at the first term where an explicit majorant of
+the tail, scanned in floats with a 2^-30 margin on its log2, is below
 10^-(working digits) of the partial sum.  The quadrature route integrates
 the defining integral directly with a double-exponential (tanh-sinh) rule
 whose nodes carry full-precision values of t, 1-t and both logarithms, so
@@ -26,8 +27,8 @@ Besides mpmath's conversions, the series route reads only ln2_fixed from
 libmp and quadrature pi_fixed, exp_fixed, mpf_log and ln2_fixed.  The two
 share no code of their own: the series never evaluates the integrand,
 quadrature never expands it, and each has its own sum, error bound and
-stopping rule.  mpmath is imported on the first numeric call, so the exact
-commands never load it.
+stopping rule.  Each function that needs mpmath imports it when called, so
+the exact commands never load it.
 """
 
 from __future__ import annotations
@@ -64,25 +65,13 @@ QUADRATURE_MAX_LEVEL = 12
 SERIES_MAX_TERMS = 2000
 
 
-class _Mpmath:
-    """Stands in for mpmath's context until the first attribute read, which
-    imports mpmath and rebinds the module global to the real context."""
-
-    def __getattr__(self, name: str):
-        global mp
-        from mpmath import mp
-
-        return getattr(mp, name)
-
-
-mp = _Mpmath()
-
-
 class PrecisionBudgetError(RuntimeError):
     """Requested precision unreachable within the configured budget."""
 
 
 def _frac(q: Fraction) -> mpf:
+    from mpmath import mp
+
     return mp.mpf(q.numerator) / q.denominator
 
 
@@ -100,6 +89,7 @@ def zeta_value(s: int, precision: int) -> mpf:
     6 (3+sqrt 8)^-n in zeta for real s >= 2."""
     if s < 2:
         raise ValueError(f"zeta_value needs s >= 2, got {s}")
+    from mpmath import mp
     from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
 
     wdps = precision + 10
@@ -225,6 +215,7 @@ def lz_quadrature(a: int, b: int, precision: int) -> mpf:
     their value.  The level sums are integers, rounded to an mpf once."""
     if a < 1 or b < 1:
         raise ValueError(f"Lz needs a, b >= 1, got ({a}, {b})")
+    from mpmath import mp
     from mpmath.libmp import dps_to_prec, from_int, from_man_exp, mpf_div, round_nearest
 
     wdps = precision + 10
@@ -274,40 +265,30 @@ def _half_moment(c: list[int], k: int, n: int) -> int:
     return acc // n
 
 
-def _term_bound(a: int, b: int, n: int) -> mpf:
-    """Majorant of term n of the two sums in lz_series, taken together."""
-    # S_n^(k)/k! <= (1+ln n)^(k-1)/((k-1)! n) and each half moment <= 2^(1-n)/n
-    h = 1 + mp.log(n)
-    first = h ** (b - 1) / (math.factorial(b - 1) * n)
-    second = h ** (a - 1) / math.factorial(a - 1)
-    return mp.ldexp(first + second, 1 - n) / n
-
-
-def _series_cut(a: int, b: int, goal: mpf) -> int:
+def _series_cut(a: int, b: int, log2_goal: float) -> int:
     """The last term n_max of lz_series: the first n >= 3 max(a,b) - 1 with
-    4 _term_bound(a, b, n+1) <= goal, or SERIES_MAX_TERMS + 1 if there is none."""
-    # from n = 3 max(a,b) on, consecutive majorants shrink by at least 3/4,
-    # so the tail after n_max is at most 4 times the majorant of term n_max+1,
-    # and the test below is true up to some n and false from there on: double
-    # the step until it fails, then bisect
-    def needs_more(n: int) -> bool:
-        return n <= SERIES_MAX_TERMS and 4 * _term_bound(a, b, n + 1) > goal
-
-    lo = 3 * max(a, b) - 1
-    if not needs_more(lo):
-        return lo
-    step = 1
-    while needs_more(lo + step):
-        lo += step
-        step *= 2
-    hi = lo + step  # needs_more(lo) and not needs_more(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if needs_more(mid):
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    log2(4 t(n+1)) <= log2_goal - 2^-30, where t(n) is the majorant of term n
+    of the two sums taken together, or SERIES_MAX_TERMS + 1 if there is none."""
+    # S_n^(k)/k! <= (1+ln n)^(k-1)/((k-1)! n) and each half moment is at most
+    # 2^(1-n)/n, so t(n) = 2^(1-n)/n ((1+ln n)^(b-1)/((b-1)! n) + (1+ln n)^(a-1)
+    # /(a-1)!).  From n = 3 max(a,b) on, t shrinks by at least 3/4 a step, so
+    # the tail after n_max is at most 4 t(n_max+1).  The test can pass only
+    # for n <= 2000, so max(a,b) <= 667 and log2_goal > -2^13; there the
+    # goal's parts (log2 of the floor, W) and every float below are under
+    # 2^14 in size, and a dozen rounded float operations put log2(4 t) and
+    # the goal within 2^-35 of their exact values, far inside the margin:
+    # each cut holds for the exact t and goal
+    lfa, lfb = math.log(math.factorial(a - 1)), math.log(math.factorial(b - 1))
+    n = 3 * max(a, b) - 1
+    while n <= SERIES_MAX_TERMS:
+        # natural logs of the two parts of t(n+1) over 2^-n/(n+1)
+        h = math.log1p(math.log(n + 1))
+        first, second = (b - 1) * h - lfb - math.log(n + 1), (a - 1) * h - lfa
+        both = max(first, second) + math.log1p(math.exp(-abs(first - second)))
+        if 2 - n - math.log2(n + 1) + both / math.log(2) <= log2_goal - 2**-30:
+            break
+        n += 1
+    return n
 
 
 def lz_series(a: int, b: int, precision: int) -> mpf:
@@ -324,6 +305,7 @@ def lz_series(a: int, b: int, precision: int) -> mpf:
     """
     if a < 1 or b < 1:
         raise ValueError(f"Lz needs a, b >= 1, got ({a}, {b})")
+    from mpmath import mp
     from mpmath.libmp import dps_to_prec, from_man_exp, ln2_fixed, round_nearest
 
     wdps = precision + 10
@@ -344,9 +326,7 @@ def lz_series(a: int, b: int, precision: int) -> mpf:
         c.append((c[-1] * ln2 >> W) // m)
     # the first term of each sum
     floor = (_half_moment(c, a - 1, b) >> b) // fb + a * (_half_moment(c, b, a) >> a) // fa
-    with mp.workdps(wdps):
-        goal = mp.ldexp(mp.mpf(10) ** (-wdps) * floor, -W)
-        n_max = _series_cut(a, b, goal)
+    n_max = _series_cut(a, b, math.log2(floor) - W - wdps * math.log2(10))
     if n_max > SERIES_MAX_TERMS:
         raise PrecisionBudgetError(
             f"Lz({a},{b}) series: term budget ({SERIES_MAX_TERMS}) "
@@ -373,6 +353,8 @@ def lz_series(a: int, b: int, precision: int) -> mpf:
 
 def evaluate_reduced(comb: PiReducedCombination, precision: int) -> mpf:
     """Numeric value of a pi-reduced combination from zeta_value and pi."""
+    from mpmath import mp
+
     wdps = precision + 10
     with mp.workdps(wdps):
         total = mp.zero
@@ -406,6 +388,8 @@ def verify_expansion(a: int, b: int, precision: int, method: str = "both") -> Ve
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if precision < 6:
         raise ValueError(f"precision must be at least 6 digits, got {precision}")
+    from mpmath import mp
+
     routes = ("series", "quadrature") if method == "both" else (method,)
     reduced = reduce_even(expand_lz(a, b))
     carried = precision + 5
@@ -427,6 +411,8 @@ def audit_certificate(cert: Certificate, precision: int = 30) -> mpf:
     evaluate_reduced.  The gap is |lhs - rhs| over sum |lambda Lz| + |lhs|,
     about 10^-precision for a true identity.  Numeric evidence, not proof.
     """
+    from mpmath import mp
+
     with mp.workdps(precision + 10):
         lhs = evaluate_reduced(
             PiReducedCombination(cert.weight, {cert.target: Fraction(1)}), precision

@@ -6,11 +6,12 @@ dicts, partition counts come from Euler's pentagonal recurrence,
 composition sums are enumerated via explicit cut points, pi-reduced
 expansions come from a generating function with Bernoulli numbers from
 the Akiyama-Tanigawa algorithm, and row reduction is textbook Fraction
-Gauss-Jordan.  The exceptions are expansion_system, which builds a
-linear system from the package's own reduced expansions: it is the
-reference for the solver's shortcut that skips them; and big_c, which
-reads C_b(X) off the package's composition profile for the tests that
-check it.
+Gauss-Jordan; the power sums on the plane z = -x - y are expanded
+directly and in e2, e3 by Newton's identity.  The exceptions are
+expansion_system, which builds a linear system from the package's own
+reduced expansions: it is the reference for the solver's shortcut that
+skips them; and big_c, which reads C_b(X) off the package's composition
+profile for the tests that check it.
 
 The numeric oracles are mpf forms of the package's numeric kernels:
 lz_series_mpf sums the series route in mpf with a linear tail-cut scan,
@@ -262,6 +263,67 @@ def expansion_system(N: int, mode: str, ensure=()):
             known = {m.factors: c for m, c in red.terms.items() if m.factors not in colset}
             rows.append(((N - b, b), coeffs, known))
     return columns, rows
+
+
+# ---------------------------------------------------------------------------
+# power sums p_n = x^n + y^n + z^n on the plane z = -x - y, where e1 = 0:
+# the lemmas behind the README's proofs of the survey's structure
+
+_E2_XY = {(2, 0): -1, (1, 1): -1, (0, 2): -1}  # xy + yz + zx = -(x^2 + xy + y^2)
+_E3_XY = {(2, 1): -1, (1, 2): -1}  # xyz = -(x^2 y + x y^2)
+
+
+def power_sum_xy(n: int) -> dict:
+    """p_n(x, y, -x-y) = x^n + y^n + (-1)^n (x+y)^n, expanded directly."""
+    p = {k: (-1) ** n * v for k, v in _xy_power(n).items()}
+    p[(n, 0)] += 1
+    p[(0, n)] += 1
+    return {k: v for k, v in p.items() if v}
+
+
+def power_sums_e(n_max: int) -> list[dict]:
+    """p_0, ..., p_(n_max) on the plane as polynomials in e2 = xy + yz + zx
+    and e3 = xyz, keyed (i, j) for e2^i e3^j, by Newton's identity
+    p_n = -e2 p_(n-2) + e3 p_(n-3) from p_0 = 3, p_1 = 0, p_2 = -2 e2."""
+    p = [{(0, 0): 3}, {}, {(1, 0): -2}]
+    for n in range(3, n_max + 1):
+        q = {(i + 1, j): -v for (i, j), v in p[n - 2].items()}
+        for (i, j), v in p[n - 3].items():
+            q[(i, j + 1)] = q.get((i, j + 1), 0) + v
+        p.append({k: v for k, v in q.items() if v})
+    return p[: n_max + 1]
+
+
+@lru_cache(maxsize=256)
+def _e_power_xy(i: int, j: int) -> dict:
+    if i:
+        return _poly_mul(_e_power_xy(i - 1, j), _E2_XY)
+    return _poly_mul(_e_power_xy(0, j - 1), _E3_XY) if j else {(0, 0): 1}
+
+
+def e_to_xy(poly: dict) -> dict:
+    """A polynomial in e2, e3 written out in x and y."""
+    out: dict[tuple[int, int], int] = {}
+    for (i, j), v in poly.items():
+        for key, w in _e_power_xy(i, j).items():
+            out[key] = out.get(key, 0) + v * w
+    return {k: v for k, v in out.items() if v}
+
+
+@lru_cache(maxsize=2048)
+def power_sum_product_on_line(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """Coefficients of y^0, y^1, ... of prod p_n(1, y, -1-y) over the parts,
+    each product built from that of the parts after the first."""
+    if not parts:
+        return (1,)
+    n, rest = parts[0], power_sum_product_on_line(parts[1:])
+    p = power_sum_xy(n)
+    line = [p.get((n - k, k), 0) for k in range(n + 1)]
+    out = [0] * (len(rest) + n)
+    for i, u in enumerate(rest):
+        for k, v in enumerate(line):
+            out[i + k] += u * v
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

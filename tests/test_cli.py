@@ -80,6 +80,10 @@ def test_weight_cap_overrides(run_cli):
     # --max-weight itself stops where survey and partitions stop
     assert run_cli("table", "41", "--max-weight", "41")[0] == 1
     assert run_cli("expand", "2", "1", "--max-weight", "40")[0] == 0
+    # and from below at 2, the weight of Lz(1,1), the smallest pair
+    for args in (("table", "2", "--max-weight", "1"), ("expand", "1", "1", "--max-weight", "-7")):
+        code, _, err = run_cli(*args)
+        assert code == 1 and "must be at least 2" in err, args
 
 
 def test_table_weight_two(run_cli):

@@ -154,8 +154,8 @@ def test_orientation_sum_validation():
 @pytest.mark.parametrize("digits", [6, 30, 60])
 def test_series_matches_mpf_oracle_on_every_pair(digits, monkeypatch):
     # every ordered pair of weight <= 40: the fixed-point sums print the same
-    # P+5 digits as the mpf sums, and the cut found by doubling and bisection
-    # is the one the linear scan finds
+    # P+5 digits as the mpf sums, and the cut the float scan finds with its
+    # 2^-30 margin is the one the oracle's scan of the mpf majorant finds
     real_cut = numerics._series_cut
     cuts = []
 

@@ -6,8 +6,16 @@ from functools import lru_cache
 import pytest
 from mpmath import mp, workdps
 
-from oracles import _even_kernel as recurrence_kernel, expansion_system
-from zetalog.coefficients import little_c
+from oracles import (
+    _even_kernel as recurrence_kernel,
+    _poly_mul,
+    e_to_xy,
+    expansion_system,
+    power_sum_product_on_line,
+    power_sum_xy,
+    power_sums_e,
+)
+from zetalog.coefficients import composition_profile, little_c
 from zetalog.exact import zeta_even_pi_coeff
 from zetalog.expansion import (
     UNIT_MONOMIAL,
@@ -24,7 +32,12 @@ from zetalog.numerics import (
     lz_series,
     zeta_value,
 )
-from zetalog.partitions import PartitionElement, PartitionFilter, count_partitions
+from zetalog.partitions import (
+    PartitionElement,
+    PartitionFilter,
+    count_partitions,
+    enumerate_partitions,
+)
 from zetalog.solver import (
     MODES,
     Certificate,
@@ -491,6 +504,52 @@ def test_optimistic_rank_and_expressible_set():
         assert sorted(str(m) for m in rec.expressible) == want, n
 
 
+# the lemmas of the README's proof of the optimistic rank, as exact
+# polynomial identities in x, y or in e2, e3 on the plane z = -x - y
+
+
+def test_profile_is_a_product_of_power_sums():
+    # C_b(X) is the y^b coefficient of (-1)^|X| prod p_n(1, y, -1-y)
+    seen = 0
+    for n in range(3, 41):
+        for x in enumerate_partitions(n, PartitionFilter(min_part=3, parity="odd")):
+            parts = tuple(size for size, mult in reversed(x.support) for _ in range(mult))
+            want = [(-1) ** len(parts) * v for v in power_sum_product_on_line(parts)]
+            prof = composition_profile(x)
+            assert list(prof) + [0] * (len(want) - len(prof)) == want, x
+            seen += 1
+    assert seen == 1112
+
+
+def test_newton_identity_gives_the_power_sums():
+    for n, p in enumerate(power_sums_e(40)):
+        assert e_to_xy(p) == power_sum_xy(n), n
+
+
+def test_odd_power_sums_are_multiples_of_e3():
+    # p_(2i+3) = (-1)^i (2i+3) e2^i e3 + (terms in e3^3 and up)
+    p = power_sums_e(99)
+    for n in range(3, 100, 2):
+        assert min(j for _, j in p[n]) == 1, n
+        assert p[n][((n - 3) // 2, 1)] == (-1) ** ((n - 3) // 2) * n, n
+
+
+def test_rank_columns_are_triangular():
+    # the column p_3^(j-1) p_(2i+3) of weight N = 2i + 3j starts at e2^i e3^j,
+    # so one column per j >= 1 spans every e2^i e3^j of weight N with j >= 1
+    p = power_sums_e(60)
+    for N in range(3, 61):
+        for j in range(1, N // 3 + 1):
+            if (N - 3 * j) % 2:
+                continue
+            i = (N - 3 * j) // 2
+            col = p[2 * i + 3]
+            for _ in range(j - 1):
+                col = _poly_mul(col, p[3])
+            assert min(l for _, l in col) == j, (N, j)
+            assert col[(i, j)] == 3 ** (j - 1) * (-1) ** i * (2 * i + 3), (N, j)
+
+
 def test_strict_rank_and_expressible_set():
     # one relation among the rows at every even weight from 6 on; weight 4
     # has no column, so no row
@@ -514,7 +573,9 @@ def _even_relation(n: int) -> dict[int, int]:
 
 
 def test_strict_relation_is_a_pi_power():
-    # sum_b mu_b Lz(n - b, b) = (-1)^(h+1) zeta(n) / 2^(n-2), exactly
+    # sum_b mu_b Lz(n - b, b) = (-1)^(h+1) zeta(n) / 2^(n-2), exactly: the
+    # reflection formula Gamma(1+x) Gamma(1-x) = pi x / sin(pi x) at y = -x
+    # in the generating function, folded by Lz(a, b) = Lz(b, a)
     for n in range(4, 31, 2):
         total = PiReducedCombination(n, {})
         for b, mu in _even_relation(n).items():
