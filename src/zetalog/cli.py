@@ -30,8 +30,7 @@ from .solver import MODES, express, survey
 __all__ = ["main", "console_main"]
 
 SCHEMA_VERSION = 1
-DEFAULT_MAX_WEIGHT = 24
-SURVEY_WEIGHT_CAP = 40
+WEIGHT_CAP = 40
 DIGITS_CAP = 60
 
 
@@ -44,19 +43,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _weight_cap(text: str) -> int:
-    # the cap that bounds survey and partitions also bounds --max-weight
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"must be at least 2, got {value}")
-    if value > SURVEY_WEIGHT_CAP:
-        raise argparse.ArgumentTypeError(f"must be at most {SURVEY_WEIGHT_CAP}, got {value}")
-    return value
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="zetalog", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -65,40 +51,28 @@ def _build_parser() -> _Parser:
         choices = ["text", "json"] + (["latex"] if latex else [])
         p.add_argument("--format", choices=choices, default="text")
 
-    def add_cap(p):
-        p.add_argument(
-            "--max-weight",
-            type=_weight_cap,
-            default=DEFAULT_MAX_WEIGHT,
-            help=f"weight cap (default {DEFAULT_MAX_WEIGHT}, 2 to {SURVEY_WEIGHT_CAP})",
-        )
-
     p = sub.add_parser("expand", help="expand Lz(a,b) into zeta monomials")
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
     p.add_argument("--reduce", action="store_true", help="fold even zetas into pi powers")
     add_format(p)
-    add_cap(p)
 
     p = sub.add_parser("table", help="all expansions of one weight")
     p.add_argument("N", type=int)
     p.add_argument("--reduce", action="store_true")
     add_format(p)
-    add_cap(p)
 
     p = sub.add_parser("verify", help="check an expansion numerically")
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
     p.add_argument("--digits", type=int, default=30)
     p.add_argument("--method", choices=list(METHODS), default="both")
-    add_cap(p)
 
     p = sub.add_parser("express", help="certificate for an odd-zeta monomial")
     p.add_argument("monomial", help="e.g. z3, z3^2*z5")
     p.add_argument("--mode", choices=list(MODES), default="optimistic")
     p.add_argument("--weight", type=int, default=None)
     add_format(p)
-    add_cap(p)
 
     p = sub.add_parser("survey", help="equations/unknowns/rank per weight")
     p.add_argument("--from", type=int, required=True)
@@ -116,8 +90,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-# parsed arguments that are not inputs: the subcommand, the output form, the cap
-_NOT_INPUTS = ("command", "format", "max_weight")
+# parsed arguments that are not inputs: the subcommand and the output form
+_NOT_INPUTS = ("command", "format")
 
 # each handler prints its text or LaTeX output and returns (exit code, JSON
 # result or None); main wraps a JSON result in the one envelope
@@ -127,8 +101,8 @@ def _check_pair(args) -> None:
     # expand and verify read one pair (a, b) under the weight cap
     if args.a < 1 or args.b < 1:
         raise ValueError(f"{args.command} needs a >= 1 and b >= 1")
-    if args.a + args.b > args.max_weight:
-        raise ValueError(f"a+b = {args.a + args.b} exceeds the weight cap {args.max_weight}")
+    if args.a + args.b > WEIGHT_CAP:
+        raise ValueError(f"a+b = {args.a + args.b} exceeds the weight cap {WEIGHT_CAP}")
 
 
 def _cmd_expand(args):
@@ -142,8 +116,8 @@ def _cmd_expand(args):
 
 
 def _cmd_table(args):
-    if not 2 <= args.N <= args.max_weight:
-        raise ValueError(f"table needs 2 <= N <= {args.max_weight}")
+    if not 2 <= args.N <= WEIGHT_CAP:
+        raise ValueError(f"table needs 2 <= N <= {WEIGHT_CAP}, the weight cap")
     shown = {
         pair: (reduce_even(comb) if args.reduce else comb)
         for pair, comb in expand_weight(args.N).items()
@@ -176,8 +150,8 @@ def _cmd_verify(args):
 def _cmd_express(args):
     target = ZetaMonomial.parse(args.monomial)
     weight = args.weight if args.weight is not None else target.weight
-    if weight > args.max_weight:
-        raise ValueError(f"weight {weight} exceeds the weight cap {args.max_weight}")
+    if weight > WEIGHT_CAP:
+        raise ValueError(f"weight {weight} exceeds the weight cap {WEIGHT_CAP}")
     outcome = express(target, mode=args.mode, weight=args.weight)
     cert = outcome.certificate
     code = 0 if outcome.status == "expressible" else 2
@@ -202,8 +176,8 @@ def _cmd_express(args):
 
 def _cmd_survey(args):
     lo, hi = vars(args)["from"], args.to
-    if not 3 <= lo <= hi <= SURVEY_WEIGHT_CAP:
-        raise ValueError(f"survey range must satisfy 3 <= from <= to <= {SURVEY_WEIGHT_CAP}")
+    if not 3 <= lo <= hi <= WEIGHT_CAP:
+        raise ValueError(f"survey range must satisfy 3 <= from <= to <= {WEIGHT_CAP}")
     report = survey(lo, hi, mode=args.mode)
     if args.format == "json":
         records = [
@@ -232,8 +206,8 @@ def _cmd_survey(args):
 
 
 def _cmd_partitions(args):
-    if not 1 <= args.N <= SURVEY_WEIGHT_CAP:
-        raise ValueError(f"partitions needs 1 <= N <= {SURVEY_WEIGHT_CAP}")
+    if not 1 <= args.N <= WEIGHT_CAP:
+        raise ValueError(f"partitions needs 1 <= N <= {WEIGHT_CAP}")
     flt = PartitionFilter(
         min_part=args.min_part, exact_parts=args.parts, parity=args.parity
     )

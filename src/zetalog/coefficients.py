@@ -34,7 +34,7 @@ __all__ = [
 
 
 # Weight 40, the largest a pair is expanded at (table 40 --reduce, expand and
-# verify at --max-weight 40), needs 12,306 records: its 6,153 partitions into
+# verify at the weight cap), needs 12,306 records: its 6,153 partitions into
 # parts >= 2, which every pair (40 - b, b) re-reads, and as many smaller ones
 # they are built from, read once each.  8,192 keeps the first set whole while
 # the second streams through: table 40 --reduce misses 12,306 times, once per

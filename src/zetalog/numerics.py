@@ -15,9 +15,9 @@ zeta_value is P. Borwein's alternating series over one integer table, with
 an a-priori truncation bound and nothing from the exact layer, whose
 Bernoulli numbers make the pi-coefficients it checks; pi comes from the
 float library's certified constant.
-Every evaluation works with a fixed 10 guard digits over the P it returns.
-The symbolic sum in evaluate_reduced is accurate only in absolute terms:
-cancellation among its terms can cost more digits than the guard holds.
+Every evaluation works with 10 guard digits over the P it returns; the
+symbolic sum in evaluate_reduced, the one that cancels, adds the digits it
+measures lost, so every value and the verdict are relative to |Lz|.
 
 Both routes and zeta_value sum in integer fixed point: Python ints in
 units of 2^-W, where every truncation is a floor division that loses under
@@ -63,6 +63,7 @@ __all__ = [
 METHODS = ("series", "quadrature", "both")
 QUADRATURE_MAX_LEVEL = 12
 SERIES_MAX_TERMS = 2000
+SYMBOLIC_MAX_PASSES = 6
 
 
 class PrecisionBudgetError(RuntimeError):
@@ -352,21 +353,40 @@ def lz_series(a: int, b: int, precision: int) -> mpf:
 
 
 def evaluate_reduced(comb: PiReducedCombination, precision: int) -> mpf:
-    """Numeric value of a pi-reduced combination from zeta_value and pi."""
+    """Numeric value of a pi-reduced combination from zeta_value and pi,
+    accurate relative to itself however much its terms cancel."""
     from mpmath import mp
 
-    wdps = precision + 10
-    with mp.workdps(wdps):
-        total = mp.zero
-        for coeff, pi_exp, mono in comb.items():
-            term = _frac(coeff)
-            if pi_exp:
-                term *= mp.pi**pi_exp
-            for n, k in mono.factors:
-                term *= zeta_value(n, wdps) ** k
-            total += term
-    with mp.workdps(precision):
-        return +total
+    guard = 10
+    for _ in range(SYMBOLIC_MAX_PASSES):
+        wdps = precision + guard
+        with mp.workdps(wdps):
+            total = size = mp.zero
+            for coeff, pi_exp, mono in comb.items():
+                term = _frac(coeff)
+                if pi_exp:
+                    term *= mp.pi**pi_exp
+                for n, k in mono.factors:
+                    term *= zeta_value(n, wdps) ** k
+                total += term
+                size += abs(term)
+        if not size:
+            return mp.zero
+        # size/|total| < 10^lost, as 0.30103 > log10 2; an exact zero has
+        # lost every working digit
+        lost = math.ceil((mp.mag(size) - mp.mag(total) + 1) * 0.30103) if total else wdps
+        # A weight-w term has at most w/3 zeta factors, each within relative
+        # 10^-wdps, and w + 5 roundings, each within 2^-prec < 10^-wdps/7;
+        # each of the m additions rounds within 10^-wdps/7 of size.  So the
+        # sum is within (w + m + 4) 10^-wdps size, and with lost <= guard - 3
+        # within relative (w + m + 4) 10^-(precision+3): under 10^-precision
+        # through weight 40, where m <= 591.  A noisy pass reads a loss near
+        # its working digits and widens again
+        if lost <= guard - 3:
+            with mp.workdps(precision):
+                return +total
+        guard = lost + 10
+    raise PrecisionBudgetError(f"symbolic sum: pass budget ({SYMBOLIC_MAX_PASSES}) exhausted")
 
 
 class VerificationReport(NamedTuple):
@@ -380,9 +400,10 @@ def verify_expansion(a: int, b: int, precision: int, method: str = "both") -> Ve
     """The verify judgement: the symbolic value of Lz(a,b) against the routes
     of method ("both", "series" or "quadrature").
 
-    Values carry P+5 digits and are compared at P+10; the check passes when
-    the largest pairwise deviation is below 10^-(P-5), so P must be at least
-    6 for the threshold to lie below 1.
+    Values carry P+5 digits relative to |Lz| and are compared at P+10; the
+    check passes when the largest pairwise deviation is below 10^(e-(P-5)),
+    with 10^e the leading digit's place in the largest value, so P must be
+    at least 6 for the threshold to lie below that digit.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
@@ -400,7 +421,8 @@ def verify_expansion(a: int, b: int, precision: int, method: str = "both") -> Ve
             route = lz_series if name == "series" else lz_quadrature
             values[name] = route(a, b, carried)
         max_dev = max(abs(x - y) for x, y in combinations(values.values(), 2))
-        threshold = mp.mpf(10) ** (-(precision - 5))
+        top = max(abs(x) for x in values.values())
+        threshold = mp.mpf(10) ** (int(mp.floor(mp.log10(top))) - (precision - 5))
         return VerificationReport(values, max_dev, threshold, bool(max_dev < threshold))
 
 

@@ -70,20 +70,25 @@ def test_expand_reduced_json_keeps_pi_split(run_cli):
 
 def test_expand_usage_errors(run_cli):
     assert run_cli("expand", "0", "2")[0] == 1
-    code, _, err = run_cli("expand", "20", "20")
+    code, _, err = run_cli("expand", "21", "20")
     assert code == 1 and "cap" in err
 
 
 def test_weight_cap_overrides(run_cli):
-    assert run_cli("expand", "13", "12", "--max-weight", "30")[0] == 0
-    assert run_cli("expand", "2", "1", "--max-weight", "banana")[0] == 1
-    # --max-weight itself stops where survey and partitions stop
-    assert run_cli("table", "41", "--max-weight", "41")[0] == 1
-    assert run_cli("expand", "2", "1", "--max-weight", "40")[0] == 0
-    # and from below at 2, the weight of Lz(1,1), the smallest pair
-    for args in (("table", "2", "--max-weight", "1"), ("expand", "1", "1", "--max-weight", "-7")):
+    # no override: every command stops at the weight survey and partitions stop at
+    assert run_cli("expand", "2", "1", "--max-weight", "30")[0] == 1
+    assert run_cli("expand", "13", "12")[0] == 0
+    code, out, _ = run_cli("verify", "13", "12", "--digits", "10")
+    assert code == 0 and "symbolic: 4.270424917e-22\n" in out
+    for args in (
+        ("expand", "21", "20"),
+        ("table", "41"),
+        ("express", "z41"),
+        ("express", "z3", "--weight", "41"),
+        ("verify", "21", "20"),
+    ):
         code, _, err = run_cli(*args)
-        assert code == 1 and "must be at least 2" in err, args
+        assert code == 1 and "cap" in err, args
 
 
 def test_table_weight_two(run_cli):
@@ -124,7 +129,7 @@ def test_table_json(run_cli):
 
 def test_table_usage(run_cli):
     assert run_cli("table", "1")[0] == 1
-    assert run_cli("table", "30")[0] == 1
+    assert run_cli("table", "41")[0] == 1
 
 
 def test_verify_pass(run_cli):
@@ -166,13 +171,10 @@ def test_verify_budget_exhaustion_exits_three(run_cli, monkeypatch):
 
 def test_verify_usage(run_cli):
     assert run_cli("verify", "2", "1", "--digits", "99")[0] == 1
-    # below 6 digits the threshold 10^-(P-5) is at least 1 and proves nothing
+    # below 6 digits the threshold would leave no digit of |Lz| checked
     assert run_cli("verify", "3", "3", "--digits", "3")[0] == 1
     assert run_cli("verify", "0", "1")[0] == 1
-    assert run_cli("verify", "13", "12")[0] == 1
-    assert run_cli("verify", "3", "2", "--max-weight", "4")[0] == 1
-    assert run_cli("verify", "2", "1", "--digits", "15", "--max-weight", "3")[0] == 0
-    assert run_cli("verify", "2", "1", "--digits", "6", "--max-weight", "3")[0] == 0
+    assert run_cli("verify", "21", "20")[0] == 1
 
 
 def test_express_text_certificate(run_cli):

@@ -11,7 +11,7 @@ from mpmath.libmp import dps_to_prec, ln2_fixed, pi_fixed
 
 import golden_data
 from zetalog import numerics
-from zetalog.expansion import expand_lz, reduce_even
+from zetalog.expansion import PiReducedCombination, ZetaMonomial, expand_lz, reduce_even
 from zetalog.numerics import (
     PrecisionBudgetError,
     build_s_table,
@@ -288,8 +288,55 @@ def test_verification_report_holds_only_the_routes_run():
     assert report.passed
 
 
+def _zeta_reference(a: int, b: int, digits: int):
+    # Lz from its exact pi-reduced expansion with mpmath's own zeta, as the
+    # benchmark's verify reference is built
+    with workdps(digits):
+        total = mp.zero
+        for coeff, pi_exp, mono in reduce_even(expand_lz(a, b)).items():
+            term = mp.mpf(coeff.numerator) / coeff.denominator * mp.pi**pi_exp
+            for n, k in mono.factors:
+                term *= mp.zeta(n) ** k
+            total += term
+        return total
+
+
+# the symbolic sums cancel by 26, 28, 39 and 53 digits
+@pytest.mark.parametrize("a, b, digits", [(12, 12, 30), (13, 12, 10), (16, 16, 30), (20, 20, 30)])
+def test_verification_is_relative_under_cancellation(a, b, digits):
+    report = verify_expansion(a, b, digits)
+    assert report.passed
+    symbolic = report.values["symbolic"]
+    assert mp.nstr(symbolic, digits) == mp.nstr(report.values["series"], digits)
+    # the reference sum cancels as the symbolic one does, so it needs 53+ guard digits
+    want = _zeta_reference(a, b, digits + 80)
+    with workdps(digits + 80):
+        assert abs(symbolic - want) < abs(want) * _tol(digits + 3)
+
+
+@pytest.mark.parametrize("a, b", [(16, 16), (20, 20)])
+def test_doubled_expansion_fails_at_tiny_values(a, b, monkeypatch, run_cli):
+    # |Lz| is about 1e-31 and 1e-42, far below an absolute 10^-25
+    monkeypatch.setattr(numerics, "reduce_even", lambda comb: reduce_even(comb).scale(2))
+    assert not verify_expansion(a, b, 30).passed
+    code, out, _ = run_cli("verify", str(a), str(b), "--digits", "30")
+    assert code == 3 and out.endswith("FAIL\n")
+
+
+def test_evaluate_reduced_empty_is_zero():
+    assert evaluate_reduced(PiReducedCombination(9, {}), 30) == 0
+
+
+def test_evaluate_reduced_exact_cancellation_exhausts_budget(monkeypatch):
+    # with every zeta read as 1, z9 - z3^3 is exactly 0: no guard can fit it
+    monkeypatch.setattr(numerics, "zeta_value", lambda s, precision: 1)
+    comb = PiReducedCombination(9, {ZetaMonomial.parse("z9"): F(1), ZetaMonomial.parse("z3^3"): F(-1)})
+    with pytest.raises(PrecisionBudgetError):
+        evaluate_reduced(comb, 30)
+
+
 def test_verification_rejects_vacuous_precision():
-    # the threshold 10^-(P-5) must lie below 1
+    # P-5 digits of slack must leave the threshold below the value's leading digit
     with pytest.raises(ValueError):
         verify_expansion(3, 3, 5)
     assert verify_expansion(2, 1, 6).passed
