@@ -1,8 +1,10 @@
 """Exact arithmetic core: Bernoulli numbers, even-zeta constants, and
 dense rational linear algebra.
 
-All scalars are ``fractions.Fraction`` (aliased ``Rational``): always in
-lowest terms, positive denominator, canonical zero.  The linear-algebra
+Scalars are ``fractions.Fraction`` (aliased ``Rational``): always in
+lowest terms, positive denominator, canonical zero.  A matrix holds
+integer rows, each over one denominator, and is eliminated on those
+integers; Fractions are built only for what is read.  The linear-algebra
 entry point is row-space membership: given a rational matrix A and a
 target row t, find lambda with lambda . A == t or decide that none
 exists.  Elimination uses a fixed first-nonzero pivot order and sets all
@@ -66,26 +68,35 @@ def zeta_even_pi_coeff(n: int) -> Fraction:
     return q
 
 
-def _as_fraction_rows(entries: Iterable[Iterable[Fraction]]) -> list[list[Fraction]]:
-    rows = [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in entries]
-    if rows:
-        width = len(rows[0])
-        for row in rows:
-            if len(row) != width:
-                raise ValueError("matrix rows must all have the same length")
-    return rows
-
-
 class RationalMatrix:
-    """Dense matrix over Fraction; shape may be zero in either dimension."""
+    """Dense rational matrix held as integer rows, each over one positive
+    denominator; shape may be zero in either dimension.
 
-    __slots__ = ("entries", "rows", "cols")
+    Built from rows of Fractions or ints, or from integer rows with their
+    denominators.  ``entries`` builds the Fractions on each read.
+    """
 
-    def __init__(self, entries: Iterable[Iterable[Fraction]], cols: Optional[int] = None):
-        data = _as_fraction_rows(entries)
-        self.entries: list[list[Fraction]] = data
-        self.rows: int = len(data)
-        self.cols: int = len(data[0]) if data else (cols or 0)
+    __slots__ = ("numerators", "denominators", "rows", "cols")
+
+    def __init__(self, entries: Iterable[Iterable[Fraction]], cols: Optional[int] = None,
+                 denominators: Optional[Iterable[int]] = None):
+        rows = [list(row) for row in entries]
+        if denominators is None:
+            rows = [[Fraction(x) for x in row] for row in rows]
+            denominators = [math.lcm(*(x.denominator for x in row)) for row in rows]
+            rows = [[x.numerator * (d // x.denominator) for x in row] for row, d in zip(rows, denominators)]
+        self.denominators: list[int] = list(denominators)
+        if len(self.denominators) != len(rows) or min(self.denominators, default=1) < 1:
+            raise ValueError("matrix needs one positive denominator per row")
+        if any(len(row) != len(rows[0]) for row in rows):
+            raise ValueError("matrix rows must all have the same length")
+        self.numerators: list[list[int]] = rows
+        self.rows: int = len(rows)
+        self.cols: int = len(rows[0]) if rows else (cols or 0)
+
+    @property
+    def entries(self) -> list[list[Fraction]]:
+        return [[Fraction(x, d) for x in row] for row, d in zip(self.numerators, self.denominators)]
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -104,19 +115,17 @@ def _primitive(row: list[int]) -> list[int]:
     return [x // g for x in row] if g > 1 else row
 
 
-def _echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row-echelon form of rows; returns (new rows, pivot column list).
+def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Row-echelon form of integer rows; returns (new rows, pivot column list).
 
     Pivot choice is the first row (in current order) with a nonzero entry
     in the leftmost unresolved column; no other row exchanges happen.
     Elimination is fraction-free: every row is kept as a primitive integer
-    multiple of the row Gauss-Jordan would hold, and pivot rows are divided
-    by their pivot only at the end, so the result is the same.
+    multiple of the row Gauss-Jordan would hold, so pivot row r divided by
+    its entry in column pivots[r] is row r of the reduced row-echelon form,
+    and the rows past the pivots are zero.
     """
-    work: list[list[int]] = []
-    for row in rows:
-        den = math.lcm(*(x.denominator for x in row))
-        work.append(_primitive([x.numerator * (den // x.denominator) for x in row]))
+    work = [_primitive(row) for row in rows]
     ncols = len(work[0]) if work else 0
     pivots: list[int] = []
     r = 0
@@ -135,15 +144,17 @@ def _echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int
         r += 1
         if r == len(work):
             break
-    out = [[Fraction(x, row[c]) for x in row] for row, c in zip(work, pivots)]
-    out.extend([Fraction(0)] * ncols for _ in work[len(pivots):])
-    return out, pivots
+    return work, pivots
 
 
 def rref(matrix: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
     """Reduced row-echelon form and the pivot columns."""
-    reduced, pivots = _echelon(matrix.entries)
-    return RationalMatrix(reduced, cols=matrix.cols), tuple(pivots)
+    work, pivots = _echelon(matrix.numerators)
+    rows = [row if row[c] > 0 else [-x for x in row] for row, c in zip(work, pivots)]
+    dens = [row[c] for row, c in zip(rows, pivots)]
+    zeros = len(work) - len(pivots)
+    rows += ([0] * matrix.cols for _ in range(zeros))
+    return RationalMatrix(rows, matrix.cols, dens + [1] * zeros), tuple(pivots)
 
 
 def solve_membership(
@@ -160,15 +171,16 @@ def solve_membership(
             f"target length {len(target)} does not match column count {system.cols}"
         )
     t = [x if isinstance(x, Fraction) else Fraction(x) for x in target]
-    # Augmented transpose: one row per original column, unknowns = lambda.
-    aug = [[system.entries[i][j] for i in range(system.rows)] + [t[j]] for j in range(system.cols)]
+    # Augmented transpose, one row per original column scaled by its target's
+    # denominator, over the unknowns mu_i = lambda_i / denominators[i]
+    aug = [[x.denominator * row[j] for row in system.numerators] + [x.numerator] for j, x in enumerate(t)]
     reduced, pivots = _echelon(aug)
     n_unknowns = system.rows
     solution = [Fraction(0)] * n_unknowns
-    for r, c in enumerate(pivots):
+    for row, c in zip(reduced, pivots):
         if c >= n_unknowns:
             return None  # pivot in the augmented column: inconsistent
-        # fully reduced: row r is zero in every other pivot column, so
-        # lambda_c is its right-hand side once free variables are zero
-        solution[c] = reduced[r][n_unknowns]
+        # the row is zero in every other pivot column, so mu_c is its
+        # right-hand side over its pivot once free variables are zero
+        solution[c] = Fraction(row[n_unknowns] * system.denominators[c], row[c])
     return solution

@@ -40,6 +40,7 @@ def _poly_mul(p: dict, q: dict) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
+@lru_cache(maxsize=64)
 def _xy_power(n: int) -> dict:
     # (x + y)^n by repeated multiplication, no binomial shortcut
     acc = {(0, 0): 1}
@@ -48,9 +49,9 @@ def _xy_power(n: int) -> dict:
     return acc
 
 
-def bivariate_big_c(support, b: int) -> int:
-    """Coefficient of x^(N-b) y^b in prod ((x+y)^n - x^n - y^n)^k."""
-    total = sum(n * k for n, k in support)
+@lru_cache(maxsize=1)
+def _bivariate_product(support) -> dict:
+    # callers read every b of one support in turn
     prod = {(0, 0): 1}
     for size, mult in support:
         factor = dict(_xy_power(size))
@@ -59,7 +60,13 @@ def bivariate_big_c(support, b: int) -> int:
         factor = {k: v for k, v in factor.items() if v}
         for _ in range(mult):
             prod = _poly_mul(prod, factor)
-    return prod.get((total - b, b), 0)
+    return prod
+
+
+def bivariate_big_c(support, b: int) -> int:
+    """Coefficient of x^(N-b) y^b in prod ((x+y)^n - x^n - y^n)^k."""
+    total = sum(n * k for n, k in support)
+    return _bivariate_product(support).get((total - b, b), 0)
 
 
 def big_c(x, b: int) -> int:

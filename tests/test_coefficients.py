@@ -8,7 +8,7 @@ import pytest
 from oracles import big_c, bivariate_big_c, brute_slot_values
 from zetalog import coefficients
 from zetalog.coefficients import c_tilde, composition_profile, little_c
-from zetalog.partitions import PartitionElement, enumerate_partitions
+from zetalog.partitions import PartitionElement, PartitionFilter, enumerate_partitions
 
 F = Fraction
 
@@ -19,7 +19,15 @@ def all_partitions(weight_max):
 
 
 def test_big_c_matches_bivariate_expansion():
-    for x in all_partitions(10):
+    # each profile is one int product read back in slots of
+    # sum(profile).bit_length() + s bits; a slot too narrow carries into the
+    # next.  Every partition expand_lz reads through weight 30, and every
+    # column of a survey through weight 40
+    xs = list(all_partitions(10))
+    xs += [x for n in range(11, 31) for x in enumerate_partitions(n, PartitionFilter(min_part=2))]
+    odd = PartitionFilter(min_part=3, parity="odd")
+    xs += [x for n in range(31, 41) for x in enumerate_partitions(n, odd)]
+    for x in xs:
         for b in range(x.weight + 2):
             assert big_c(x, b) == bivariate_big_c(x.support, b), (x, b)
 

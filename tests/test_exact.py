@@ -14,7 +14,7 @@ from zetalog.exact import (
     solve_membership,
     zeta_even_pi_coeff,
 )
-from zetalog.solver import MODES, build_system
+from zetalog.solver import MODES, _rowspace_members, build_system
 
 F = Fraction
 
@@ -85,9 +85,23 @@ def test_matrix_shape_and_accessors():
     assert (m.rows, m.cols) == (2, 3)
 
 
+def test_matrix_from_integers_matches_matrix_from_fractions():
+    nums, dens = [[2, -4, 0], [3, 6, 9], [0, 0, 0]], [6, 3, 5]
+    from_ints = RationalMatrix(nums, 3, dens)
+    from_fractions = RationalMatrix([[F(x, d) for x in row] for row, d in zip(nums, dens)])
+    want = [[F(1, 3), F(-2, 3), F(0)], [F(1), F(2), F(3)], [F(0)] * 3]
+    assert from_ints.entries == from_fractions.entries == want
+    assert RationalMatrix([[1, 0], [-2, 7]]).entries == [[F(1), F(0)], [F(-2), F(7)]]
+    for m in (from_ints, from_fractions, RationalMatrix([[1, 0], [-2, 7]])):
+        assert all(type(x) is Fraction for row in m.entries for x in row)
+
+
 def test_matrix_rejects_ragged_rows():
     with pytest.raises(ValueError):
         RationalMatrix([[1, 2], [3]])
+    for dens in ([1], [1, 0], [1, -2]):
+        with pytest.raises(ValueError):
+            RationalMatrix([[1, 2], [3, 4]], 2, dens)
 
 
 def test_empty_matrix_keeps_declared_columns():
@@ -222,8 +236,14 @@ def test_fraction_free_elimination_matches_oracle(matrix, weights, noise, in_spa
 
 
 def test_rref_matches_oracle_on_survey_systems():
-    for n in range(3, 27):
+    # the survey reads rank and unit rows off the integer rows of the RREF;
+    # textbook Fraction Gauss-Jordan must agree on both
+    for n in range(3, 31):
         for mode in MODES:
-            m = build_system(n, mode).matrix()
+            system = build_system(n, mode)
+            m = system.matrix()
+            assert m == RationalMatrix([row.coefficients for row in system.rows], cols=m.cols)
             expected, pivots = fraction_rref(m.entries)
             assert rref(m) == (RationalMatrix(expected, cols=m.cols), tuple(pivots)), (n, mode)
+            units = {c for row, c in zip(expected, pivots) if sum(x != 0 for x in row) == 1}
+            assert _rowspace_members(system) == (len(pivots), units), (n, mode)
