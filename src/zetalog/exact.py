@@ -139,7 +139,9 @@ def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
         for i in range(len(work)):
             f = work[i][c]
             if i != r and f != 0:
-                work[i] = _primitive([a * x - f * y for x, y in zip(work[i], prow)])
+                g = math.gcd(a, f)
+                ag, fg = a // g, f // g
+                work[i] = _primitive([ag * x - fg * y for x, y in zip(work[i], prow)])
         pivots.append(c)
         r += 1
         if r == len(work):

@@ -11,7 +11,9 @@ directly and in e2, e3 by Newton's identity.  The exceptions are
 expansion_system, which builds a linear system from the package's own
 reduced expansions: it is the reference for the solver's shortcut that
 skips them; and big_c, which reads C_b(X) off the package's composition
-profile for the tests that check it.
+profile for the tests that check it; and column_by_convolution, which
+reads the package's profile, Ct and even kernel: it is the reference for
+the one big-int product a system column is read from.
 
 The numeric oracles are mpf forms of the package's numeric kernels:
 lz_series_mpf sums the series route in mpf with a linear tail-cut scan,
@@ -27,7 +29,8 @@ from functools import lru_cache
 
 from mpmath import mp
 
-from zetalog.coefficients import composition_profile
+from zetalog import solver
+from zetalog.coefficients import c_tilde, composition_profile
 from zetalog.expansion import ZetaMonomial, expand_lz, reduce_even
 
 
@@ -270,6 +273,22 @@ def expansion_system(N: int, mode: str, ensure=()):
             known = {m.factors: c for m, c in red.terms.items() if m.factors not in colset}
             rows.append(((N - b, b), coeffs, known))
     return columns, rows
+
+
+def column_by_convolution(x, N: int) -> tuple[list[int], int]:
+    """solver._column's (numerators, denominator) by one slice-and-sum
+    convolution of C_x with phi_d per b = 1..N/2, d = N - wt(x)."""
+    d = N - x.weight
+    prof = composition_profile(x)
+    ct = c_tilde(x)
+    phi, den = solver._even_kernel(d)
+    col = []
+    for b in range(1, N // 2 + 1):
+        # sum_j C_j(x) * phi_d[b - j] over 0 <= b - j <= d; phi_d is
+        # symmetric, so phi_d[b - j] = phi_d[d - b + j] and both run upward
+        lo = max(0, b - d)
+        col.append(ct.numerator * sum(p * q for p, q in zip(prof[lo : b + 1], phi[d - b + lo :])))
+    return col, den * ct.denominator
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,10 @@ def test_every_module_cache_is_bounded():
     unbounded = [name for name, fn in caches.values() if fn.cache_parameters()["maxsize"] is None]
     assert unbounded == []
     # zeta_even_pi_coeff, _even_fold, _partitions_min2, expand_lz, _record,
-    # _even_kernel, _fully_expressible, zeta_value, build_s_table, _tier_nodes
-    assert len(caches) >= 10
+    # _odd_columns, _even_kernel, _fully_expressible, zeta_value,
+    # build_s_table, _tier_nodes
+    assert len(caches) >= 11
+    assert "zetalog.solver._odd_columns" in {name for name, _ in caches.values()}
 
 
 def test_no_module_level_containers():

@@ -9,6 +9,7 @@ from mpmath import mp, workdps
 from oracles import (
     _even_kernel as recurrence_kernel,
     _poly_mul,
+    column_by_convolution,
     e_to_xy,
     expansion_system,
     power_sum_product_on_line,
@@ -135,14 +136,29 @@ def test_build_system_matches_expansion_builder():
 
 def test_even_kernel_matches_recurrence_oracle():
     # phi_d read from the partition engine against the Phi recurrence, which
-    # never reads a c_b; j > d/2 checks the mirror phi_d[j] = phi_d[d - j]
-    for d in range(2, 31, 2):
+    # never reads a c_b, through d = 38, past every kernel the weight cap of
+    # 40 reaches; j > d/2 checks the mirror phi_d[j] = phi_d[d - j], and the interior is
+    # negative, the one sign _column's product relies on
+    for d in range(2, 39, 2):
         phi, den = solver._even_kernel(d)
         assert len(phi) == d + 1
         for j in range(d + 1):
             assert F(phi[j], den) == recurrence_kernel(d).get((d - j, j), 0), (d, j)
             assert phi[j] == phi[d - j]
         assert phi[0] == phi[d] == 0
+        assert max(phi[1:-1]) < 0, d
+
+
+def test_column_product_matches_convolution():
+    # pins the slot width of _column's one int product: every odd partition
+    # x against every weight N <= 40 its column can appear at
+    checked = 0
+    for w in range(3, 41):
+        for x in enumerate_partitions(w, PartitionFilter(min_part=3, parity="odd")):
+            for N in range(w, 41, 2):
+                assert solver._column(x, N) == column_by_convolution(x, N), (x, N)
+                checked += 1
+    assert checked == 4623
 
 
 def test_build_system_reads_no_vanishing_little_c(monkeypatch):
