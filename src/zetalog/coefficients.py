@@ -38,8 +38,9 @@ __all__ = [
 # they are built from, read once each.  8,192 keeps the first set whole while
 # the second streams through: table 40 --reduce misses 12,306 times, once per
 # record, one big-int product each (0.11 s for all 12,306 on a 2-core Xeon).
-# No survey expands a pair above weight 36; a strict survey of 3..40 misses
-# 12,825 times over all its weights
+# No system column reads a record, so a survey reads them only through its
+# even kernels' pairs (none above weight 36): a strict 3..40 reads 11,401
+# records and misses 11,866 times, an optimistic survey none
 @lru_cache(maxsize=8192)
 def _record(support: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], int, int]:
     """(profile, sign, denominator) of the partition with this support:

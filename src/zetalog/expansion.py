@@ -126,8 +126,8 @@ UNIT_MONOMIAL = ZetaMonomial(())
 
 # one entry per monomial: weight 40, the largest a pair is expanded at, has
 # 6,153 partitions into parts >= 2, so every monomial of one weight folds once
-# (table 40 --reduce misses 6,153 times; a strict survey of 3..40, which
-# folds only the all-even terms of its kernels' pairs, 1,596)
+# (table 40 --reduce misses 6,153 times; a survey folds only the all-even
+# terms of its kernels' pairs: a strict 3..40 misses 1,596 times)
 @lru_cache(maxsize=8192)
 def _even_fold(mono: ZetaMonomial) -> tuple[ZetaMonomial, int, int]:
     """(odd part, p, q): mono is p/q * pi^(even weight) * odd part, p/q in
@@ -313,11 +313,11 @@ def _partitions_min2(n: int) -> tuple[tuple[PartitionElement, int, ZetaMonomial]
     )
 
 
-# an optimistic survey expands no pair, and a strict one only the pairs
-# (d - j, j), j <= d/2, of each even d it needs a kernel phi_d for, once
-# each; express re-reads a pair through a row's known part, its
-# substitution check, its strict fallback and its recursion into
-# dependencies
+# no system column expands a pair: an optimistic survey expands none, and a
+# strict one only the pairs (d - j, j), j <= d/2, of each even d it needs a
+# kernel phi_d for, once each (171 for 3..40); express re-reads a pair
+# through a row's known part, its substitution check, its strict fallback
+# and its recursion into member dependencies
 @lru_cache(maxsize=64)
 def expand_lz(a: int, b: int) -> ZetaCombination:
     """Exact weight-(a+b) expansion of Lz(a,b)."""

@@ -12,22 +12,24 @@ and land in the known part, while strict mode keeps them as columns.
 Every column m, of weight w, takes its coefficient in Lz(N-b, b) by one
 rule: the y^b coefficient of Ct(X_m) * C_(X_m)(y) * phi_(N-w)(y), with
 X_m the odd partition of m (Ct * C_j is the paper's c_j), phi_d[j] the
-pi^d coefficient of the reduced Lz(d-j, j) for d > 0, and phi_0 = 1.  The
-product is one int product at y = 2^S, read back S bits a slot.  So a
-full-weight column reads c_b(X_m) itself and an optimistic system
-expands no pair, while the kernel of each even d serves every weight and
-no row reduces the expansion of its own pair.  A row's known part is
-that reduced expansion minus its columns; it is built when read, which
-only a certificate does.
+pi^d coefficient of the reduced Lz(d-j, j) for d > 0, and phi_0 = 1.
+C_X and Ct come in closed form from the parts of X_m, so no column reads
+a partition record, and the product is one int product at y = 2^S, read
+back S bits a slot.  So an optimistic system expands no pair, while the
+kernel of each even d serves every weight and no row reduces the
+expansion of its own pair.  A row's known part is that reduced expansion
+minus its columns; it is built when read, which only a certificate does.
 
 A successful solve is packaged as a Certificate for the exact identity
 
     pi^(N - wt(target)) * target = sum lambda_i Lz(a_i, b_i) + remainder
 
 and machine-verified by substituting the expansions back in before it
-is returned.  The columns read the partition records through the profile
-and Ct, the check through expand_lz; the two share only those records
-and the even fold, and the known part comes from the check's expansions.
+is returned.  The check reads the partition records through expand_lz;
+the columns share with it only phi_d, that is the records of partitions
+into parts >= 2 behind each kernel and the even fold, and the known part
+comes from the check's expansions.  A certificate's dependency is solved
+for only if it lies in its weight's optimistic row space.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .coefficients import _pack, composition_profile, c_tilde
+from .coefficients import _pack
 from .exact import RationalMatrix, rref, solve_membership
 from .expansion import (
     UNIT_MONOMIAL,
@@ -68,6 +70,7 @@ __all__ = [
 MODES = ("optimistic", "strict")
 
 _ODD_FILTER = PartitionFilter(min_part=3, parity="odd")
+_EVEN_FILTER = PartitionFilter(min_part=2, parity="even")
 
 
 # one entry per weight: a strict survey of 3..40 makes 38 misses, 342 hits
@@ -153,21 +156,24 @@ def _column(x: PartitionElement, N: int) -> tuple[list[int], int]:
     in the reduced Lz(N - b, b), b = 1..N/2, for wt(x) <= N: the y^b
     coefficients of Ct(x) * C_x(y) * phi_d(y), d = N - wt(x).
 
-    C_x(y) * phi_d(y) is one int product at y = 2^S (Kronecker substitution).
-    C_x is nonnegative and phi_d of one sign (checked in _even_kernel), so
-    the product's coefficients share that sign and their magnitudes sum to
-    sum(C_x) * |sum(phi_d)| < 2^S for S = sum(C_x).bit_length() +
-    sum(phi_d).bit_length(): read back S bits a slot, no slot carries.
+    No partition record is read: C_x(y) = prod ((1 + y)^n - 1 - y^n)^k over
+    the parts n of multiplicity k, and Ct(x) = 1 / prod k! * n^k, positive as
+    N + |x| = sum k * (n + 1) is even for odd parts.  C_x(y) * phi_d(y) is one
+    int product at y = 2^S (Kronecker substitution).  C_x is nonnegative and
+    phi_d of one sign (checked in _even_kernel), so the product's coefficients
+    share that sign and their magnitudes sum to C_x(1) * |phi_d(1)| < 2^S for
+    S = C_x(1).bit_length() + phi_d(1).bit_length(): read back S bits a slot,
+    no slot carries.  C_x(1) = prod (2^n - 2)^k.
     """
-    d = N - x.weight
-    prof = composition_profile(x)
-    ct = c_tilde(x)
-    phi, den = _even_kernel(d)
-    S = sum(prof).bit_length() + sum(phi).bit_length()
-    packed = _pack(prof, S) * _pack(phi, S)
-    num, packed = (ct.numerator, packed) if packed > 0 else (-ct.numerator, -packed)
+    phi, den = _even_kernel(N - x.weight)
+    S = math.prod((2**n - 2) ** k for n, k in x.support).bit_length() + sum(phi).bit_length()
+    packed = _pack(phi, S)
+    for n, k in x.support:
+        packed *= (((1 << S) + 1) ** n - 1 - (1 << S * n)) ** k
+    sign, packed = (1, packed) if packed > 0 else (-1, -packed)
     mask = (1 << S) - 1
-    return [num * (packed >> S * b & mask) for b in range(1, N // 2 + 1)], den * ct.denominator
+    ct_den = math.prod(math.factorial(k) * n**k for n, k in x.support)
+    return [sign * (packed >> S * b & mask) for b in range(1, N // 2 + 1)], den * ct_den
 
 
 # one entry per even d; a survey to weight 40 reads d = 0..36
@@ -180,15 +186,17 @@ def _even_kernel(d: int) -> tuple[tuple[int, ...], int]:
     phi_d[0] = phi_d[d] = 0 for d > 0, and phi_d[j] = phi_d[d-j] since C_b
     is symmetric under b -> d - b, so only the pairs with j <= d/2 are reduced.
     Only the all-even terms of a pair fold to the unit monomial, so only
-    they are reduced.  Every phi_d[j] is <= 0 for d > 0 (measured through
-    d = 38, unproven), which _column's product needs, so that is checked.
+    they are looked up and reduced.  Every phi_d[j] is <= 0 for d > 0
+    (measured through d = 38, unproven), which _column's product needs, so
+    that is checked.
     """
     if d == 0:
         return (1,), 1
+    evens = [ZetaMonomial.from_partition(x) for x in enumerate_partitions(d, _EVEN_FILTER)]
     half = []
     for j in range(1, d // 2 + 1):
         terms = expand_lz(d - j, j)._terms
-        even = ZetaCombination._of(d, {m: q for m, q in terms.items() if not m.odd_weight})
+        even = ZetaCombination._of(d, {m: terms[m] for m in evens if m in terms})
         half.append(reduce_even(even).coefficient(UNIT_MONOMIAL))
     if max(half) > 0:
         raise AssertionError(f"phi_{d} has a positive entry; _column needs one sign")
@@ -287,14 +295,20 @@ def _solve(target: ZetaMonomial, N: int, mode: str) -> Optional[Certificate]:
     return cert
 
 
-# one entry per monomial, bounded.  Measured: express(z3^3*z7, weight=40)
-# makes 274 checks, each of a different monomial, so one call gets 0 hits
-# at any size.  Only optimistic answers are asked for: strict columns hold
-# every odd monomial of weight = N (mod 2), so a strict certificate never
-# leaves a lower-weight dependency
+# one entry per weight, shared by every dependency of that weight
+@lru_cache(maxsize=40)
+def _optimistic_members(N: int) -> frozenset[ZetaMonomial]:
+    system = build_system(N)
+    return frozenset(system.columns[j] for j in _rowspace_members(system)[1])
+
+
+# one entry per monomial, bounded.  Only optimistic answers are asked for:
+# strict columns hold every odd monomial of weight = N (mod 2), so a strict
+# certificate never leaves a lower-weight dependency.  Only a member of its
+# weight's row space is solved for; its own dependencies recurse
 @lru_cache(maxsize=128)
 def _fully_expressible(mono: ZetaMonomial) -> bool:
-    return express(mono).status == "expressible"
+    return mono in _optimistic_members(mono.weight) and express(mono).status == "expressible"
 
 
 def express(
@@ -363,8 +377,13 @@ class SurveyReport(NamedTuple):
 
 
 def _rowspace_members(system: LinearSystem) -> tuple[int, set[int]]:
-    """Exact rank and the set of column indices whose unit vector is reachable."""
-    reduced, pivots = rref(system.matrix())
+    """Exact rank and the set of column indices whose unit vector is reachable,
+    read off the rows with each nonzero column divided by its gcd: scaling a
+    column by a nonzero factor changes neither, and the integers shrink."""
+    nums = [row.numerators for row in system.rows]
+    gcds = [math.gcd(*col) or 1 for col in zip(*nums)]
+    prim = [[x // g for x, g in zip(row, gcds)] for row in nums]
+    reduced, pivots = rref(RationalMatrix(prim, len(system.columns), [1] * len(prim)))
     members = {c for row, c in zip(reduced.numerators, pivots) if row.count(0) == len(row) - 1}
     return len(pivots), members
 

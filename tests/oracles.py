@@ -12,8 +12,9 @@ expansion_system, which builds a linear system from the package's own
 reduced expansions: it is the reference for the solver's shortcut that
 skips them; and big_c, which reads C_b(X) off the package's composition
 profile for the tests that check it; and column_by_convolution, which
-reads the package's profile, Ct and even kernel: it is the reference for
-the one big-int product a system column is read from.
+reads the package's partition records (profile and Ct) and even kernel:
+it is the record-side reference for the closed-form product a system
+column is read from, which reads no record.
 
 The numeric oracles are mpf forms of the package's numeric kernels:
 lz_series_mpf sums the series route in mpf with a linear tail-cut scan,

@@ -14,6 +14,7 @@ from zetalog.exact import (
     solve_membership,
     zeta_even_pi_coeff,
 )
+from zetalog.expansion import UNIT_MONOMIAL
 from zetalog.solver import MODES, _rowspace_members, build_system
 
 F = Fraction
@@ -247,3 +248,26 @@ def test_rref_matches_oracle_on_survey_systems():
             assert rref(m) == (RationalMatrix(expected, cols=m.cols), tuple(pivots)), (n, mode)
             units = {c for row, c in zip(expected, pivots) if sum(x != 0 for x in row) == 1}
             assert _rowspace_members(system) == (len(pivots), units), (n, mode)
+
+
+def test_rowspace_members_ignore_column_scaling():
+    # _rowspace_members divides each column by its gcd before eliminating;
+    # rank and unit rows must not move when each column is scaled by a
+    # distinct nonzero factor, and an all-zero column, whose gcd is 0, is
+    # carried undivided and is never a member
+    for n in range(3, 25):
+        for mode in MODES:
+            system = build_system(n, mode)
+            rank, members = _rowspace_members(system)
+            factors = [(-1) ** j * (j + 2) for j in range(len(system.columns))]
+            scaled = tuple(
+                row._replace(numerators=tuple(x * f for x, f in zip(row.numerators, factors)))
+                for row in system.rows
+            )
+            assert _rowspace_members(system._replace(rows=scaled)) == (rank, members), (n, mode)
+            padded = system._replace(
+                columns=(UNIT_MONOMIAL, *system.columns),
+                rows=tuple(row._replace(numerators=(0, *row.numerators)) for row in scaled),
+            )
+            shifted = {j + 1 for j in members}
+            assert _rowspace_members(padded) == (rank, shifted), (n, mode)

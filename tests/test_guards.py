@@ -1,6 +1,7 @@
 """Structural guards: every module-level cache is bounded and no module
 holds other growable state, only the combination fast path bypasses a
-constructor, the exact layers hold no floats, the CLI imports only
+constructor, the exact layers hold no floats, the solver reads no
+partition record, the CLI imports only
 public library names, every exported name exists, start-up and the
 exact commands load neither mpmath nor dataclasses, and the bench trace
 shim still finds and counts every name it wraps."""
@@ -34,9 +35,9 @@ def test_every_module_cache_is_bounded():
     unbounded = [name for name, fn in caches.values() if fn.cache_parameters()["maxsize"] is None]
     assert unbounded == []
     # zeta_even_pi_coeff, _even_fold, _partitions_min2, expand_lz, _record,
-    # _odd_columns, _even_kernel, _fully_expressible, zeta_value,
-    # build_s_table, _tier_nodes
-    assert len(caches) >= 11
+    # _odd_columns, _even_kernel, _optimistic_members, _fully_expressible,
+    # zeta_value, build_s_table, _tier_nodes
+    assert len(caches) >= 12
     assert "zetalog.solver._odd_columns" in {name for name, _ in caches.values()}
 
 
@@ -103,6 +104,21 @@ def test_exact_layers_build_no_floats():
                     if module.split(".")[0] == "mpmath" or module.split(".")[-1] == "numerics":
                         found.append((name, node.lineno, module))
     assert found == []
+
+
+def test_solver_reads_no_partition_record():
+    # system columns take C_x and Ct from the parts of x; the certificate
+    # check reads the records through expand_lz, so a wrong record can no
+    # longer feed the solve and its check alike
+    tree = ast.parse((ROOT / "src" / "zetalog" / "solver.py").read_text())
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names += [(node.lineno, alias.name.split(".")[-1]) for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names.append((node.lineno, node.attr))
+    record_side = {"_record", "composition_profile", "c_tilde", "little_c"}
+    assert [(line, name) for line, name in names if name in record_side] == []
 
 
 def test_numerics_imports_nothing_from_exact():

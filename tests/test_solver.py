@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -150,8 +151,9 @@ def test_even_kernel_matches_recurrence_oracle():
 
 
 def test_column_product_matches_convolution():
-    # pins the slot width of _column's one int product: every odd partition
-    # x against every weight N <= 40 its column can appear at
+    # pins the slot width of _column's one int product, and its closed-form
+    # C_x and Ct against the partition records the convolution reads: every
+    # odd partition x against every weight N <= 40 its column can appear at
     checked = 0
     for w in range(3, 41):
         for x in enumerate_partitions(w, PartitionFilter(min_part=3, parity="odd")):
@@ -162,9 +164,9 @@ def test_column_product_matches_convolution():
 
 
 def test_build_system_reads_no_vanishing_little_c(monkeypatch):
-    # columns read the partition records through the profile and Ct, never
-    # little_c; only the pairs behind a strict survey's even kernels do, and
-    # expand_lz asks for no c_b that vanishes
+    # columns read no partition record, so never little_c; only the pairs
+    # behind a strict survey's even kernels do, and expand_lz asks for no c_b
+    # that vanishes
     returned = []
 
     def recording(x, b):
@@ -420,8 +422,8 @@ def test_numeric_audit_catches_a_wrong_even_partition_coefficient(six_two_triple
 
 
 def test_substitution_catches_a_wrong_odd_partition_coefficient(monkeypatch):
-    # the columns read the records through the profile and Ct, so a wrong
-    # little_c reaches only the expansion that the substitution check reads
+    # the columns read no partition record, so a wrong little_c reaches only
+    # the expansion that the substitution check reads
     five_three = PartitionElement.from_parts([5, 3])
 
     def wrong(x, b):
@@ -441,6 +443,67 @@ def test_substitution_catches_a_wrong_odd_partition_coefficient(monkeypatch):
         monkeypatch.undo()
         for cache in caches:
             cache.cache_clear()
+
+
+def test_substitution_catches_a_wrong_odd_partition_record(monkeypatch):
+    # the columns take C_x and Ct from the parts of x, not from the record
+    # cache, so a wrong record of 5+3 reaches only the expansion that the
+    # substitution check reads; were the columns built from the same record,
+    # the solve would absorb the error and the check would pass
+    true_record = coefficients._record
+
+    def wrong(support):
+        prof, sign, denom = true_record(support)
+        return (prof, sign, 2 * denom) if support == ((3, 1), (5, 1)) else (prof, sign, denom)
+
+    monkeypatch.setattr(coefficients, "_record", wrong)
+    caches = (
+        true_record,
+        expand_lz,
+        solver._even_kernel,
+        solver._fully_expressible,
+        solver._optimistic_members,
+    )
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="substitution check"):
+            express(mono("z3*z5"))
+    finally:
+        monkeypatch.undo()
+        for cache in caches:
+            cache.cache_clear()
+
+
+def test_express_matches_the_per_dependency_path(monkeypatch):
+    # _fully_expressible answers a dependency outside its weight's row space
+    # without a solve; asking express for every dependency gives the same
+    # outcome for every odd monomial through weight 20, at its own weight and
+    # raised by 2, in both modes
+    def outcomes():
+        return {
+            (m, N, mode): express(m, mode, N)
+            for w in range(3, 21)
+            for m in odd_monomials(w)
+            for N in (w, w + 2)
+            for mode in MODES
+        }
+
+    solver._fully_expressible.cache_clear()
+    solver._optimistic_members.cache_clear()
+    fast = outcomes()
+    asked: dict[ZetaMonomial, bool] = {}
+
+    def per_dependency(m):
+        if m not in asked:
+            asked[m] = express(m).status == "expressible"
+        return asked[m]
+
+    monkeypatch.setattr(solver, "_fully_expressible", per_dependency)
+    assert outcomes() == fast
+    counts = Counter(out.status for out in fast.values())
+    assert counts == {"expressible": 52, "not_expressible": 100, "unresolved_dependency": 100}
+    assert any(m not in solver._optimistic_members(m.weight) for m in asked)
 
 
 def test_verify_certificate_rejects_terms_off_the_weight():
