@@ -17,21 +17,17 @@ import json
 import sys
 import time
 
-from .expansion import (
-    ZetaMonomial,
-    expand_lz,
-    expand_weight,
-    reduce_even,
-)
-from .numerics import METHODS, PrecisionBudgetError, verify_expansion
-from .partitions import PARITY_CHOICES, PartitionFilter, enumerate_partitions
-from .solver import MODES, express, survey
+from . import expansion, numerics, partitions, solver
 
 __all__ = ["main", "console_main"]
 
 SCHEMA_VERSION = 1
 WEIGHT_CAP = 40
 DIGITS_CAP = 60
+# solver.MODES and numerics.METHODS, spelt here so that building the parser
+# compiles neither module (a tier-1 test keeps them equal)
+MODES = ("optimistic", "strict")
+METHODS = ("series", "quadrature", "both")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,25 +62,25 @@ def _build_parser() -> _Parser:
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
     p.add_argument("--digits", type=int, default=30)
-    p.add_argument("--method", choices=list(METHODS), default="both")
+    p.add_argument("--method", choices=METHODS, default="both")
 
     p = sub.add_parser("express", help="certificate for an odd-zeta monomial")
     p.add_argument("monomial", help="e.g. z3, z3^2*z5")
-    p.add_argument("--mode", choices=list(MODES), default="optimistic")
+    p.add_argument("--mode", choices=MODES, default="optimistic")
     p.add_argument("--weight", type=int, default=None)
     add_format(p)
 
     p = sub.add_parser("survey", help="equations/unknowns/rank per weight")
     p.add_argument("--from", type=int, required=True)
     p.add_argument("--to", type=int, required=True)
-    p.add_argument("--mode", choices=list(MODES), default="optimistic")
+    p.add_argument("--mode", choices=MODES, default="optimistic")
     add_format(p)
 
     p = sub.add_parser("partitions", help="restricted partition listing")
     p.add_argument("N", type=int)
     p.add_argument("--min-part", type=int, default=1)
     p.add_argument("--parts", type=int, default=None)
-    p.add_argument("--parity", choices=list(PARITY_CHOICES), default="any")
+    p.add_argument("--parity", choices=partitions.PARITY_CHOICES, default="any")
     add_format(p, latex=False)
 
     return parser
@@ -107,8 +103,8 @@ def _check_pair(args) -> None:
 
 def _cmd_expand(args):
     _check_pair(args)
-    comb = expand_lz(args.a, args.b)
-    obj = reduce_even(comb) if args.reduce else comb
+    comb = expansion.expand_lz(args.a, args.b)
+    obj = expansion.reduce_even(comb) if args.reduce else comb
     if args.format == "json":
         return 0, {"weight": obj.weight, "reduced": args.reduce, "terms": obj.payload()}
     print(f"Lz({args.a},{args.b})={obj.latex()}" if args.format == "latex" else obj.text())
@@ -119,8 +115,8 @@ def _cmd_table(args):
     if not 2 <= args.N <= WEIGHT_CAP:
         raise ValueError(f"table needs 2 <= N <= {WEIGHT_CAP}, the weight cap")
     shown = {
-        pair: (reduce_even(comb) if args.reduce else comb)
-        for pair, comb in expand_weight(args.N).items()
+        pair: (expansion.reduce_even(comb) if args.reduce else comb)
+        for pair, comb in expansion.expand_weight(args.N).items()
     }
     if args.format == "json":
         entries = [{"a": a, "b": b, "terms": obj.payload()} for (a, b), obj in shown.items()]
@@ -137,7 +133,7 @@ def _cmd_verify(args):
     _check_pair(args)
     if args.digits > DIGITS_CAP:
         raise ValueError(f"digits must be at most {DIGITS_CAP}")
-    report = verify_expansion(args.a, args.b, args.digits, args.method)
+    report = numerics.verify_expansion(args.a, args.b, args.digits, args.method)
     from mpmath import mp  # loaded by verify_expansion; no exact command needs it
 
     shown = {**report.values, "deviation": report.max_deviation, "threshold": report.threshold}
@@ -148,11 +144,11 @@ def _cmd_verify(args):
 
 
 def _cmd_express(args):
-    target = ZetaMonomial.parse(args.monomial)
+    target = expansion.ZetaMonomial.parse(args.monomial)
     weight = args.weight if args.weight is not None else target.weight
     if weight > WEIGHT_CAP:
         raise ValueError(f"weight {weight} exceeds the weight cap {WEIGHT_CAP}")
-    outcome = express(target, mode=args.mode, weight=args.weight)
+    outcome = solver.express(target, mode=args.mode, weight=args.weight)
     cert = outcome.certificate
     code = 0 if outcome.status == "expressible" else 2
     if args.format == "json":
@@ -178,7 +174,7 @@ def _cmd_survey(args):
     lo, hi = vars(args)["from"], args.to
     if not 3 <= lo <= hi <= WEIGHT_CAP:
         raise ValueError(f"survey range must satisfy 3 <= from <= to <= {WEIGHT_CAP}")
-    report = survey(lo, hi, mode=args.mode)
+    report = solver.survey(lo, hi, mode=args.mode)
     if args.format == "json":
         records = [
             {
@@ -208,10 +204,10 @@ def _cmd_survey(args):
 def _cmd_partitions(args):
     if not 1 <= args.N <= WEIGHT_CAP:
         raise ValueError(f"partitions needs 1 <= N <= {WEIGHT_CAP}")
-    flt = PartitionFilter(
+    flt = partitions.PartitionFilter(
         min_part=args.min_part, exact_parts=args.parts, parity=args.parity
     )
-    elems = enumerate_partitions(args.N, flt)
+    elems = partitions.enumerate_partitions(args.N, flt)
     if args.format == "json":
         return 0, {
             "n": args.N,
@@ -244,12 +240,13 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         code, result = _DISPATCH[args.command](args)
-    except PrecisionBudgetError as exc:
-        sys.stderr.write(f"zetalog {args.command}: precision budget: {exc}\n")
-        return 3
     except ValueError as exc:
         sys.stderr.write(f"zetalog {args.command}: {exc}\n")
         return 1
+    # evaluated only for a non-ValueError, so a usage error compiles no numerics
+    except numerics.PrecisionBudgetError as exc:
+        sys.stderr.write(f"zetalog {args.command}: precision budget: {exc}\n")
+        return 3
     if result is not None:
         envelope = {
             "schema_version": SCHEMA_VERSION,

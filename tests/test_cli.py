@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from zetalog import cli, numerics
+from zetalog import cli, numerics, solver
 from zetalog.expansion import ZetaCombination, ZetaMonomial, expand_lz
 from zetalog.numerics import PrecisionBudgetError
 from zetalog.solver import express
@@ -146,12 +146,12 @@ def test_verify_single_method(run_cli):
 
 
 def test_verify_reports_failure_with_exit_three(run_cli, monkeypatch):
-    real = cli.verify_expansion
+    real = numerics.verify_expansion
 
     def doctored(a, b, digits, method):
         return real(a, b, digits, method)._replace(passed=False)
 
-    monkeypatch.setattr(cli, "verify_expansion", doctored)
+    monkeypatch.setattr(numerics, "verify_expansion", doctored)
     # every --method prints the one judgement's verdict
     for method in ("both", "series", "quadrature"):
         code, out, _ = run_cli("verify", "2", "1", "--digits", "15", "--method", method)
@@ -167,6 +167,13 @@ def test_verify_budget_exhaustion_exits_three(run_cli, monkeypatch):
     code, _, err = run_cli("verify", "2", "1", "--digits", "15", "--method", "series")
     assert code == 3
     assert "precision budget" in err
+
+
+def test_cli_choices_match_library_validation():
+    # the parser spells these itself so that building it compiles neither
+    # solver nor numerics; the library's own checks must accept the same words
+    assert cli.MODES == solver.MODES
+    assert cli.METHODS == numerics.METHODS
 
 
 def test_verify_usage(run_cli):

@@ -2,9 +2,10 @@
 holds other growable state, only the combination fast path bypasses a
 constructor, the exact layers hold no floats, the solver reads no
 partition record, the CLI imports only
-public library names, every exported name exists, start-up and the
-exact commands load neither mpmath nor dataclasses, and the bench trace
-shim still finds and counts every name it wraps."""
+public library names, every exported name exists and resolves through
+the lazy package, start-up and the exact commands load neither mpmath
+nor dataclasses, each command compiles only the layers it calls, and the
+bench trace shim still finds and counts every name it wraps."""
 
 from __future__ import annotations
 
@@ -17,6 +18,8 @@ import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import zetalog
 from zetalog import expansion
@@ -167,12 +170,37 @@ def test_every_export_resolves():
     assert all(hasattr(module, "__all__") for module in modules)
 
 
+def test_public_surface_resolves_through_the_lazy_package():
+    # every public name is the very object its home module exports, read
+    # through the package's __getattr__; star-import, dir() and a missing
+    # name behave as for a package that imported everything eagerly
+    homes = {}
+    for module, names in zetalog._EXPORTS:
+        home = sys.modules[f"zetalog.{module}"]
+        assert getattr(zetalog, module) is home
+        for name in names:
+            assert name in home.__all__, f"{module}.{name}"
+            homes[name] = home
+    assert zetalog.__all__ == [*homes, "__version__"]
+    for name, home in homes.items():
+        assert getattr(zetalog, name) is getattr(home, name), name
+    namespace = {}
+    exec("from zetalog import *", namespace)
+    assert all(namespace[name] is getattr(zetalog, name) for name in zetalog.__all__)
+    assert set(zetalog.__all__) <= set(dir(zetalog))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        zetalog.no_such_name  # noqa: B018
+    assert not hasattr(zetalog, "PARITY_CHOICES")
+
+
 def test_exact_commands_never_import_mpmath():
     # mpmath loads on the first numeric call: the exact commands never pay
-    # its import, verify still gets it, and the numeric module is present
-    # from the start (the bench shim wraps its functions right after import).
-    # Every process pays the start-up, so neither it nor an exact command
-    # may load dataclasses or the inspect machinery that module pulls in
+    # its import, and verify still gets it.  zetalog.numerics is in
+    # sys.modules from the start, as a lazy module the bench shim can look
+    # up right after import; which commands compile it is the load table's
+    # test below.  Every process pays the start-up, so neither it nor an
+    # exact command may load dataclasses or the inspect machinery that
+    # module pulls in
     script = """
 import sys
 import zetalog.cli as cli
@@ -194,6 +222,51 @@ print(heavy, file=sys.stderr)
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.strip().splitlines() == [str([True] + [False] * 6 + [True]), str([[]] * 6)]
+
+
+def _loaded_after(argv):
+    # a fresh process per command, since a module once compiled stays so;
+    # the lazy module type is a subclass of ModuleType until its first read
+    script = """
+import json, sys, types
+def loaded():
+    return sorted(name.partition(".")[2] for name, module in sys.modules.items()
+                  if name.startswith("zetalog.") and type(module) is types.ModuleType)
+import zetalog.cli as cli
+present = sorted(name for name in sys.modules if name.startswith("zetalog."))
+before = loaded()
+code = cli.main(sys.argv[1:])
+print(json.dumps([present, before, code, loaded()]), file=sys.stderr)
+"""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stderr.strip().splitlines()[-1])
+
+
+def test_each_command_compiles_only_its_layers():
+    layers = ["coefficients", "exact", "expansion", "numerics", "partitions", "solver"]
+    expansion_layers = {"partitions", "exact", "coefficients", "expansion"}
+    load_table = (
+        (["partitions", "8"], {"partitions"}),
+        (["expand", "3", "2"], expansion_layers),
+        (["table", "6", "--reduce"], expansion_layers),
+        (["express", "z3*z5"], expansion_layers | {"solver"}),
+        (["survey", "--from", "3", "--to", "8"], expansion_layers | {"solver"}),
+        (["verify", "3", "2", "--digits", "15"], expansion_layers | {"numerics"}),
+    )
+    for argv, expected in load_table:
+        present, before, code, after = _loaded_after(argv)
+        assert present == [f"zetalog.{name}" for name in ["cli", *layers]], argv
+        assert before == ["cli"], argv
+        assert code == 0, argv
+        assert after == sorted(["cli", *expected]), argv
+    # a usage error from the library is caught before the precision-budget
+    # clause is evaluated, so it compiles no numerics
+    _, _, code, after = _loaded_after(["express", "z4"])
+    assert code == 1 and "numerics" not in after
 
 
 def test_bench_shim_targets_exist():
