@@ -247,6 +247,9 @@ def main(argv=None) -> int:
     except numerics.PrecisionBudgetError as exc:
         sys.stderr.write(f"zetalog {args.command}: precision budget: {exc}\n")
         return 3
+    except solver.CertificateCheckError as exc:
+        sys.stderr.write(f"zetalog {args.command}: {exc}\n")
+        return 3
     if result is not None:
         envelope = {
             "schema_version": SCHEMA_VERSION,

@@ -23,10 +23,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from .exact import pack
 from .partitions import PartitionElement
 
 __all__ = [
-    "composition_profile",
     "c_tilde",
     "little_c",
 ]
@@ -59,23 +59,10 @@ def _record(support: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], int,
     rest = support[:-1] + ((size, mult - 1),) if mult > 1 else support[:-1]
     prof, sign, denom = _record(rest)
     S = sum(prof).bit_length() + size
-    packed = _pack(prof, S) * ((1 + (1 << S)) ** size - 1 - (1 << S * size))
+    packed = pack(prof, S) * ((1 + (1 << S)) ** size - 1 - (1 << S * size))
     mask = (1 << S) - 1
     nxt = tuple((packed >> S * j) & mask for j in range(len(prof) + size - 1))
     return nxt, -sign if size % 2 == 0 else sign, denom * mult * size
-
-
-def _pack(coeffs, S: int) -> int:
-    """The polynomial with these coefficients, lowest first, at y = 2^S."""
-    packed = 0
-    for a in reversed(coeffs):
-        packed = (packed << S) + a
-    return packed
-
-
-def composition_profile(x: PartitionElement) -> tuple[int, ...]:
-    """C_b(X) for every b at once, indexed by b."""
-    return _record(x.support)[0]
 
 
 def c_tilde(x: PartitionElement) -> Fraction:

@@ -1,5 +1,5 @@
-"""Exact arithmetic core: Bernoulli numbers, even-zeta constants, and
-dense rational linear algebra.
+"""Exact arithmetic core: Bernoulli numbers, even-zeta constants, dense
+rational linear algebra, and integer polynomials packed at y = 2^S.
 
 Scalars are ``fractions.Fraction`` (aliased ``Rational``): always in
 lowest terms, positive denominator, canonical zero.  A matrix holds
@@ -70,21 +70,14 @@ def zeta_even_pi_coeff(n: int) -> Fraction:
 
 class RationalMatrix:
     """Dense rational matrix held as integer rows, each over one positive
-    denominator; shape may be zero in either dimension.
-
-    Built from rows of Fractions or ints, or from integer rows with their
-    denominators.  ``entries`` builds the Fractions on each read.
+    denominator: entry (i, j) is numerators[i][j] / denominators[i].  Shape
+    may be zero in either dimension; cols counts the columns of an empty one.
     """
 
     __slots__ = ("numerators", "denominators", "rows", "cols")
 
-    def __init__(self, entries: Iterable[Iterable[Fraction]], cols: Optional[int] = None,
-                 denominators: Optional[Iterable[int]] = None):
-        rows = [list(row) for row in entries]
-        if denominators is None:
-            rows = [[Fraction(x) for x in row] for row in rows]
-            denominators = [math.lcm(*(x.denominator for x in row)) for row in rows]
-            rows = [[x.numerator * (d // x.denominator) for x in row] for row, d in zip(rows, denominators)]
+    def __init__(self, numerators: Iterable[Iterable[int]], cols: int, denominators: Iterable[int]):
+        rows = [list(row) for row in numerators]
         self.denominators: list[int] = list(denominators)
         if len(self.denominators) != len(rows) or min(self.denominators, default=1) < 1:
             raise ValueError("matrix needs one positive denominator per row")
@@ -92,22 +85,15 @@ class RationalMatrix:
             raise ValueError("matrix rows must all have the same length")
         self.numerators: list[list[int]] = rows
         self.rows: int = len(rows)
-        self.cols: int = len(rows[0]) if rows else (cols or 0)
+        self.cols: int = len(rows[0]) if rows else cols
 
-    @property
-    def entries(self) -> list[list[Fraction]]:
-        return [[Fraction(x, d) for x in row] for row, d in zip(self.numerators, self.denominators)]
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, RationalMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __repr__(self) -> str:
-        return f"RationalMatrix({self.rows}x{self.cols})"
+def pack(coeffs: Sequence[int], S: int) -> int:
+    """The polynomial with these coefficients, lowest first, at y = 2^S."""
+    packed = 0
+    for a in reversed(coeffs):
+        packed = (packed << S) + a
+    return packed
 
 
 def _primitive(row: list[int]) -> list[int]:

@@ -28,8 +28,9 @@ and machine-verified by substituting the expansions back in before it
 is returned.  The check reads the partition records through expand_lz;
 the columns share with it only phi_d, that is the records of partitions
 into parts >= 2 behind each kernel and the even fold, and the known part
-comes from the check's expansions.  A certificate's dependency is solved
-for only if it lies in its weight's optimistic row space.
+comes from the check's expansions.  A certificate's dependency is settled
+by one set per weight: the members of that weight's optimistic row space
+whose own certificates resolve in full.
 """
 
 from __future__ import annotations
@@ -39,8 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .coefficients import _pack
-from .exact import RationalMatrix, rref, solve_membership
+from .exact import RationalMatrix, pack, rref, solve_membership
 from .expansion import (
     UNIT_MONOMIAL,
     PiReducedCombination,
@@ -50,13 +50,14 @@ from .expansion import (
     expand_lz,
     reduce_even,
 )
-from .partitions import PartitionElement, PartitionFilter, enumerate_partitions
+from .partitions import PartitionFilter, enumerate_partitions
 
 __all__ = [
     "MODES",
     "SystemRow",
     "LinearSystem",
     "Certificate",
+    "CertificateCheckError",
     "ExpressOutcome",
     "SurveyRecord",
     "SurveyReport",
@@ -75,15 +76,14 @@ _EVEN_FILTER = PartitionFilter(min_part=2, parity="even")
 
 # one entry per weight: a strict survey of 3..40 makes 38 misses, 342 hits
 @lru_cache(maxsize=64)
-def _odd_columns(weight: int) -> tuple[tuple[ZetaMonomial, PartitionElement], ...]:
-    """Each odd monomial of the weight with its odd partition, canonical order."""
+def _odd_columns(weight: int) -> tuple[ZetaMonomial, ...]:
     found = sorted(enumerate_partitions(weight, _ODD_FILTER), key=lambda x: x.support)
-    return tuple((ZetaMonomial.from_partition(x), x) for x in found)
+    return tuple(ZetaMonomial.from_partition(x) for x in found)
 
 
 def odd_monomials(weight: int) -> list[ZetaMonomial]:
     """Monomials over odd zetas >= 3 of the given weight, canonical order."""
-    return [m for m, _ in _odd_columns(weight)]
+    return list(_odd_columns(weight))
 
 
 class SystemRow(NamedTuple):
@@ -93,10 +93,6 @@ class SystemRow(NamedTuple):
     numerators: tuple[int, ...]
     denominator: int
     columns: tuple[ZetaMonomial, ...]
-
-    @property
-    def coefficients(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(x, self.denominator) for x in self.numerators)
 
     @property
     def known(self) -> PiReducedCombination:
@@ -127,7 +123,7 @@ def build_system(
         raise ValueError(f"need N >= 3, got {N}")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    columns = dict(_odd_columns(N))
+    columns = set(_odd_columns(N))
     if mode == "strict":
         for w in range(N - 2, 2, -2):
             columns.update(_odd_columns(w))
@@ -136,10 +132,9 @@ def build_system(
             raise ValueError(f"cannot carry {mono} as an unknown column")
         if mono.weight > N or (N - mono.weight) % 2:
             raise ValueError(f"{mono} cannot appear at weight {N}")
-        if mono not in columns:
-            columns[mono] = PartitionElement(mono.weight, mono.factors)
+        columns.add(mono)
     cols = tuple(sorted(columns, key=ZetaMonomial.sort_key))
-    by_column = [_column(columns[m], N) for m in cols]
+    by_column = [_column(m, N) for m in cols]
     den = math.lcm(*(d for _, d in by_column))
     scaled = [[x * (den // d) for x in col] for col, d in by_column]
 
@@ -151,13 +146,14 @@ def build_system(
     return LinearSystem(N, mode, cols, tuple(rows))
 
 
-def _column(x: PartitionElement, N: int) -> tuple[list[int], int]:
-    """(numerators, denominator) of the coefficients of the odd monomial of x
-    in the reduced Lz(N - b, b), b = 1..N/2, for wt(x) <= N: the y^b
-    coefficients of Ct(x) * C_x(y) * phi_d(y), d = N - wt(x).
+def _column(m: ZetaMonomial, N: int) -> tuple[list[int], int]:
+    """(numerators, denominator) of the coefficients of the odd monomial m
+    in the reduced Lz(N - b, b), b = 1..N/2, for wt(m) <= N: the y^b
+    coefficients of Ct(x) * C_x(y) * phi_d(y), d = N - wt(m), with x the
+    odd partition of m.
 
     No partition record is read: C_x(y) = prod ((1 + y)^n - 1 - y^n)^k over
-    the parts n of multiplicity k, and Ct(x) = 1 / prod k! * n^k, positive as
+    the factors zeta(n)^k of m, and Ct(x) = 1 / prod k! * n^k, positive as
     N + |x| = sum k * (n + 1) is even for odd parts.  C_x(y) * phi_d(y) is one
     int product at y = 2^S (Kronecker substitution).  C_x is nonnegative and
     phi_d of one sign (checked in _even_kernel), so the product's coefficients
@@ -165,14 +161,14 @@ def _column(x: PartitionElement, N: int) -> tuple[list[int], int]:
     S = C_x(1).bit_length() + phi_d(1).bit_length(): read back S bits a slot,
     no slot carries.  C_x(1) = prod (2^n - 2)^k.
     """
-    phi, den = _even_kernel(N - x.weight)
-    S = math.prod((2**n - 2) ** k for n, k in x.support).bit_length() + sum(phi).bit_length()
-    packed = _pack(phi, S)
-    for n, k in x.support:
+    phi, den = _even_kernel(N - m.weight)
+    S = math.prod((2**n - 2) ** k for n, k in m.factors).bit_length() + sum(phi).bit_length()
+    packed = pack(phi, S)
+    for n, k in m.factors:
         packed *= (((1 << S) + 1) ** n - 1 - (1 << S * n)) ** k
     sign, packed = (1, packed) if packed > 0 else (-1, -packed)
     mask = (1 << S) - 1
-    ct_den = math.prod(math.factorial(k) * n**k for n, k in x.support)
+    ct_den = math.prod(math.factorial(k) * n**k for n, k in m.factors)
     return [sign * (packed >> S * b & mask) for b in range(1, N // 2 + 1)], den * ct_den
 
 
@@ -203,6 +199,10 @@ def _even_kernel(d: int) -> tuple[tuple[int, ...], int]:
     den = math.lcm(*(q.denominator for q in half))
     nums = [q.numerator * (den // q.denominator) for q in half]
     return (0, *nums, *reversed(nums[: (d - 1) // 2]), 0), den
+
+
+class CertificateCheckError(RuntimeError):
+    """A certificate the solver built failed its own substitution check."""
 
 
 class Certificate(NamedTuple):
@@ -291,24 +291,21 @@ def _solve(target: ZetaMonomial, N: int, mode: str) -> Optional[Certificate]:
     )
     cert = Certificate(target, N, lz_terms, remainder)
     if not verify_certificate(cert):
-        raise RuntimeError(f"certificate for {target} failed the substitution check")
+        raise CertificateCheckError(f"certificate for {target} failed the substitution check")
     return cert
 
 
-# one entry per weight, shared by every dependency of that weight
+# one entry per weight, shared by every dependency of that weight.  Only
+# optimistic answers are asked for: strict columns hold every odd monomial
+# of weight = N (mod 2), so a strict certificate never leaves a lower-weight
+# dependency.  Only members of the row space are solved for, and their own
+# dependencies, all of lower weight, recurse
 @lru_cache(maxsize=40)
-def _optimistic_members(N: int) -> frozenset[ZetaMonomial]:
+def _expressible_members(N: int) -> frozenset[ZetaMonomial]:
+    """The odd monomials of weight N that express resolves in full."""
     system = build_system(N)
-    return frozenset(system.columns[j] for j in _rowspace_members(system)[1])
-
-
-# one entry per monomial, bounded.  Only optimistic answers are asked for:
-# strict columns hold every odd monomial of weight = N (mod 2), so a strict
-# certificate never leaves a lower-weight dependency.  Only a member of its
-# weight's row space is solved for; its own dependencies recurse
-@lru_cache(maxsize=128)
-def _fully_expressible(mono: ZetaMonomial) -> bool:
-    return mono in _optimistic_members(mono.weight) and express(mono).status == "expressible"
+    members = (system.columns[j] for j in _rowspace_members(system)[1])
+    return frozenset(m for m in members if express(m).status == "expressible")
 
 
 def express(
@@ -334,7 +331,7 @@ def express(
     if cert is None:
         return ExpressOutcome(target, mode, N, "not_expressible", None)
 
-    missing = [m for m in cert.dependencies() if not _fully_expressible(m)]
+    missing = [m for m in cert.dependencies() if m not in _expressible_members(m.weight)]
     if missing:
         names = ", ".join(str(m) for m in sorted(missing, key=lambda m: m.factors))
         return ExpressOutcome(

@@ -14,7 +14,9 @@ skips them; and big_c, which reads C_b(X) off the package's composition
 profile for the tests that check it; and column_by_convolution, which
 reads the package's partition records (profile and Ct) and even kernel:
 it is the record-side reference for the closed-form product a system
-column is read from, which reads no record.
+column is read from, which reads no record.  The views composition_profile,
+row_coefficients, matrix_of and matrix_entries only reshape the package's
+own integer records, rows and matrices, as Fractions where they hold any.
 
 The numeric oracles are mpf forms of the package's numeric kernels:
 lz_series_mpf sums the series route in mpf with a linear tail-cut scan,
@@ -30,9 +32,33 @@ from functools import lru_cache
 
 from mpmath import mp
 
-from zetalog import solver
-from zetalog.coefficients import c_tilde, composition_profile
+from zetalog import coefficients, solver
+from zetalog.coefficients import c_tilde
+from zetalog.exact import RationalMatrix
 from zetalog.expansion import ZetaMonomial, expand_lz, reduce_even
+
+
+def composition_profile(x) -> tuple[int, ...]:
+    """C_b(X) for every b at once, indexed by b: the profile of x's record."""
+    return coefficients._record(x.support)[0]
+
+
+def row_coefficients(row) -> tuple[Fraction, ...]:
+    """A system row's coefficients, numerators over its one denominator."""
+    return tuple(Fraction(x, row.denominator) for x in row.numerators)
+
+
+def matrix_of(rows, cols: int) -> RationalMatrix:
+    """The matrix of rows of ints or Fractions, each row over the lcm of its
+    denominators."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    dens = [math.lcm(*(x.denominator for x in row)) for row in rows]
+    nums = [[x.numerator * (d // x.denominator) for x in row] for row, d in zip(rows, dens)]
+    return RationalMatrix(nums, cols, dens)
+
+
+def matrix_entries(m: RationalMatrix) -> list[list[Fraction]]:
+    return [[Fraction(x, d) for x in row] for row, d in zip(m.numerators, m.denominators)]
 
 
 def _poly_mul(p: dict, q: dict) -> dict:

@@ -13,8 +13,7 @@ from fractions import Fraction
 from mpmath import mp, workdps
 
 import golden_data
-from oracles import big_c, bivariate_big_c, partition_counts
-from zetalog.coefficients import composition_profile
+from oracles import big_c, bivariate_big_c, composition_profile, partition_counts
 from zetalog.expansion import (
     PiReducedCombination,
     ZetaMonomial,

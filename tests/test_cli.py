@@ -237,6 +237,14 @@ def test_express_unresolved_dependency_exits_two(run_cli):
     assert "unresolved_dependency" in out
 
 
+def test_express_failed_substitution_check_exits_three(run_cli, five_three_record_halved):
+    # a verification failure, reported on one stderr line, not a traceback
+    # with the usage code
+    code, out, err = run_cli("express", "z3*z5")
+    assert (code, out) == (3, "")
+    assert err == "zetalog express: certificate for z3*z5 failed the substitution check\n"
+
+
 def test_express_parse_error_exits_one(run_cli):
     code, _, err = run_cli("express", "q3")
     assert code == 1 and "bad factor" in err

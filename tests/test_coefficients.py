@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import big_c, bivariate_big_c, brute_slot_values
+from oracles import big_c, bivariate_big_c, brute_slot_values, composition_profile
 from zetalog import coefficients
-from zetalog.coefficients import c_tilde, composition_profile, little_c
+from zetalog.coefficients import c_tilde, little_c
 from zetalog.partitions import PartitionElement, PartitionFilter, enumerate_partitions
 
 F = Fraction

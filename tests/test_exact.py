@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import _bernoulli, fraction_rref
+from oracles import _bernoulli, fraction_rref, matrix_entries, matrix_of, row_coefficients
 from zetalog.exact import (
     RationalMatrix,
     bernoulli_number,
@@ -81,83 +81,89 @@ def test_even_zeta_rejects_zero():
         zeta_even_pi_coeff(0)
 
 
+def integer_matrix(rows):
+    """A nonempty matrix of integer rows, each over the denominator 1."""
+    return RationalMatrix(rows, len(rows[0]), [1] * len(rows))
+
+
 def test_matrix_shape_and_accessors():
-    m = RationalMatrix([[1, 2, 3], [4, 5, 6]])
+    m = integer_matrix([[1, 2, 3], [4, 5, 6]])
     assert (m.rows, m.cols) == (2, 3)
+    assert (m.numerators, m.denominators) == ([[1, 2, 3], [4, 5, 6]], [1, 1])
 
 
 def test_matrix_from_integers_matches_matrix_from_fractions():
     nums, dens = [[2, -4, 0], [3, 6, 9], [0, 0, 0]], [6, 3, 5]
     from_ints = RationalMatrix(nums, 3, dens)
-    from_fractions = RationalMatrix([[F(x, d) for x in row] for row, d in zip(nums, dens)])
+    from_fractions = matrix_of([[F(x, d) for x in row] for row, d in zip(nums, dens)], 3)
     want = [[F(1, 3), F(-2, 3), F(0)], [F(1), F(2), F(3)], [F(0)] * 3]
-    assert from_ints.entries == from_fractions.entries == want
-    assert RationalMatrix([[1, 0], [-2, 7]]).entries == [[F(1), F(0)], [F(-2), F(7)]]
-    for m in (from_ints, from_fractions, RationalMatrix([[1, 0], [-2, 7]])):
-        assert all(type(x) is Fraction for row in m.entries for x in row)
+    assert matrix_entries(from_ints) == matrix_entries(from_fractions) == want
+    assert (from_fractions.numerators, from_fractions.denominators) == (
+        [[1, -2, 0], [1, 2, 3], [0, 0, 0]], [3, 1, 1]
+    )
 
 
 def test_matrix_rejects_ragged_rows():
     with pytest.raises(ValueError):
-        RationalMatrix([[1, 2], [3]])
+        RationalMatrix([[1, 2], [3]], 2, [1, 1])
     for dens in ([1], [1, 0], [1, -2]):
         with pytest.raises(ValueError):
             RationalMatrix([[1, 2], [3, 4]], 2, dens)
 
 
 def test_empty_matrix_keeps_declared_columns():
-    m = RationalMatrix([], cols=4)
+    m = RationalMatrix([], 4, [])
     assert (m.rows, m.cols) == (0, 4)
     assert len(rref(m)[1]) == 0
 
 
 def test_rref_small_example():
-    m = RationalMatrix([[2, 4], [1, 3]])
+    m = integer_matrix([[2, 4], [1, 3]])
     reduced, pivots = rref(m)
     assert pivots == (0, 1)
-    assert reduced.entries == [[F(1), F(0)], [F(0), F(1)]]
+    assert matrix_entries(reduced) == [[F(1), F(0)], [F(0), F(1)]]
 
 
 def test_rref_idempotent():
-    m = RationalMatrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    m = integer_matrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     once, pivots = rref(m)
     twice, again = rref(once)
-    assert once == twice and pivots == again
+    assert matrix_entries(once) == matrix_entries(twice) and pivots == again
 
 
 def test_rank_of_singular_matrix():
-    assert len(rref(RationalMatrix([[1, 2], [2, 4]]))[1]) == 1
-    assert len(rref(RationalMatrix([[0, 0], [0, 0]]))[1]) == 0
-    assert len(rref(RationalMatrix([[F(1, 3), 1], [0, F(7, 2)]]))[1]) == 2
+    assert len(rref(integer_matrix([[1, 2], [2, 4]]))[1]) == 1
+    assert len(rref(integer_matrix([[0, 0], [0, 0]]))[1]) == 0
+    assert len(rref(RationalMatrix([[1, 3], [0, 7]], 2, [3, 2]))[1]) == 2
 
 
 def test_membership_recovers_combination():
-    system = RationalMatrix([[1, 0, 2], [0, 1, -1]])
+    system = integer_matrix([[1, 0, 2], [0, 1, -1]])
     lam = solve_membership(system, [F(3), F(-2), F(8)])
     assert lam == [F(3), F(-2)]
 
 
 def test_membership_inconsistent_returns_none():
-    system = RationalMatrix([[1, 1, 0]])
+    system = integer_matrix([[1, 1, 0]])
     assert solve_membership(system, [F(1), F(0), F(0)]) is None
 
 
 def test_membership_zero_rows():
-    system = RationalMatrix([], cols=3)
+    system = RationalMatrix([], 3, [])
     assert solve_membership(system, [0, 0, 0]) == []
     assert solve_membership(system, [1, 0, 0]) is None
 
 
 def test_membership_dependent_rows_deterministic():
     # second row is redundant; free coefficient must stay zero
-    system = RationalMatrix([[1, 2], [2, 4]])
+    system = integer_matrix([[1, 2], [2, 4]])
     lam = solve_membership(system, [F(3), F(6)])
     assert lam == [F(3), F(0)]
 
 
 def test_membership_length_mismatch():
     with pytest.raises(ValueError):
-        solve_membership(RationalMatrix([[1, 2]]), [1, 2, 3])
+        solve_membership(integer_matrix([[1, 2]]), [1, 2, 3])
 
 
 _small_fraction = st.fractions(
@@ -175,7 +181,7 @@ _small_fraction = st.fractions(
 def test_membership_roundtrip(entries, weights):
     # any target built as a row combination must be recognized, and the
     # returned combination must reproduce it exactly
-    system = RationalMatrix(entries)
+    system = matrix_of(entries, 3)
     target = [
         sum((weights[i] * entries[i][j] for i in range(len(entries))), F(0))
         for j in range(3)
@@ -218,11 +224,10 @@ def _matrices(draw):
 )
 def test_fraction_free_elimination_matches_oracle(matrix, weights, noise, in_span):
     rows, ncols = matrix
-    m = RationalMatrix(rows, cols=ncols)
+    m = matrix_of(rows, ncols)
     reduced, pivots = rref(m)
     expected, expected_pivots = fraction_rref(rows)
-    assert reduced.entries == expected and pivots == tuple(expected_pivots)
-    assert all(type(x) is Fraction for row in reduced.entries for x in row)
+    assert matrix_entries(reduced) == expected and pivots == tuple(expected_pivots)
 
     span = [sum((w * row[j] for w, row in zip(weights, rows)), F(0)) for j in range(ncols)]
     target = span if in_span else noise[:ncols]
@@ -243,9 +248,12 @@ def test_rref_matches_oracle_on_survey_systems():
         for mode in MODES:
             system = build_system(n, mode)
             m = system.matrix()
-            assert m == RationalMatrix([row.coefficients for row in system.rows], cols=m.cols)
-            expected, pivots = fraction_rref(m.entries)
-            assert rref(m) == (RationalMatrix(expected, cols=m.cols), tuple(pivots)), (n, mode)
+            entries = [list(row_coefficients(row)) for row in system.rows]
+            assert (m.rows, m.cols) == (len(system.rows), len(system.columns))
+            assert matrix_entries(m) == entries, (n, mode)
+            expected, pivots = fraction_rref(entries)
+            reduced, got = rref(m)
+            assert (matrix_entries(reduced), got) == (expected, tuple(pivots)), (n, mode)
             units = {c for row, c in zip(expected, pivots) if sum(x != 0 for x in row) == 1}
             assert _rowspace_members(system) == (len(pivots), units), (n, mode)
 

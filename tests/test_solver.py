@@ -11,13 +11,15 @@ from oracles import (
     _even_kernel as recurrence_kernel,
     _poly_mul,
     column_by_convolution,
+    composition_profile,
     e_to_xy,
     expansion_system,
     power_sum_product_on_line,
     power_sum_xy,
     power_sums_e,
+    row_coefficients,
 )
-from zetalog.coefficients import composition_profile, little_c
+from zetalog.coefficients import little_c
 from zetalog.exact import zeta_even_pi_coeff
 from zetalog.expansion import (
     UNIT_MONOMIAL,
@@ -119,7 +121,7 @@ def test_build_system_matches_expansion_builder():
         columns, rows = expansion_system(n, mode, ensure)
         assert [m.factors for m in system.columns] == columns, (n, mode, ensure)
         got = [
-            (row.pair, row.coefficients, {m.factors: c for m, c in row.known.terms.items()})
+            (row.pair, row_coefficients(row), {m.factors: c for m, c in row.known.terms.items()})
             for row in system.rows
         ]
         assert got == rows, (n, mode, ensure)
@@ -152,13 +154,15 @@ def test_even_kernel_matches_recurrence_oracle():
 
 def test_column_product_matches_convolution():
     # pins the slot width of _column's one int product, and its closed-form
-    # C_x and Ct against the partition records the convolution reads: every
-    # odd partition x against every weight N <= 40 its column can appear at
+    # C_x and Ct against the partition records the convolution reads: the
+    # monomial of every odd partition x against every weight N <= 40 its
+    # column can appear at
     checked = 0
     for w in range(3, 41):
         for x in enumerate_partitions(w, PartitionFilter(min_part=3, parity="odd")):
             for N in range(w, 41, 2):
-                assert solver._column(x, N) == column_by_convolution(x, N), (x, N)
+                got = solver._column(ZetaMonomial.from_partition(x), N)
+                assert got == column_by_convolution(x, N), (x, N)
                 checked += 1
     assert checked == 4623
 
@@ -400,7 +404,7 @@ def six_two_tripled(monkeypatch):
     caches = (
         expand_lz.cache_clear,
         solver._even_kernel.cache_clear,
-        solver._fully_expressible.cache_clear,
+        solver._expressible_members.cache_clear,
     )
     for clear in caches:
         clear()
@@ -433,7 +437,7 @@ def test_substitution_catches_a_wrong_odd_partition_coefficient(monkeypatch):
     for module in (coefficients, expansion, solver):
         if hasattr(module, "little_c"):
             monkeypatch.setattr(module, "little_c", wrong)
-    caches = (expand_lz, solver._even_kernel, solver._fully_expressible)
+    caches = (expand_lz, solver._even_kernel, solver._expressible_members)
     for cache in caches:
         cache.cache_clear()
     try:
@@ -445,41 +449,18 @@ def test_substitution_catches_a_wrong_odd_partition_coefficient(monkeypatch):
             cache.cache_clear()
 
 
-def test_substitution_catches_a_wrong_odd_partition_record(monkeypatch):
-    # the columns take C_x and Ct from the parts of x, not from the record
-    # cache, so a wrong record of 5+3 reaches only the expansion that the
-    # substitution check reads; were the columns built from the same record,
-    # the solve would absorb the error and the check would pass
-    true_record = coefficients._record
-
-    def wrong(support):
-        prof, sign, denom = true_record(support)
-        return (prof, sign, 2 * denom) if support == ((3, 1), (5, 1)) else (prof, sign, denom)
-
-    monkeypatch.setattr(coefficients, "_record", wrong)
-    caches = (
-        true_record,
-        expand_lz,
-        solver._even_kernel,
-        solver._fully_expressible,
-        solver._optimistic_members,
-    )
-    for cache in caches:
-        cache.cache_clear()
-    try:
-        with pytest.raises(RuntimeError, match="substitution check"):
-            express(mono("z3*z5"))
-    finally:
-        monkeypatch.undo()
-        for cache in caches:
-            cache.cache_clear()
+def test_substitution_catches_a_wrong_odd_partition_record(five_three_record_halved):
+    # were the columns built from the same record, the solve would absorb
+    # the error and the check would pass
+    with pytest.raises(solver.CertificateCheckError, match="substitution check"):
+        express(mono("z3*z5"))
 
 
 def test_express_matches_the_per_dependency_path(monkeypatch):
-    # _fully_expressible answers a dependency outside its weight's row space
-    # without a solve; asking express for every dependency gives the same
-    # outcome for every odd monomial through weight 20, at its own weight and
-    # raised by 2, in both modes
+    # _expressible_members solves only the members of a weight's row space;
+    # a stub that asks express for every odd monomial of the weight gives the
+    # same sets, and the same outcome for every odd monomial through weight
+    # 20, at its own weight and raised by 2, in both modes
     def outcomes():
         return {
             (m, N, mode): express(m, mode, N)
@@ -489,21 +470,24 @@ def test_express_matches_the_per_dependency_path(monkeypatch):
             for mode in MODES
         }
 
-    solver._fully_expressible.cache_clear()
-    solver._optimistic_members.cache_clear()
+    solver._expressible_members.cache_clear()
     fast = outcomes()
-    asked: dict[ZetaMonomial, bool] = {}
+    asked: dict[int, frozenset[ZetaMonomial]] = {}
 
-    def per_dependency(m):
-        if m not in asked:
-            asked[m] = express(m).status == "expressible"
-        return asked[m]
+    def every_monomial(w):
+        if w not in asked:
+            asked[w] = frozenset(m for m in odd_monomials(w) if express(m).status == "expressible")
+        return asked[w]
 
-    monkeypatch.setattr(solver, "_fully_expressible", per_dependency)
+    monkeypatch.setattr(solver, "_expressible_members", every_monomial)
     assert outcomes() == fast
+    monkeypatch.undo()
     counts = Counter(out.status for out in fast.values())
     assert counts == {"expressible": 52, "not_expressible": 100, "unresolved_dependency": 100}
-    assert any(m not in solver._optimistic_members(m.weight) for m in asked)
+    assert asked == {w: solver._expressible_members(w) for w in asked}
+    # some weight holds an odd monomial outside its set: the stub solved for
+    # more than the row space lets through
+    assert any(len(asked[w]) < len(odd_monomials(w)) for w in asked)
 
 
 def test_verify_certificate_rejects_terms_off_the_weight():
@@ -678,4 +662,5 @@ def test_strict_relation_annihilates_strict_rows():
         system = build_system(n, "strict")
         mu = _even_relation(n)
         for c in range(len(system.columns)):
-            assert sum(mu.get(r.pair[1], 0) * r.coefficients[c] for r in system.rows) == 0, (n, c)
+            total = sum(mu.get(r.pair[1], 0) * row_coefficients(r)[c] for r in system.rows)
+            assert total == 0, (n, c)
