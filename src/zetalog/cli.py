@@ -2,8 +2,9 @@
 
 Subcommands: expand, table, verify, express, survey, partitions.
 Formats: text (default), json (single-line envelope), latex where it
-makes sense.  Exit codes: 0 success, 1 usage or parse error, 2 target
-not expressible, 3 verification failure or precision budget exhausted.
+makes sense.  Exit codes: 0 success, 1 usage or parse error (or, from
+the console script, an output pipe closed early), 2 target not
+expressible, 3 verification failure or precision budget exhausted.
 
 JSON envelopes look like {"schema_version": 1, "command": ...,
 "inputs": ..., "result": ..., "elapsed_ms": ...} with rationals as
@@ -13,7 +14,8 @@ exact "p/q" strings and high-precision values as decimal strings.
 from __future__ import annotations
 
 import argparse
-import json
+import gc
+import os
 import sys
 import time
 
@@ -251,6 +253,8 @@ def main(argv=None) -> int:
         sys.stderr.write(f"zetalog {args.command}: {exc}\n")
         return 3
     if result is not None:
+        import json  # only a JSON envelope needs it; text and LaTeX ops skip its load
+
         envelope = {
             "schema_version": SCHEMA_VERSION,
             "command": args.command,
@@ -263,7 +267,19 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        if sys.stdout is not None:  # None in a process started without fd 1
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: point stdout at devnull so that the
+        # flush at exit cannot raise again (the recipe in the signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    # the command's objects live until exit anyway: frozen, they are skipped
+    # by the full-heap collections of interpreter shutdown
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

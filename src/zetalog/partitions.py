@@ -128,37 +128,38 @@ def enumerate_partitions(
     if n < 0:
         raise ValueError(f"cannot partition a negative integer: {n}")
     flt = flt or PartitionFilter()
-    sizes = _sizes(n, flt)
     out: list[PartitionElement] = []
-    acc: list[tuple[int, int]] = []  # (size, multiplicity), sizes descending
-
-    def rec(remaining: int, i: int, left: Optional[int]) -> None:
-        # fill remaining with sizes[i:], in exactly left parts if counted
-        if remaining == 0:
-            if not left:
-                out.append(PartitionElement(n, tuple(reversed(acc))))
-            return
-        for j in range(i, len(sizes)):
-            size = sizes[j]
-            below = sizes[j + 1] if j + 1 < len(sizes) else 0  # largest size left for rest
-            top = remaining // size if left is None else min(remaining // size, left)
-            for mult in range(top, 0, -1):
-                rest = remaining - size * mult
-                if left is None:
-                    nxt = None
-                    if rest and not (below and rest >= sizes[-1]):
-                        continue
-                else:
-                    nxt = left - mult
-                    # rest must split into exactly nxt parts of sizes[j + 1:]
-                    if not nxt * sizes[-1] <= rest <= nxt * below:
-                        continue
-                acc.append((size, mult))
-                rec(rest, j + 1, nxt)
-                acc.pop()
-
-    rec(n, 0, flt.exact_parts)
+    _fill(n, _sizes(n, flt), n, 0, flt.exact_parts, [], out)
     return out
+
+
+def _fill(n, sizes, remaining, i, left, acc, out) -> None:
+    # append to out each partition of n that extends acc, (size, multiplicity)
+    # pairs with sizes descending, by filling remaining with sizes[i:], in
+    # exactly left parts if counted.  A module function, not a closure over
+    # itself, so the result is in no reference cycle once the caller drops it
+    if remaining == 0:
+        if not left:
+            out.append(PartitionElement(n, tuple(reversed(acc))))
+        return
+    for j in range(i, len(sizes)):
+        size = sizes[j]
+        below = sizes[j + 1] if j + 1 < len(sizes) else 0  # largest size left for rest
+        top = remaining // size if left is None else min(remaining // size, left)
+        for mult in range(top, 0, -1):
+            rest = remaining - size * mult
+            if left is None:
+                nxt = None
+                if rest and not (below and rest >= sizes[-1]):
+                    continue
+            else:
+                nxt = left - mult
+                # rest must split into exactly nxt parts of sizes[j + 1:]
+                if not nxt * sizes[-1] <= rest <= nxt * below:
+                    continue
+            acc.append((size, mult))
+            _fill(n, sizes, rest, j + 1, nxt, acc, out)
+            acc.pop()
 
 
 def count_partitions(n: int, flt: Optional[PartitionFilter] = None) -> int:

@@ -61,7 +61,6 @@ __all__ = [
     "ExpressOutcome",
     "SurveyRecord",
     "SurveyReport",
-    "odd_monomials",
     "build_system",
     "verify_certificate",
     "express",
@@ -79,11 +78,6 @@ _EVEN_FILTER = PartitionFilter(min_part=2, parity="even")
 def _odd_columns(weight: int) -> tuple[ZetaMonomial, ...]:
     found = sorted(enumerate_partitions(weight, _ODD_FILTER), key=lambda x: x.support)
     return tuple(ZetaMonomial.from_partition(x) for x in found)
-
-
-def odd_monomials(weight: int) -> list[ZetaMonomial]:
-    """Monomials over odd zetas >= 3 of the given weight, canonical order."""
-    return list(_odd_columns(weight))
 
 
 class SystemRow(NamedTuple):
@@ -365,12 +359,6 @@ class SurveyRecord(NamedTuple):
 class SurveyReport(NamedTuple):
     mode: str
     records: tuple[SurveyRecord, ...]
-
-    def record(self, weight: int) -> SurveyRecord:
-        for rec in self.records:
-            if rec.weight == weight:
-                return rec
-        raise KeyError(f"weight {weight} not surveyed")
 
 
 def _rowspace_members(system: LinearSystem) -> tuple[int, set[int]]:

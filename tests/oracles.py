@@ -16,7 +16,9 @@ reads the package's partition records (profile and Ct) and even kernel:
 it is the record-side reference for the closed-form product a system
 column is read from, which reads no record.  The views composition_profile,
 row_coefficients, matrix_of and matrix_entries only reshape the package's
-own integer records, rows and matrices, as Fractions where they hold any.
+own integer records, rows and matrices, as Fractions where they hold any;
+odd_monomials and survey_record read the solver's column cache and a survey
+report.
 
 The numeric oracles are mpf forms of the package's numeric kernels:
 lz_series_mpf sums the series route in mpf with a linear tail-cut scan,
@@ -55,6 +57,20 @@ def matrix_of(rows, cols: int) -> RationalMatrix:
     dens = [math.lcm(*(x.denominator for x in row)) for row in rows]
     nums = [[x.numerator * (d // x.denominator) for x in row] for row, d in zip(rows, dens)]
     return RationalMatrix(nums, cols, dens)
+
+
+def odd_monomials(weight: int) -> list[ZetaMonomial]:
+    """Monomials over odd zetas >= 3 of the given weight, in the solver's
+    column order."""
+    return list(solver._odd_columns(weight))
+
+
+def survey_record(report, weight: int):
+    """The record of one weight in a survey report."""
+    for rec in report.records:
+        if rec.weight == weight:
+            return rec
+    raise KeyError(f"weight {weight} not surveyed")
 
 
 def matrix_entries(m: RationalMatrix) -> list[list[Fraction]]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
@@ -343,14 +344,88 @@ def test_missing_subcommand_exits_one(run_cli):
     assert run_cli()[0] == 1
 
 
-def test_console_script_end_to_end():
-    proc = subprocess.run(
-        [sys.executable, "-c", "from zetalog.cli import console_main; console_main()",
-         "expand", "3", "2"],
+def _console(*argv, prelude=""):
+    # a fresh process through the console script's entry point
+    script = f"{prelude}\nfrom zetalog.cli import console_main\nconsole_main()"
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(SRC)},
         timeout=120,
     )
+
+
+def test_console_script_end_to_end(run_cli):
+    proc = _console("expand", "3", "2")
     assert proc.returncode == 0
     assert proc.stdout == "2*z5 - z2*z3\n"
+    # one command per exit code: freezing the heap before exit changes
+    # neither the output nor the code that main returns in process
+    for argv, code in (
+        (["expand", "3", "2"], 0),
+        (["partitions", "0"], 1),
+        (["express", "z3*z5*z7", "--mode", "strict"], 2),
+    ):
+        proc = _console(*argv)
+        assert (proc.returncode, proc.stdout) == run_cli(*argv)[:2], argv
+        assert proc.returncode == code, argv
+
+
+def test_console_script_freezes_the_heap_before_exit():
+    # an atexit hook registered first runs after console_main's sys.exit
+    proc = _console(
+        "expand", "3", "2",
+        prelude="import atexit, gc, sys\n"
+        "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))",
+    )
+    assert proc.returncode == 0 and proc.stdout == "2*z5 - z2*z3\n"
+    assert int(proc.stderr) > 0
+
+
+def test_main_keeps_a_normal_collector(run_cli):
+    frozen = gc.get_freeze_count()
+    assert run_cli("survey", "--from", "3", "--to", "8", "--format", "json")[0] == 0
+    assert gc.get_freeze_count() == frozen
+    assert gc.isenabled()
+
+
+def test_closed_pipe_exits_one_without_traceback():
+    # as `zetalog partitions 40 | head -c 10`: the reader leaves while the
+    # child still writes far more than a pipe buffer holds
+    with subprocess.Popen(
+        [sys.executable, "-c", "from zetalog.cli import console_main; console_main()",
+         "partitions", "40"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    ) as proc:
+        assert proc.stdout.read(10) == b"40\n39+1\n38"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 1
+    assert err == b""
+
+
+def test_console_script_without_stdout():
+    # started with fd 1 closed, the process has no sys.stdout to flush
+    proc = subprocess.run(
+        [sys.executable, "-c", "from zetalog.cli import console_main; console_main()",
+         "expand", "3", "2"],
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        preexec_fn=lambda: os.close(1),
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+def test_importing_the_cli_skips_json():
+    # only a JSON envelope needs json; -S keeps site's own imports out
+    script = f"import sys; sys.path.insert(0, {str(SRC)!r}); import zetalog.cli; " \
+        "print('json' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from oracles import partition_counts
@@ -180,3 +182,21 @@ def test_enumerated_elements_match_validating_constructor():
                     flt = PartitionFilter(min_part=min_part, exact_parts=t, parity=parity)
                     want = [x for x in everything if admits(flt, x)]
                     assert enumerate_partitions(n, flt) == want, (n, flt)
+
+
+def test_dropped_enumeration_leaves_no_cycle():
+    # a strict survey drops one uncached enumeration per even kernel: its
+    # elements must be freed by reference counts alone, not left for the
+    # collector (a recursive closure over itself held them in a cycle)
+    gc.collect()
+    gc.disable()
+    try:
+        for n in (0, 1, 6, 17, 30):
+            for min_part in range(1, 4):
+                for parity in PARITY_CHOICES:
+                    for t in (None, 1, 3):
+                        flt = PartitionFilter(min_part=min_part, exact_parts=t, parity=parity)
+                        enumerate_partitions(n, flt)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
