@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import pack
+from .exact import pack, slot_width, unpack
 from .partitions import PartitionElement
 
 __all__ = [
@@ -37,7 +37,7 @@ __all__ = [
 # parts >= 2, which every pair (40 - b, b) re-reads, and as many smaller ones
 # they are built from, read once each.  8,192 keeps the first set whole while
 # the second streams through: table 40 --reduce misses 12,306 times, once per
-# record, one big-int product each (0.11 s for all 12,306 on a 2-core Xeon).
+# record, one big-int product each (0.12 s for all 12,306 on a 2-core Xeon).
 # No system column reads a record, so a survey reads them only through its
 # even kernels' pairs (none above weight 36): a strict 3..40 reads 11,401
 # records and misses 11,866 times, an optimistic survey none
@@ -49,19 +49,17 @@ def _record(support: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], int,
     Built from the record of X with one copy of its largest part s removed:
     the profile gains the factor sum_{v=1}^{s-1} C(s,v) y^v, N + |X| grows by
     s + 1, and the denominator gains the factor mult * s.  The product is one
-    int product at y = 2^S (Kronecker substitution), read back S bits a slot:
-    its coefficients are nonnegative and sum to sum(profile) * (2^s - 2),
-    below 2^S for S = sum(profile).bit_length() + s, so no slot carries.
+    int product at y = 2^S, read back by exact's codec with the bound
+    sum(profile) * (2^s - 2) on each coefficient's magnitude.
     """
     if not support:
         return (1,), 1, 1
     size, mult = support[-1]
     rest = support[:-1] + ((size, mult - 1),) if mult > 1 else support[:-1]
     prof, sign, denom = _record(rest)
-    S = sum(prof).bit_length() + size
+    S = slot_width(sum(prof) * ((1 << size) - 2))
     packed = pack(prof, S) * ((1 + (1 << S)) ** size - 1 - (1 << S * size))
-    mask = (1 << S) - 1
-    nxt = tuple((packed >> S * j) & mask for j in range(len(prof) + size - 1))
+    nxt = tuple(unpack(packed, S, len(prof) + size - 1))
     return nxt, -sign if size % 2 == 0 else sign, denom * mult * size
 
 

@@ -1,5 +1,6 @@
 """Exact arithmetic core: Bernoulli numbers, even-zeta constants, dense
-rational linear algebra, and integer polynomials packed at y = 2^S.
+rational linear algebra, and the one codec for integer polynomials:
+packed at y = 2^S (Kronecker substitution), read back in signed slots.
 
 Scalars are ``fractions.Fraction`` (aliased ``Rational``): always in
 lowest terms, positive denominator, canonical zero.  A matrix holds
@@ -88,12 +89,31 @@ class RationalMatrix:
         self.cols: int = len(rows[0]) if rows else cols
 
 
+def slot_width(bound: int) -> int:
+    """Bits per slot for coefficients of magnitude at most bound: its bit
+    length and one sign bit."""
+    return bound.bit_length() + 1
+
+
 def pack(coeffs: Sequence[int], S: int) -> int:
     """The polynomial with these coefficients, lowest first, at y = 2^S."""
     packed = 0
     for a in reversed(coeffs):
         packed = (packed << S) + a
     return packed
+
+
+def unpack(packed: int, S: int, count: int) -> list[int]:
+    """The first count coefficients of a polynomial packed at y = 2^S, each
+    read as its slot's residue in [-2^(S-1), 2^(S-1)): exact when S is the
+    slot_width of a bound on their magnitudes.  Adding 2^(S-1) to each slot
+    makes it nonnegative and below 2^S, so it reads unsigned and borrows
+    nothing from the slot above.
+    """
+    mask = (1 << S) - 1
+    half = 1 << S - 1
+    packed += ((1 << S * count) - 1) // mask * half
+    return [(packed >> S * j & mask) - half for j in range(count)]
 
 
 def _primitive(row: list[int]) -> list[int]:

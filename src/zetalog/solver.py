@@ -15,9 +15,9 @@ X_m the odd partition of m (Ct * C_j is the paper's c_j), phi_d[j] the
 pi^d coefficient of the reduced Lz(d-j, j) for d > 0, and phi_0 = 1.
 C_X and Ct come in closed form from the parts of X_m, so no column reads
 a partition record, and the product is one int product at y = 2^S, read
-back S bits a slot.  So an optimistic system expands no pair, while the
-kernel of each even d serves every weight and no row reduces the
-expansion of its own pair.  A row's known part is that reduced expansion
+back in signed slots by exact's codec.  So an optimistic system expands
+no pair, while the kernel of each even d serves every weight and no row
+reduces the expansion of its own pair.  A row's known part is that reduced expansion
 minus its columns; it is built when read, which only a certificate does.
 
 A successful solve is packaged as a Certificate for the exact identity
@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .exact import RationalMatrix, pack, rref, solve_membership
+from .exact import RationalMatrix, pack, rref, slot_width, solve_membership, unpack
 from .expansion import (
     UNIT_MONOMIAL,
     PiReducedCombination,
@@ -149,21 +149,17 @@ def _column(m: ZetaMonomial, N: int) -> tuple[list[int], int]:
     No partition record is read: C_x(y) = prod ((1 + y)^n - 1 - y^n)^k over
     the factors zeta(n)^k of m, and Ct(x) = 1 / prod k! * n^k, positive as
     N + |x| = sum k * (n + 1) is even for odd parts.  C_x(y) * phi_d(y) is one
-    int product at y = 2^S (Kronecker substitution).  C_x is nonnegative and
-    phi_d of one sign (checked in _even_kernel), so the product's coefficients
-    share that sign and their magnitudes sum to C_x(1) * |phi_d(1)| < 2^S for
-    S = C_x(1).bit_length() + phi_d(1).bit_length(): read back S bits a slot,
-    no slot carries.  C_x(1) = prod (2^n - 2)^k.
+    int product at y = 2^S, read back by exact's codec with the bound
+    C_x(1) * sum |phi_d[j]| on each coefficient's magnitude, where
+    C_x(1) = prod (2^n - 2)^k.
     """
     phi, den = _even_kernel(N - m.weight)
-    S = math.prod((2**n - 2) ** k for n, k in m.factors).bit_length() + sum(phi).bit_length()
+    S = slot_width(math.prod((2**n - 2) ** k for n, k in m.factors) * sum(map(abs, phi)))
     packed = pack(phi, S)
     for n, k in m.factors:
         packed *= (((1 << S) + 1) ** n - 1 - (1 << S * n)) ** k
-    sign, packed = (1, packed) if packed > 0 else (-1, -packed)
-    mask = (1 << S) - 1
     ct_den = math.prod(math.factorial(k) * n**k for n, k in m.factors)
-    return [sign * (packed >> S * b & mask) for b in range(1, N // 2 + 1)], den * ct_den
+    return unpack(packed, S, N // 2 + 1)[1:], den * ct_den
 
 
 # one entry per even d; a survey to weight 40 reads d = 0..36
@@ -176,9 +172,7 @@ def _even_kernel(d: int) -> tuple[tuple[int, ...], int]:
     phi_d[0] = phi_d[d] = 0 for d > 0, and phi_d[j] = phi_d[d-j] since C_b
     is symmetric under b -> d - b, so only the pairs with j <= d/2 are reduced.
     Only the all-even terms of a pair fold to the unit monomial, so only
-    they are looked up and reduced.  Every phi_d[j] is <= 0 for d > 0
-    (measured through d = 38, unproven), which _column's product needs, so
-    that is checked.
+    they are looked up and reduced.
     """
     if d == 0:
         return (1,), 1
@@ -188,8 +182,6 @@ def _even_kernel(d: int) -> tuple[tuple[int, ...], int]:
         terms = expand_lz(d - j, j)._terms
         even = ZetaCombination._of(d, {m: terms[m] for m in evens if m in terms})
         half.append(reduce_even(even).coefficient(UNIT_MONOMIAL))
-    if max(half) > 0:
-        raise AssertionError(f"phi_{d} has a positive entry; _column needs one sign")
     den = math.lcm(*(q.denominator for q in half))
     nums = [q.numerator * (den // q.denominator) for q in half]
     return (0, *nums, *reversed(nums[: (d - 1) // 2]), 0), den

@@ -19,10 +19,10 @@ def all_partitions(weight_max):
 
 
 def test_big_c_matches_bivariate_expansion():
-    # each profile is one int product read back in slots of
-    # sum(profile).bit_length() + s bits; a slot too narrow carries into the
-    # next.  Every partition expand_lz reads through weight 30, and every
-    # column of a survey through weight 40
+    # each profile is one int product read back in signed slots of
+    # slot_width(sum(profile) * (2^s - 2)) bits; a slot too narrow spills
+    # into the next.  Every partition expand_lz reads through weight 30,
+    # and every column of a survey through weight 40
     xs = list(all_partitions(10))
     xs += [x for n in range(11, 31) for x in enumerate_partitions(n, PartitionFilter(min_part=2))]
     odd = PartitionFilter(min_part=3, parity="odd")

@@ -3,15 +3,18 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import _bernoulli, fraction_rref, matrix_entries, matrix_of, row_coefficients
 from zetalog.exact import (
     RationalMatrix,
     bernoulli_number,
+    pack,
     rref,
+    slot_width,
     solve_membership,
+    unpack,
     zeta_even_pi_coeff,
 )
 from zetalog.expansion import UNIT_MONOMIAL
@@ -279,3 +282,44 @@ def test_rowspace_members_ignore_column_scaling():
             )
             shifted = {j + 1 for j in members}
             assert _rowspace_members(padded) == (rank, shifted), (n, mode)
+
+
+@st.composite
+def _bounded_coefficients(draw):
+    """A magnitude bound and up to 12 coefficients within it, -bound and
+    bound among them."""
+    bound = draw(st.integers(min_value=0, max_value=2**80))
+    coeffs = draw(st.lists(st.integers(min_value=-bound, max_value=bound), max_size=10))
+    for extreme in (-bound, bound):
+        coeffs.insert(draw(st.integers(min_value=0, max_value=len(coeffs))), extreme)
+    return bound, coeffs
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_bounded_coefficients(), data=st.data())
+def test_codec_round_trips_signed_slots(case, data):
+    # +-bound are the extreme slots, so S needs bound's bits and a sign bit;
+    # a negative slot borrows from the one above it, which the offset undoes.
+    # A prefix reads the same whatever the slots above it hold
+    bound, coeffs = case
+    S = slot_width(bound)
+    assert unpack(pack(coeffs, S), S, len(coeffs)) == coeffs
+    count = data.draw(st.integers(min_value=0, max_value=len(coeffs)))
+    assert unpack(pack(coeffs, S), S, count) == coeffs[:count]
+
+
+_signed = st.lists(st.integers(min_value=-(2**40), max_value=2**40), min_size=1, max_size=8)
+
+
+@settings(max_examples=100, deadline=None)
+@example(a=[3, -7, 0, 5], b=[-2, 4, -1])
+@given(a=_signed, b=_signed)
+def test_codec_reads_signed_products(a, b):
+    # one int product at y = 2^S holds the convolution, mixed signs included,
+    # for S from the product of the factors' magnitude sums
+    conv = [
+        sum(x * b[k - i] for i, x in enumerate(a) if 0 <= k - i < len(b))
+        for k in range(len(a) + len(b) - 1)
+    ]
+    S = slot_width(sum(map(abs, a)) * sum(map(abs, b)))
+    assert unpack(pack(a, S) * pack(b, S), S, len(conv)) == conv

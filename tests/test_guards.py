@@ -1,6 +1,7 @@
 """Structural guards: every module-level cache is bounded and no module
 holds other growable state, only the combination fast path bypasses a
-constructor, the exact layers hold no floats, the solver reads no
+constructor, only the Bernoulli sign check raises AssertionError, the
+exact layers hold no floats, the solver reads no
 partition record, the CLI imports only
 public library names, every exported name exists and resolves through
 the lazy package, start-up and the exact commands load neither mpmath
@@ -72,30 +73,51 @@ def test_no_module_level_containers():
     assert found == ["zetalog.cli._DISPATCH"]
 
 
+def _scopes_where(match):
+    """module:qualified scope of every node of src/zetalog that match accepts."""
+
+    def scopes(node, scope=""):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                yield from scopes(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if match(child):
+                yield scope
+            yield from scopes(child, scope)
+
+    return [
+        f"{path.stem}:{scope}"
+        for path in sorted((ROOT / "src" / "zetalog").glob("*.py"))
+        for scope in scopes(ast.parse(path.read_text()))
+    ]
+
+
 def test_object_new_only_in_combination_fast_path():
     # partitions and monomials are built only through their validating
     # constructors; _Combination._of alone skips __init__, for terms that
     # combination arithmetic has already checked
-    def object_new_scopes(node, scope=""):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
-                yield from object_new_scopes(child, f"{scope}.{child.name}".lstrip("."))
-                continue
-            if (
-                isinstance(child, ast.Attribute)
-                and child.attr == "__new__"
-                and isinstance(child.value, ast.Name)
-                and child.value.id == "object"
-            ):
-                yield scope
-            yield from object_new_scopes(child, scope)
+    def object_new(node):
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr == "__new__"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "object"
+        )
 
-    found = [
-        f"{path.stem}:{scope}"
-        for path in sorted((ROOT / "src" / "zetalog").glob("*.py"))
-        for scope in object_new_scopes(ast.parse(path.read_text()))
-    ]
-    assert found == ["expansion:_Combination._of"]
+    assert _scopes_where(object_new) == ["expansion:_Combination._of"]
+
+
+def test_assertion_error_only_in_bernoulli_check():
+    # an AssertionError reaches the CLI as exit 1 and a traceback, outside
+    # its exit codes, so no conjecture may raise one on the decision path;
+    # the one left checks that zeta(2n) / pi^(2n) came out positive
+    def raises_assertion_error(node):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            return False
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+    assert _scopes_where(raises_assertion_error) == ["exact:zeta_even_pi_coeff"]
 
 
 def test_exact_layers_build_no_floats():

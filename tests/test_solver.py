@@ -141,8 +141,9 @@ def test_build_system_matches_expansion_builder():
 def test_even_kernel_matches_recurrence_oracle():
     # phi_d read from the partition engine against the Phi recurrence, which
     # never reads a c_b, through d = 38, past every kernel the weight cap of
-    # 40 reaches; j > d/2 checks the mirror phi_d[j] = phi_d[d - j], and the interior is
-    # negative, the one sign _column's product relies on
+    # 40 reaches; j > d/2 checks the mirror phi_d[j] = phi_d[d - j].  The
+    # interior is negative: evidence for README's conjectured sign of phi_d,
+    # which no computation relies on
     for d in range(2, 39, 2):
         phi, den = solver._even_kernel(d)
         assert len(phi) == d + 1
@@ -166,6 +167,28 @@ def test_column_product_matches_convolution():
                 assert got == column_by_convolution(x, N), (x, N)
                 checked += 1
     assert checked == 4623
+
+
+def test_column_reads_a_mixed_sign_kernel(monkeypatch):
+    # _column's slots are balanced, so no column rests on the sign of phi_d:
+    # a kernel of alternating signs, symmetric with zero ends as the
+    # convolution reads it, gives the convolution's column for every odd
+    # partition x and weight N <= 24 its column can appear at
+    def mixed(d):
+        if d == 0:
+            return (1,), 1
+        half = [(-1) ** j * (3 * j + 1) for j in range(1, d // 2 + 1)]
+        return (0, *half, *reversed(half[: (d - 1) // 2]), 0), 5
+
+    monkeypatch.setattr(solver, "_even_kernel", mixed)
+    checked = 0
+    for w in range(3, 25):
+        for x in enumerate_partitions(w, PartitionFilter(min_part=3, parity="odd")):
+            for N in range(w, 25, 2):
+                got = solver._column(ZetaMonomial.from_partition(x), N)
+                assert got == column_by_convolution(x, N), (x, N)
+                checked += 1
+    assert checked == 401
 
 
 def test_build_system_reads_no_vanishing_little_c(monkeypatch):
