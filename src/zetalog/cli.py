@@ -175,7 +175,7 @@ def _cmd_express(args):
 def _cmd_survey(args):
     lo, hi = vars(args)["from"], args.to
     if not 3 <= lo <= hi <= WEIGHT_CAP:
-        raise ValueError(f"survey range must satisfy 3 <= from <= to <= {WEIGHT_CAP}")
+        raise ValueError(f"survey range must satisfy 3 <= from <= to <= {WEIGHT_CAP}, the weight cap")
     report = solver.survey(lo, hi, mode=args.mode)
     if args.format == "json":
         records = [
@@ -205,7 +205,7 @@ def _cmd_survey(args):
 
 def _cmd_partitions(args):
     if not 1 <= args.N <= WEIGHT_CAP:
-        raise ValueError(f"partitions needs 1 <= N <= {WEIGHT_CAP}")
+        raise ValueError(f"partitions needs 1 <= N <= {WEIGHT_CAP}, the weight cap")
     flt = partitions.PartitionFilter(
         min_part=args.min_part, exact_parts=args.parts, parity=args.parity
     )

@@ -11,19 +11,19 @@ coefficient factors as c_b(X) = C_b(X) * Ct(X) where
 |X| being the part count.  C_b(X) vanishes unless |X| <= b <= N - |X|
 and is symmetric under b -> N - b.  Values are computed through a cached
 per-partition profile: the product over parts of the polynomials
-sum_{v=1}^{n-1} C(n,v) y^v, whose coefficient of y^b is C_b(X), so one
-product serves every b.  Each partition's profile, sign and denominator
-form one cached integer record, built from the record of the partition
-with one copy of its largest part removed by one big-int product, so a
-coefficient costs one Fraction.
+sum_{v=1}^{n-1} C(n,v) y^v = (1 + y)^n - 1 - y^n, whose coefficient of y^b
+is C_b(X), so one product serves every b.  Each partition's profile, sign
+and denominator form one cached integer record, read off the partition's
+own factors by one big-int product, so a coefficient costs one Fraction.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import pack, slot_width, unpack
+from .exact import slot_width, unpack
 from .partitions import PartitionElement
 
 __all__ = [
@@ -33,34 +33,30 @@ __all__ = [
 
 
 # Weight 40, the largest a pair is expanded at (table 40 --reduce, expand and
-# verify at the weight cap), needs 12,306 records: its 6,153 partitions into
-# parts >= 2, which every pair (40 - b, b) re-reads, and as many smaller ones
-# they are built from, read once each.  8,192 keeps the first set whole while
-# the second streams through: table 40 --reduce misses 12,306 times, once per
-# record, one big-int product each (0.12 s for all 12,306 on a 2-core Xeon).
-# No system column reads a record, so a survey reads them only through its
-# even kernels' pairs (none above weight 36): a strict 3..40 reads 11,401
-# records and misses 11,866 times, an optimistic survey none
+# verify at the weight cap), reads 6,153 records: its partitions into parts
+# >= 2, which every pair (40 - b, b) re-reads.  8,192 keeps them whole:
+# table 40 --reduce misses 6,153 times, once per record, one big-int product
+# each (87 ms for all of them on a 2-core Xeon).  No system column reads a
+# record, so a survey reads them only through its even kernels' pairs (none
+# above weight 36): a strict 3..40 reads 9,884 records and misses as often,
+# so none is rebuilt; an optimistic survey reads none
 @lru_cache(maxsize=8192)
 def _record(support: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], int, int]:
     """(profile, sign, denominator) of the partition with this support:
-    profile[b] = C_b(X) and Ct(X) = sign / denominator.
-
-    Built from the record of X with one copy of its largest part s removed:
-    the profile gains the factor sum_{v=1}^{s-1} C(s,v) y^v, N + |X| grows by
-    s + 1, and the denominator gains the factor mult * s.  The product is one
-    int product at y = 2^S, read back by exact's codec with the bound
-    sum(profile) * (2^s - 2) on each coefficient's magnitude.
+    profile[b] = C_b(X) and Ct(X) = sign / denominator, read off the parts
+    alone.  The profile is prod ((1 + y)^n - 1 - y^n)^k, one int product at
+    y = 2^S read back by exact's codec with the bound C_X(1) = prod (2^n - 2)^k
+    on each coefficient; the sign is -1 to the number of even parts, the
+    parity of N + |X| = sum k * (n + 1).
     """
-    if not support:
-        return (1,), 1, 1
-    size, mult = support[-1]
-    rest = support[:-1] + ((size, mult - 1),) if mult > 1 else support[:-1]
-    prof, sign, denom = _record(rest)
-    S = slot_width(sum(prof) * ((1 << size) - 2))
-    packed = pack(prof, S) * ((1 + (1 << S)) ** size - 1 - (1 << S * size))
-    nxt = tuple(unpack(packed, S, len(prof) + size - 1))
-    return nxt, -sign if size % 2 == 0 else sign, denom * mult * size
+    S = slot_width(math.prod(((1 << n) - 2) ** k for n, k in support))
+    packed = 1
+    for n, k in support:
+        packed *= (((1 << S) + 1) ** n - 1 - (1 << S * n)) ** k
+    count = sum((n - 1) * k for n, k in support) + 1
+    sign = (-1) ** sum(k for n, k in support if n % 2 == 0)
+    denom = math.prod(math.factorial(k) * n**k for n, k in support)
+    return tuple(unpack(packed, S, count)), sign, denom
 
 
 def c_tilde(x: PartitionElement) -> Fraction:

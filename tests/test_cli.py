@@ -76,7 +76,8 @@ def test_expand_usage_errors(run_cli):
 
 
 def test_weight_cap_overrides(run_cli):
-    # no override: every command stops at the weight survey and partitions stop at
+    # no override: --max-weight is refused, every command accepts weight 40
+    # and refuses weight 41 with an error that names the weight cap
     assert run_cli("expand", "2", "1", "--max-weight", "30")[0] == 1
     assert run_cli("expand", "13", "12")[0] == 0
     code, out, _ = run_cli("verify", "13", "12", "--digits", "10")
@@ -87,6 +88,8 @@ def test_weight_cap_overrides(run_cli):
         ("express", "z41"),
         ("express", "z3", "--weight", "41"),
         ("verify", "21", "20"),
+        ("survey", "--from", "3", "--to", "41"),
+        ("partitions", "41"),
     ):
         code, _, err = run_cli(*args)
         assert code == 1 and "cap" in err, args

@@ -6,9 +6,14 @@ from fractions import Fraction
 import pytest
 
 from oracles import big_c, bivariate_big_c, brute_slot_values, composition_profile
-from zetalog import coefficients
+from zetalog import coefficients, expansion
 from zetalog.coefficients import c_tilde, little_c
-from zetalog.partitions import PartitionElement, PartitionFilter, enumerate_partitions
+from zetalog.partitions import (
+    PartitionElement,
+    PartitionFilter,
+    count_partitions,
+    enumerate_partitions,
+)
 
 F = Fraction
 
@@ -20,8 +25,8 @@ def all_partitions(weight_max):
 
 def test_big_c_matches_bivariate_expansion():
     # each profile is one int product read back in signed slots of
-    # slot_width(sum(profile) * (2^s - 2)) bits; a slot too narrow spills
-    # into the next.  Every partition expand_lz reads through weight 30,
+    # slot_width(prod (2^n - 2)^k) bits; a slot too narrow spills into the
+    # next.  Every partition expand_lz reads through weight 30,
     # and every column of a survey through weight 40
     xs = list(all_partitions(10))
     xs += [x for n in range(11, 31) for x in enumerate_partitions(n, PartitionFilter(min_part=2))]
@@ -109,9 +114,9 @@ def test_little_c_is_big_c_times_c_tilde():
 
 
 def test_records_do_not_depend_on_cache_state():
-    # a record is built from the cached record of a smaller partition; it
-    # must not matter whether that one came from an earlier, heavier weight
-    # (weight 14 before 8, no clearing) or was rebuilt from a cold cache
+    # a record is read off its own factors; it must not matter whether the
+    # cache already holds the records of an earlier, heavier weight (weight
+    # 14 before 8, no clearing) or starts cold for each weight
     want = {}
     for n in range(1, 13):
         for x in enumerate_partitions(n):
@@ -134,3 +139,17 @@ def test_records_do_not_depend_on_cache_state():
     for n in range(1, 13):
         coefficients._record.cache_clear()
         check(n)
+
+
+def test_cold_expansion_builds_each_record_once():
+    # no record is built from another: a cold call builds its own record
+    # only, and a cold expand_weight(30) one per partition of 30 into parts
+    # >= 2, the partitions its pairs read
+    coefficients._record.cache_clear()
+    little_c(PartitionElement.from_parts([5, 2, 2, 2]), 4)
+    assert coefficients._record.cache_info().misses == 1
+    coefficients._record.cache_clear()
+    expansion.expand_lz.cache_clear()
+    expansion.expand_weight(30)
+    misses = coefficients._record.cache_info().misses
+    assert misses == count_partitions(30, PartitionFilter(min_part=2)) == 1039
