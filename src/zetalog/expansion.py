@@ -316,8 +316,8 @@ def _partitions_min2(n: int) -> tuple[tuple[PartitionElement, int, ZetaMonomial]
 # no system column expands a pair: an optimistic survey expands none, and a
 # strict one only the pairs (d - j, j), j <= d/2, of each even d it needs a
 # kernel phi_d for, once each (171 for 3..40); express re-reads a pair
-# through a row's known part, its substitution check, its strict fallback
-# and its recursion into member dependencies
+# through a certificate's remainder, its substitution check, its strict
+# fallback and its recursion into member dependencies
 @lru_cache(maxsize=64)
 def expand_lz(a: int, b: int) -> ZetaCombination:
     """Exact weight-(a+b) expansion of Lz(a,b)."""

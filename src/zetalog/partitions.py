@@ -168,6 +168,8 @@ def count_partitions(n: int, flt: Optional[PartitionFilter] = None) -> int:
         raise ValueError(f"cannot partition a negative integer: {n}")
     flt = flt or PartitionFilter()
     k = flt.exact_parts
+    if k and k * flt.min_part > n:
+        return 0  # k parts sum to at least k * min_part; build no table for them
     # rows[j][m]: partitions of m into exactly j parts (any number of parts in
     # the one row when k is None) from the sizes taken so far.  The row read
     # from is updated first and m runs upward, so each size may repeat

@@ -7,7 +7,7 @@ carries the fixed factor pi^(N-w), so that factor is absorbed into the
 column and the system lives over the rationals.  Unknown columns are
 the full-weight odd monomials (partitions of N into odd parts >= 3);
 in optimistic mode lower-weight odd monomials count as already settled
-and land in the known part, while strict mode keeps them as columns.
+and land in the remainder, while strict mode keeps them as columns.
 
 Every column m, of weight w, takes its coefficient in Lz(N-b, b) by one
 rule: the y^b coefficient of Ct(X_m) * C_(X_m)(y) * phi_(N-w)(y), with
@@ -17,8 +17,9 @@ C_X and Ct come in closed form from the parts of X_m, so no column reads
 a partition record, and the product is one int product at y = 2^S, read
 back in signed slots by exact's codec.  So an optimistic system expands
 no pair, while the kernel of each even d serves every weight and no row
-reduces the expansion of its own pair.  A row's known part is that reduced expansion
-minus its columns; it is built when read, which only a certificate does.
+reduces the expansion of its own pair.  A system is integer rows over one
+denominator beside their pairs; a certificate's remainder is the sum of its
+reduced pairs with the column terms dropped once, at the end.
 
 A successful solve is packaged as a Certificate for the exact identity
 
@@ -27,10 +28,10 @@ A successful solve is packaged as a Certificate for the exact identity
 and machine-verified by substituting the expansions back in before it
 is returned.  The check reads the partition records through expand_lz;
 the columns share with it only phi_d, that is the records of partitions
-into parts >= 2 behind each kernel and the even fold, and the known part
-comes from the check's expansions.  A certificate's dependency is settled
-by one set per weight: the members of that weight's optimistic row space
-whose own certificates resolve in full.
+into parts >= 2 behind each kernel and the even fold, and the remainder
+comes from the expansions the check reads.  A certificate's dependency is
+settled by one set per weight: the members of that weight's optimistic row
+space whose own certificates resolve in full.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from .partitions import PartitionFilter, enumerate_partitions
 
 __all__ = [
     "MODES",
-    "SystemRow",
     "LinearSystem",
     "Certificate",
     "CertificateCheckError",
@@ -80,33 +80,18 @@ def _odd_columns(weight: int) -> tuple[ZetaMonomial, ...]:
     return tuple(ZetaMonomial.from_partition(x) for x in found)
 
 
-class SystemRow(NamedTuple):
-    """A row's coefficient on column j is numerators[j] / denominator."""
-
-    pair: tuple[int, int]
-    numerators: tuple[int, ...]
-    denominator: int
-    columns: tuple[ZetaMonomial, ...]
-
-    @property
-    def known(self) -> PiReducedCombination:
-        """The reduced Lz(pair) without its column terms, built on each read."""
-        red = reduce_even(expand_lz(*self.pair))
-        colset = set(self.columns)
-        return PiReducedCombination._of(
-            red.weight, {m: c for m, c in red._terms.items() if m not in colset}
-        )
-
-
 class LinearSystem(NamedTuple):
+    """Row i, of the pair pairs[i], has rows[i][j] / denominator on columns[j]."""
+
     weight: int
     mode: str
     columns: tuple[ZetaMonomial, ...]
-    rows: tuple[SystemRow, ...]
+    pairs: tuple[tuple[int, int], ...]
+    rows: tuple[tuple[int, ...], ...]
+    denominator: int
 
     def matrix(self) -> RationalMatrix:
-        nums, dens = [r.numerators for r in self.rows], [r.denominator for r in self.rows]
-        return RationalMatrix(nums, len(self.columns), dens)
+        return RationalMatrix(self.rows, len(self.columns), [self.denominator] * len(self.rows))
 
 
 def build_system(
@@ -132,12 +117,9 @@ def build_system(
     den = math.lcm(*(d for _, d in by_column))
     scaled = [[x * (den // d) for x in col] for col, d in by_column]
 
-    rows: list[SystemRow] = []
-    for b, nums in enumerate(zip(*scaled), 1):
-        if not any(nums):
-            continue  # row touches no unknown; nothing to solve with
-        rows.append(SystemRow((N - b, b), nums, den, cols))
-    return LinearSystem(N, mode, cols, tuple(rows))
+    # a row that touches no unknown has nothing to solve with
+    rows = {(N - b, b): nums for b, nums in enumerate(zip(*scaled), 1) if any(nums)}
+    return LinearSystem(N, mode, cols, tuple(rows), tuple(rows.values()), den)
 
 
 def _column(m: ZetaMonomial, N: int) -> tuple[list[int], int]:
@@ -270,12 +252,15 @@ def _solve(target: ZetaMonomial, N: int, mode: str) -> Optional[Certificate]:
     lam = solve_membership(system.matrix(), unit)
     if lam is None:
         return None
-    lz_terms = {row.pair: coeff for row, coeff in zip(system.rows, lam) if coeff != 0}
-    remainder = sum(
-        (row.known.scale(-coeff) for row, coeff in zip(system.rows, lam) if coeff != 0),
+    lz_terms = {pair: coeff for pair, coeff in zip(system.pairs, lam) if coeff != 0}
+    # dropping the column terms is linear, so one sum drops them once
+    total = sum(
+        (reduce_even(expand_lz(*pair)).scale(-coeff) for pair, coeff in lz_terms.items()),
         PiReducedCombination(N, {}),
     )
-    cert = Certificate(target, N, lz_terms, remainder)
+    colset = set(system.columns)
+    off = {m: c for m, c in total._terms.items() if m not in colset}
+    cert = Certificate(target, N, lz_terms, PiReducedCombination._of(N, off))
     if not verify_certificate(cert):
         raise CertificateCheckError(f"certificate for {target} failed the substitution check")
     return cert
@@ -357,9 +342,8 @@ def _rowspace_members(system: LinearSystem) -> tuple[int, set[int]]:
     """Exact rank and the set of column indices whose unit vector is reachable,
     read off the rows with each nonzero column divided by its gcd: scaling a
     column by a nonzero factor changes neither, and the integers shrink."""
-    nums = [row.numerators for row in system.rows]
-    gcds = [math.gcd(*col) or 1 for col in zip(*nums)]
-    prim = [[x // g for x, g in zip(row, gcds)] for row in nums]
+    gcds = [math.gcd(*col) or 1 for col in zip(*system.rows)]
+    prim = [[x // g for x, g in zip(row, gcds)] for row in system.rows]
     reduced, pivots = rref(RationalMatrix(prim, len(system.columns), [1] * len(prim)))
     members = {c for row, c in zip(reduced.numerators, pivots) if row.count(0) == len(row) - 1}
     return len(pivots), members

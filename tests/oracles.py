@@ -45,9 +45,9 @@ def composition_profile(x) -> tuple[int, ...]:
     return coefficients._record(x.support)[0]
 
 
-def row_coefficients(row) -> tuple[Fraction, ...]:
-    """A system row's coefficients, numerators over its one denominator."""
-    return tuple(Fraction(x, row.denominator) for x in row.numerators)
+def row_coefficients(system) -> list[tuple[Fraction, ...]]:
+    """A system's rows as Fractions, each numerator over its one denominator."""
+    return [tuple(Fraction(x, system.denominator) for x in row) for row in system.rows]
 
 
 def matrix_of(rows, cols: int) -> RationalMatrix:

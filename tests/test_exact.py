@@ -251,7 +251,7 @@ def test_rref_matches_oracle_on_survey_systems():
         for mode in MODES:
             system = build_system(n, mode)
             m = system.matrix()
-            entries = [list(row_coefficients(row)) for row in system.rows]
+            entries = [list(row) for row in row_coefficients(system)]
             assert (m.rows, m.cols) == (len(system.rows), len(system.columns))
             assert matrix_entries(m) == entries, (n, mode)
             expected, pivots = fraction_rref(entries)
@@ -271,14 +271,11 @@ def test_rowspace_members_ignore_column_scaling():
             system = build_system(n, mode)
             rank, members = _rowspace_members(system)
             factors = [(-1) ** j * (j + 2) for j in range(len(system.columns))]
-            scaled = tuple(
-                row._replace(numerators=tuple(x * f for x, f in zip(row.numerators, factors)))
-                for row in system.rows
-            )
+            scaled = tuple(tuple(x * f for x, f in zip(row, factors)) for row in system.rows)
             assert _rowspace_members(system._replace(rows=scaled)) == (rank, members), (n, mode)
             padded = system._replace(
                 columns=(UNIT_MONOMIAL, *system.columns),
-                rows=tuple(row._replace(numerators=(0, *row.numerators)) for row in scaled),
+                rows=tuple((0, *row) for row in scaled),
             )
             shifted = {j + 1 for j in members}
             assert _rowspace_members(padded) == (rank, shifted), (n, mode)

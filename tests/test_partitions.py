@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import tracemalloc
 
 import pytest
 
@@ -90,6 +91,23 @@ def test_zero_weight():
     assert count_partitions(0) == 1
     assert enumerate_partitions(0, PartitionFilter(exact_parts=1)) == []
     assert count_partitions(0, PartitionFilter(exact_parts=1)) == 0
+
+
+def test_too_many_parts_build_no_table():
+    # more parts than n holds answer 0 without one table row per part
+    tracemalloc.start()
+    try:
+        assert count_partitions(5, PartitionFilter(exact_parts=10**4)) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+    # from the first count that cannot fit (t * min_part > n) to n + 3
+    for n in range(8):
+        for min_part in (1, 2, 3):
+            for t in range(n // min_part + 1, n + 4):
+                flt = PartitionFilter(min_part=min_part, exact_parts=t)
+                assert count_partitions(n, flt) == len(enumerate_partitions(n, flt)) == 0
 
 
 def test_negative_weight_rejected():

@@ -79,14 +79,14 @@ def test_system_shapes():
     for n, (cols, pairs) in shapes.items():
         system = build_system(n)
         assert [str(c) for c in system.columns] == cols
-        assert [r.pair for r in system.rows] == pairs
+        assert list(system.pairs) == pairs
         assert system.matrix().rows == len(pairs)
         assert system.matrix().cols == len(cols)
 
 
 def test_system_even_weight_without_odd_monomials():
     system = build_system(4)
-    assert system.columns == () and system.rows == ()
+    assert system.columns == () and system.pairs == () and system.rows == ()
 
 
 def test_strict_mode_appends_lower_weights():
@@ -96,11 +96,15 @@ def test_strict_mode_appends_lower_weights():
 
 
 def test_system_known_parts_stay_off_columns():
-    system = build_system(9)
-    colset = set(system.columns)
-    for row in system.rows:
-        for m in row.known.terms:
-            assert m not in colset
+    # a row is the whole column part of its pair's reduced expansion, so what
+    # the pair leaves for a certificate's remainder lies off the columns
+    for n, mode in ((9, "optimistic"), (12, "optimistic"), (12, "strict")):
+        system = build_system(n, mode)
+        colset = set(system.columns)
+        for pair, coeffs in zip(system.pairs, row_coefficients(system)):
+            on_columns = PiReducedCombination(n, dict(zip(system.columns, coeffs)))
+            known = reduce_even(expand_lz(*pair)) + on_columns.scale(-1)
+            assert not colset & set(known.terms), (n, mode, pair)
 
 
 def test_full_weight_coefficient_is_little_c():
@@ -121,11 +125,8 @@ def test_build_system_matches_expansion_builder():
         system = build_system(n, mode, ensure)
         columns, rows = expansion_system(n, mode, ensure)
         assert [m.factors for m in system.columns] == columns, (n, mode, ensure)
-        got = [
-            (row.pair, row_coefficients(row), {m.factors: c for m, c in row.known.terms.items()})
-            for row in system.rows
-        ]
-        assert got == rows, (n, mode, ensure)
+        got = list(zip(system.pairs, row_coefficients(system)))
+        assert got == [(pair, coeffs) for pair, coeffs, _ in rows], (n, mode, ensure)
 
     for n in range(3, 25):
         same(n, "optimistic")
@@ -217,9 +218,12 @@ def test_optimistic_survey_expands_no_pair():
     expand_lz.cache_clear()
     survey(3, 24)
     assert expand_lz.cache_info().misses == 0
-    row = build_system(12).rows[0]
+    system = build_system(12)
     assert expand_lz.cache_info().misses == 0
-    assert row.known.text() == "-(691/283783500)*pi^12"
+    assert system.pairs[0] == (10, 2)
+    red = reduce_even(expand_lz(10, 2)).terms
+    known = PiReducedCombination(12, {m: c for m, c in red.items() if m not in system.columns})
+    assert known.text() == "-(691/283783500)*pi^12"
     assert expand_lz.cache_info().misses == 1
 
 
@@ -411,6 +415,36 @@ def _memoized_series(monkeypatch):
 def test_every_certificate_passes_the_numeric_audit(monkeypatch):
     _memoized_series(monkeypatch)
     assert _failed_audits(24) == []
+
+
+def test_certificate_remainders_sum_the_oracle_known_parts():
+    # _solve drops the column terms once, from the whole sum; the oracle
+    # drops them from each pair's reduced expansion, before summing.  Every
+    # certificate through weight 24, in both modes and at raised weights
+    @lru_cache(maxsize=None)
+    def known_parts(n, mode, ensure):
+        return {pair: known for pair, _, known in expansion_system(n, mode, ensure)[1]}
+
+    nonzero = []  # per certificate, whether its remainder has a term
+    for weight in range(3, 25):
+        for target in (m for w in range(weight, 2, -2) for m in odd_monomials(w)):
+            for mode in MODES:
+                cert = _solve(target, weight, mode)
+                if cert is None:
+                    continue
+                columns = build_system(weight, mode).columns
+                # ensuring a target already among the columns changes no row
+                ensure = () if target in columns else (target,)
+                remainder = cert.known_remainder.terms
+                assert not set(remainder) & {*columns, target}, (mode, cert.text())
+                want = Counter()
+                for pair, lam in cert.lz_terms.items():
+                    for factors, c in known_parts(weight, mode, ensure)[pair].items():
+                        want[factors] -= lam * c
+                got = {m.factors: c for m, c in remainder.items()}
+                assert got == {f: c for f, c in want.items() if c}, (mode, cert.text())
+                nonzero.append(bool(got))
+    assert (len(nonzero), sum(nonzero)) == (314, 288)
 
 
 @pytest.fixture
@@ -685,6 +719,7 @@ def test_strict_relation_annihilates_strict_rows():
     for n in range(6, 31, 2):
         system = build_system(n, "strict")
         mu = _even_relation(n)
+        rows = row_coefficients(system)
         for c in range(len(system.columns)):
-            total = sum(mu.get(r.pair[1], 0) * row_coefficients(r)[c] for r in system.rows)
+            total = sum(mu.get(b, 0) * row[c] for (_, b), row in zip(system.pairs, rows))
             assert total == 0, (n, c)
