@@ -4,12 +4,12 @@ packed at y = 2^S (Kronecker substitution), read back in signed slots.
 
 Scalars are ``fractions.Fraction`` (aliased ``Rational``): always in
 lowest terms, positive denominator, canonical zero.  A matrix holds
-integer rows, each over one denominator, and is eliminated on those
-integers; Fractions are built only for what is read.  The linear-algebra
-entry point is row-space membership: given a rational matrix A and a
-target row t, find lambda with lambda . A == t or decide that none
-exists.  Elimination uses a fixed first-nonzero pivot order and sets all
-free variables to zero, so results are reproducible across runs.
+integer rows over one denominator and is eliminated on those integers;
+rref returns the primitive echelon rows, and Fractions are built only for
+a solved combination.  The entry point is row-space membership: given a
+rational matrix A and a target row t, find lambda with lambda . A == t or
+decide that none exists.  Elimination uses a fixed first-nonzero pivot
+order and sets all free variables to zero, so results are reproducible.
 """
 
 from __future__ import annotations
@@ -70,23 +70,23 @@ def zeta_even_pi_coeff(n: int) -> Fraction:
 
 
 class RationalMatrix:
-    """Dense rational matrix held as integer rows, each over one positive
-    denominator: entry (i, j) is numerators[i][j] / denominators[i].  Shape
-    may be zero in either dimension; cols counts the columns of an empty one.
+    """Dense rational matrix held as integer rows over one positive
+    denominator: entry (i, j) is numerators[i][j] / denominator.  Shape may
+    be zero in either dimension; every row has cols entries.
     """
 
-    __slots__ = ("numerators", "denominators", "rows", "cols")
+    __slots__ = ("numerators", "denominator", "rows", "cols")
 
-    def __init__(self, numerators: Iterable[Iterable[int]], cols: int, denominators: Iterable[int]):
+    def __init__(self, numerators: Iterable[Iterable[int]], cols: int, denominator: int):
         rows = [list(row) for row in numerators]
-        self.denominators: list[int] = list(denominators)
-        if len(self.denominators) != len(rows) or min(self.denominators, default=1) < 1:
-            raise ValueError("matrix needs one positive denominator per row")
-        if any(len(row) != len(rows[0]) for row in rows):
-            raise ValueError("matrix rows must all have the same length")
+        if denominator < 1:
+            raise ValueError(f"matrix denominator must be positive, got {denominator}")
+        if any(len(row) != cols for row in rows):
+            raise ValueError(f"matrix rows must all have {cols} entries")
         self.numerators: list[list[int]] = rows
+        self.denominator: int = denominator
         self.rows: int = len(rows)
-        self.cols: int = len(rows[0]) if rows else cols
+        self.cols: int = cols
 
 
 def slot_width(bound: int) -> int:
@@ -155,14 +155,11 @@ def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     return work, pivots
 
 
-def rref(matrix: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
-    """Reduced row-echelon form and the pivot columns."""
+def rref(matrix: RationalMatrix) -> tuple[list[list[int]], tuple[int, ...]]:
+    """(rows, pivots): one primitive integer row per pivot column, and row r
+    over its entry in column pivots[r] is row r of the reduced form."""
     work, pivots = _echelon(matrix.numerators)
-    rows = [row if row[c] > 0 else [-x for x in row] for row, c in zip(work, pivots)]
-    dens = [row[c] for row, c in zip(rows, pivots)]
-    zeros = len(work) - len(pivots)
-    rows += ([0] * matrix.cols for _ in range(zeros))
-    return RationalMatrix(rows, matrix.cols, dens + [1] * zeros), tuple(pivots)
+    return work[: len(pivots)], tuple(pivots)
 
 
 def solve_membership(
@@ -180,7 +177,7 @@ def solve_membership(
         )
     t = [x if isinstance(x, Fraction) else Fraction(x) for x in target]
     # Augmented transpose, one row per original column scaled by its target's
-    # denominator, over the unknowns mu_i = lambda_i / denominators[i]
+    # denominator, over the unknowns mu_i = lambda_i / denominator
     aug = [[x.denominator * row[j] for row in system.numerators] + [x.numerator] for j, x in enumerate(t)]
     reduced, pivots = _echelon(aug)
     n_unknowns = system.rows
@@ -190,5 +187,5 @@ def solve_membership(
             return None  # pivot in the augmented column: inconsistent
         # the row is zero in every other pivot column, so mu_c is its
         # right-hand side over its pivot once free variables are zero
-        solution[c] = Fraction(row[n_unknowns] * system.denominators[c], row[c])
+        solution[c] = Fraction(row[n_unknowns] * system.denominator, row[c])
     return solution

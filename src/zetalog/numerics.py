@@ -88,8 +88,8 @@ def zeta_value(s: int, precision: int) -> mpf:
     function", 2000): with d_k = sum_{i<=k} n (n+i-1)! 4^i / ((n-i)! (2i)!),
     eta(s) d_n = sum_{k<n} (-1)^k (d_n - d_k) / (k+1)^s up to under
     6 (3+sqrt 8)^-n in zeta for real s >= 2."""
-    if s < 2:
-        raise ValueError(f"zeta_value needs s >= 2, got {s}")
+    if s < 2 or precision < 1:
+        raise ValueError(f"zeta_value needs s >= 2 and precision >= 1, got ({s}, {precision})")
     from mpmath import mp
     from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
 
@@ -113,7 +113,6 @@ def zeta_value(s: int, precision: int) -> mpf:
 # the S table: sums over compositions of n into k positive parts of prod 1/m_j
 
 
-@lru_cache(maxsize=16)
 def build_s_table(
     b_max: int, n_max: int, precision: int
 ) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -355,6 +354,8 @@ def lz_series(a: int, b: int, precision: int) -> mpf:
 def evaluate_reduced(comb: PiReducedCombination, precision: int) -> mpf:
     """Numeric value of a pi-reduced combination from zeta_value and pi,
     accurate relative to itself however much its terms cancel."""
+    if precision < 1:
+        raise ValueError(f"evaluate_reduced needs precision >= 1, got {precision}")
     from mpmath import mp
 
     guard = 10

@@ -91,7 +91,7 @@ class LinearSystem(NamedTuple):
     denominator: int
 
     def matrix(self) -> RationalMatrix:
-        return RationalMatrix(self.rows, len(self.columns), [self.denominator] * len(self.rows))
+        return RationalMatrix(self.rows, len(self.columns), self.denominator)
 
 
 def build_system(
@@ -344,8 +344,8 @@ def _rowspace_members(system: LinearSystem) -> tuple[int, set[int]]:
     column by a nonzero factor changes neither, and the integers shrink."""
     gcds = [math.gcd(*col) or 1 for col in zip(*system.rows)]
     prim = [[x // g for x, g in zip(row, gcds)] for row in system.rows]
-    reduced, pivots = rref(RationalMatrix(prim, len(system.columns), [1] * len(prim)))
-    members = {c for row, c in zip(reduced.numerators, pivots) if row.count(0) == len(row) - 1}
+    rows, pivots = rref(RationalMatrix(prim, len(system.columns), 1))
+    members = {c for row, c in zip(rows, pivots) if row.count(0) == len(row) - 1}
     return len(pivots), members
 
 

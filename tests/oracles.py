@@ -15,10 +15,10 @@ profile for the tests that check it; and column_by_convolution, which
 reads the package's partition records (profile and Ct) and even kernel:
 it is the record-side reference for the closed-form product a system
 column is read from, which reads no record.  The views composition_profile,
-row_coefficients, matrix_of and matrix_entries only reshape the package's
-own integer records, rows and matrices, as Fractions where they hold any;
-odd_monomials and survey_record read the solver's column cache and a survey
-report.
+row_coefficients, matrix_of, matrix_entries and reduced_rows only reshape
+the package's own integer records, rows, matrices and echelon rows, as
+Fractions where they hold any; odd_monomials and survey_record read the
+solver's column cache and a survey report.
 
 The numeric oracles are mpf forms of the package's numeric kernels:
 lz_series_mpf sums the series route in mpf with a linear tail-cut scan,
@@ -51,12 +51,12 @@ def row_coefficients(system) -> list[tuple[Fraction, ...]]:
 
 
 def matrix_of(rows, cols: int) -> RationalMatrix:
-    """The matrix of rows of ints or Fractions, each row over the lcm of its
+    """The matrix of rows of ints or Fractions over the lcm of all their
     denominators."""
     rows = [[Fraction(x) for x in row] for row in rows]
-    dens = [math.lcm(*(x.denominator for x in row)) for row in rows]
-    nums = [[x.numerator * (d // x.denominator) for x in row] for row, d in zip(rows, dens)]
-    return RationalMatrix(nums, cols, dens)
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    nums = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+    return RationalMatrix(nums, cols, den)
 
 
 def odd_monomials(weight: int) -> list[ZetaMonomial]:
@@ -74,7 +74,13 @@ def survey_record(report, weight: int):
 
 
 def matrix_entries(m: RationalMatrix) -> list[list[Fraction]]:
-    return [[Fraction(x, d) for x in row] for row, d in zip(m.numerators, m.denominators)]
+    return [[Fraction(x, m.denominator) for x in row] for row in m.numerators]
+
+
+def reduced_rows(rows, pivots) -> list[list[Fraction]]:
+    """The rows of the reduced row-echelon form from rref's (rows, pivots):
+    each echelon row divided by its entry in its pivot column."""
+    return [[Fraction(x, row[c]) for x in row] for row, c in zip(rows, pivots)]
 
 
 def _poly_mul(p: dict, q: dict) -> dict:
@@ -265,6 +271,17 @@ def reduced_lz_kernel(a: int, b: int) -> list[tuple[tuple[tuple[int, int], ...],
                 found.append((tuple(sorted(parts + [total - w], reverse=True)), factors, coeff))
     found.sort(reverse=True, key=lambda t: t[0])
     return [(factors, coeff) for _, factors, coeff in found]
+
+
+def kernel_mismatches(pairs) -> list[tuple[int, int]]:
+    """The pairs (a, b) whose pi-reduced expansion differs from
+    reduced_lz_kernel(a, b) in a value or in term order."""
+    return [
+        (a, b)
+        for a, b in pairs
+        if [(m.factors, c) for m, c in reduce_even(expand_lz(a, b)).terms.items()]
+        != reduced_lz_kernel(a, b)
+    ]
 
 
 def fraction_rref(rows) -> tuple[list[list[Fraction]], list[int]]:

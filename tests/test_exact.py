@@ -1,12 +1,20 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import _bernoulli, fraction_rref, matrix_entries, matrix_of, row_coefficients
+from oracles import (
+    _bernoulli,
+    fraction_rref,
+    matrix_entries,
+    matrix_of,
+    reduced_rows,
+    row_coefficients,
+)
 from zetalog.exact import (
     RationalMatrix,
     bernoulli_number,
@@ -85,65 +93,74 @@ def test_even_zeta_rejects_zero():
 
 
 def integer_matrix(rows):
-    """A nonempty matrix of integer rows, each over the denominator 1."""
-    return RationalMatrix(rows, len(rows[0]), [1] * len(rows))
+    """A nonempty matrix of integer rows over the denominator 1."""
+    return RationalMatrix(rows, len(rows[0]), 1)
 
 
 def test_matrix_shape_and_accessors():
     m = integer_matrix([[1, 2, 3], [4, 5, 6]])
     assert (m.rows, m.cols) == (2, 3)
-    assert (m.numerators, m.denominators) == ([[1, 2, 3], [4, 5, 6]], [1, 1])
+    assert (m.numerators, m.denominator) == ([[1, 2, 3], [4, 5, 6]], 1)
 
 
 def test_matrix_from_integers_matches_matrix_from_fractions():
-    nums, dens = [[2, -4, 0], [3, 6, 9], [0, 0, 0]], [6, 3, 5]
-    from_ints = RationalMatrix(nums, 3, dens)
-    from_fractions = matrix_of([[F(x, d) for x in row] for row, d in zip(nums, dens)], 3)
-    want = [[F(1, 3), F(-2, 3), F(0)], [F(1), F(2), F(3)], [F(0)] * 3]
+    nums, den = [[2, -4, 0], [3, 6, 9], [0, 0, 0]], 6
+    from_ints = RationalMatrix(nums, 3, den)
+    from_fractions = matrix_of([[F(x, den) for x in row] for row in nums], 3)
+    want = [[F(1, 3), F(-2, 3), F(0)], [F(1, 2), F(1), F(3, 2)], [F(0)] * 3]
     assert matrix_entries(from_ints) == matrix_entries(from_fractions) == want
-    assert (from_fractions.numerators, from_fractions.denominators) == (
-        [[1, -2, 0], [1, 2, 3], [0, 0, 0]], [3, 1, 1]
-    )
+    assert (from_fractions.numerators, from_fractions.denominator) == (nums, den)
+    # one denominator for all rows: the lcm over every row's entries
+    mixed = matrix_of([[F(1, 2), F(0)], [F(0), F(-1, 3)]], 2)
+    assert (mixed.numerators, mixed.denominator) == ([[3, 0], [0, -2]], 6)
 
 
 def test_matrix_rejects_ragged_rows():
     with pytest.raises(ValueError):
-        RationalMatrix([[1, 2], [3]], 2, [1, 1])
-    for dens in ([1], [1, 0], [1, -2]):
+        RationalMatrix([[1, 2], [3]], 2, 1)
+    # a row longer or shorter than the declared column count
+    for rows in ([[1, 2]], [[1, 2], [3, 4]]):
+        for cols in (1, 5):
+            with pytest.raises(ValueError):
+                RationalMatrix(rows, cols, 1)
+    for den in (0, -2):
         with pytest.raises(ValueError):
-            RationalMatrix([[1, 2], [3, 4]], 2, dens)
+            RationalMatrix([[1, 2], [3, 4]], 2, den)
 
 
 def test_empty_matrix_keeps_declared_columns():
-    m = RationalMatrix([], 4, [])
+    m = RationalMatrix([], 4, 1)
     assert (m.rows, m.cols) == (0, 4)
-    assert len(rref(m)[1]) == 0
+    assert rref(m) == ([], ())
 
 
 def test_rref_small_example():
     m = integer_matrix([[2, 4], [1, 3]])
-    reduced, pivots = rref(m)
-    assert pivots == (0, 1)
-    assert matrix_entries(reduced) == [[F(1), F(0)], [F(0), F(1)]]
+    rows, pivots = rref(m)
+    assert (rows, pivots) == ([[1, 0], [0, 1]], (0, 1))
+    assert reduced_rows(rows, pivots) == [[F(1), F(0)], [F(0), F(1)]]
 
 
 def test_rref_idempotent():
     m = integer_matrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     once, pivots = rref(m)
-    twice, again = rref(once)
-    assert matrix_entries(once) == matrix_entries(twice) and pivots == again
+    assert len(once) == len(pivots) == 2
+    assert rref(RationalMatrix(once, m.cols, 1)) == (once, pivots)
 
 
 def test_rank_of_singular_matrix():
     assert len(rref(integer_matrix([[1, 2], [2, 4]]))[1]) == 1
     assert len(rref(integer_matrix([[0, 0], [0, 0]]))[1]) == 0
-    assert len(rref(RationalMatrix([[1, 3], [0, 7]], 2, [3, 2]))[1]) == 2
+    assert len(rref(RationalMatrix([[2, 6], [0, 21]], 2, 6))[1]) == 2
 
 
 def test_membership_recovers_combination():
     system = integer_matrix([[1, 0, 2], [0, 1, -1]])
     lam = solve_membership(system, [F(3), F(-2), F(8)])
     assert lam == [F(3), F(-2)]
+    # the same rows over 6 need six times the multipliers
+    sixths = RationalMatrix(system.numerators, 3, 6)
+    assert solve_membership(sixths, [F(3), F(-2), F(8)]) == [F(18), F(-12)]
 
 
 def test_membership_inconsistent_returns_none():
@@ -152,7 +169,7 @@ def test_membership_inconsistent_returns_none():
 
 
 def test_membership_zero_rows():
-    system = RationalMatrix([], 3, [])
+    system = RationalMatrix([], 3, 1)
     assert solve_membership(system, [0, 0, 0]) == []
     assert solve_membership(system, [1, 0, 0]) is None
 
@@ -167,6 +184,19 @@ def test_membership_dependent_rows_deterministic():
 def test_membership_length_mismatch():
     with pytest.raises(ValueError):
         solve_membership(integer_matrix([[1, 2]]), [1, 2, 3])
+
+
+def assert_rref_matches_oracle(m: RationalMatrix, entries, context=None):
+    """rref's rows are primitive, one per pivot, and divided by their pivot
+    entries they are the nonzero rows of textbook Gauss-Jordan; the rows
+    Gauss-Jordan leaves past the pivots are zero."""
+    rows, pivots = rref(m)
+    expected, expected_pivots = fraction_rref(entries)
+    assert pivots == tuple(expected_pivots), context
+    assert all(math.gcd(*row) == 1 for row in rows), context
+    assert reduced_rows(rows, pivots) == expected[: len(pivots)], context
+    assert not any(x for row in expected[len(pivots) :] for x in row), context
+    return expected, expected_pivots
 
 
 _small_fraction = st.fractions(
@@ -228,9 +258,7 @@ def _matrices(draw):
 def test_fraction_free_elimination_matches_oracle(matrix, weights, noise, in_span):
     rows, ncols = matrix
     m = matrix_of(rows, ncols)
-    reduced, pivots = rref(m)
-    expected, expected_pivots = fraction_rref(rows)
-    assert matrix_entries(reduced) == expected and pivots == tuple(expected_pivots)
+    assert_rref_matches_oracle(m, rows)
 
     span = [sum((w * row[j] for w, row in zip(weights, rows)), F(0)) for j in range(ncols)]
     target = span if in_span else noise[:ncols]
@@ -245,7 +273,7 @@ def test_fraction_free_elimination_matches_oracle(matrix, weights, noise, in_spa
 
 
 def test_rref_matches_oracle_on_survey_systems():
-    # the survey reads rank and unit rows off the integer rows of the RREF;
+    # the survey reads rank and unit rows off rref's integer echelon rows;
     # textbook Fraction Gauss-Jordan must agree on both
     for n in range(3, 31):
         for mode in MODES:
@@ -254,9 +282,7 @@ def test_rref_matches_oracle_on_survey_systems():
             entries = [list(row) for row in row_coefficients(system)]
             assert (m.rows, m.cols) == (len(system.rows), len(system.columns))
             assert matrix_entries(m) == entries, (n, mode)
-            expected, pivots = fraction_rref(entries)
-            reduced, got = rref(m)
-            assert (matrix_entries(reduced), got) == (expected, tuple(pivots)), (n, mode)
+            expected, pivots = assert_rref_matches_oracle(m, entries, (n, mode))
             units = {c for row, c in zip(expected, pivots) if sum(x != 0 for x in row) == 1}
             assert _rowspace_members(system) == (len(pivots), units), (n, mode)
 

@@ -11,7 +11,13 @@ from mpmath.libmp import dps_to_prec, ln2_fixed, pi_fixed
 
 import golden_data
 from zetalog import numerics
-from zetalog.expansion import PiReducedCombination, ZetaMonomial, expand_lz, reduce_even
+from zetalog.expansion import (
+    UNIT_MONOMIAL,
+    PiReducedCombination,
+    ZetaMonomial,
+    expand_lz,
+    reduce_even,
+)
 from zetalog.numerics import (
     PrecisionBudgetError,
     build_s_table,
@@ -50,6 +56,21 @@ def test_zeta_high_precision():
 def test_zeta_rejects_small_argument():
     with pytest.raises(ValueError):
         zeta_value(1, 30)
+
+
+def test_nonpositive_precision_is_rejected():
+    # Borwein's term count follows P, so P = -20 once indexed past the
+    # table and P = -13 summed nothing; an evaluation at P < 1 must refuse,
+    # whether or not the combination holds a zeta factor
+    for digits in (-20, -13, 0):
+        with pytest.raises(ValueError):
+            zeta_value(3, digits)
+    pi_only = PiReducedCombination(2, {UNIT_MONOMIAL: F(1, 6)})
+    for comb in (golden_data.reduced_combination(2, 1), pi_only):
+        for digits in (-20, -5, 0):
+            with pytest.raises(ValueError):
+                evaluate_reduced(comb, digits)
+    assert abs(zeta_value(3, 1) - mpmath.zeta(3)) < _tol(1)
 
 
 def _mpf(q: Fraction):
@@ -102,7 +123,7 @@ def test_s_table_bounds_and_cache():
     table = build_s_table(3, 10, 30)
     rows = table[1]
     assert rows[0] == () and [len(row) for row in rows[1:]] == [11, 11, 11]
-    assert build_s_table(3, 10, 30) is table
+    assert build_s_table(3, 10, 30) == table
     with pytest.raises(ValueError):
         build_s_table(0, 5, 30)
     with pytest.raises(ValueError):

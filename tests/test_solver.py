@@ -22,7 +22,7 @@ from oracles import (
     survey_record,
 )
 from zetalog.coefficients import little_c
-from zetalog.exact import zeta_even_pi_coeff
+from zetalog.exact import RationalMatrix, rref, zeta_even_pi_coeff
 from zetalog.expansion import (
     UNIT_MONOMIAL,
     PiReducedCombination,
@@ -669,6 +669,33 @@ def test_rank_columns_are_triangular():
                 col = _poly_mul(col, p[3])
             assert min(l for _, l in col) == j, (N, j)
             assert col[(i, j)] == 3 ** (j - 1) * (-1) ** i * (2 * i + 3), (N, j)
+
+
+def test_fewest_parts_family_spans_with_one_to_spare():
+    # the reduction of the optimistic conjecture (ROADMAP item 15): at even N
+    # the products p_n p_(N-n), n odd, 3 <= n <= N/2, and at odd N the
+    # three-part odd products with p_N, span the weight-N e2^i e3^j with
+    # j >= 1, and still do without any one member other than p_N.  A column
+    # outside the family is then spanned by it, and one inside by the rest
+    def rank(rows, cols):
+        return len(rref(RationalMatrix(rows, cols, 1))[1])
+
+    p = power_sums_e(60)
+    for N in range(16, 61):
+        keys = [((N - 3 * j) // 2, j) for j in range(1, N // 3 + 1) if (N - 3 * j) % 2 == 0]
+        if N % 2 == 0:
+            family = [_poly_mul(p[n], p[N - n]) for n in range(3, N // 2 + 1, 2)]
+        else:
+            family = [
+                _poly_mul(_poly_mul(p[a], p[b]), p[N - a - b])
+                for a in range(3, N // 3 + 1, 2)
+                for b in range(a, (N - a) // 2 + 1, 2)
+            ] + [p[N]]
+        assert all(set(member) <= set(keys) for member in family), N
+        rows = [[member.get(k, 0) for k in keys] for member in family]
+        assert rank(rows, len(keys)) == len(keys) == _rank_by_count(N), N
+        for i in range(len(rows) - (N % 2)):
+            assert rank(rows[:i] + rows[i + 1 :], len(keys)) == len(keys), (N, i)
 
 
 def test_strict_rank_and_expressible_set():
