@@ -19,16 +19,16 @@ Every evaluation works with 10 guard digits over the P it returns; the
 symbolic sum in evaluate_reduced, the one that cancels, adds the digits it
 measures lost, so every value and the verdict are relative to |Lz|.
 
-Both routes and zeta_value sum in integer fixed point: Python ints in
-units of 2^-W, where every truncation is a floor division that loses under
-one unit, so W carries guard bits for a counted bound on the units lost.
-Each result is rounded to an mpf once; only evaluate_reduced sums on mpf.
-Besides mpmath's conversions, the series route reads only ln2_fixed from
-libmp and quadrature pi_fixed, exp_fixed, mpf_log and ln2_fixed.  The two
-share no code of their own: the series never evaluates the integrand,
-quadrature never expands it, and each has its own sum, error bound and
-stopping rule.  Each function that needs mpmath imports it when called, so
-the exact commands never load it.
+Both routes, zeta_value and the symbolic sum work in integer fixed point:
+Python ints in units of 2^-W, where every truncation is a floor division
+that loses under one unit, so W carries guard bits for a counted bound on
+the units lost.  Each result is rounded to an mpf once.  Besides mpmath's
+conversions, the series route reads only ln2_fixed from libmp, quadrature
+pi_fixed, ln2_fixed and one exp_fixed per node (no log), and the symbolic
+sum pi_fixed and zeta_value.  The two routes share no code of their own:
+the series never evaluates the integrand, quadrature never expands it, and
+each has its own sum, error bound and stopping rule.  Each function that
+needs mpmath imports it when called, so the exact commands never load it.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import TYPE_CHECKING, NamedTuple
 
 from .expansion import PiReducedCombination, expand_lz, reduce_even
@@ -68,12 +68,6 @@ SYMBOLIC_MAX_PASSES = 6
 
 class PrecisionBudgetError(RuntimeError):
     """Requested precision unreachable within the configured budget."""
-
-
-def _frac(q: Fraction) -> mpf:
-    from mpmath import mp
-
-    return mp.mpf(q.numerator) / q.denominator
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +119,8 @@ def build_s_table(
     table holding it.  Each entry is low by under k n 2^-W of its value, so
     every entry by under b_max n_max 2^-W <= 2^-(working bits + 1).
     """
-    if b_max < 1:
-        raise ValueError(f"b_max must be >= 1, got {b_max}")
+    if b_max < 1 or precision < 1:
+        raise ValueError(f"b_max and precision must be >= 1, got ({b_max}, {precision})")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     from mpmath.libmp import dps_to_prec
@@ -172,28 +166,39 @@ def _tier_nodes(tier: int, wdps: int) -> tuple[int, tuple[tuple[int, ...], ...]]
     |log t| = log1p(x) = M 2^-(B+n), |log(1-t)| = 2u + log1p(x) = L 2^-B and
     base weight c x/(1+x) 2^-B.  c, M, L and E are at least 2^(B-1) and within
     3 units, so all keep relative precision however tiny x is.  B is the
-    working bits of wdps + 5 digits plus 32 guard bits."""
-    from mpmath.libmp import dps_to_prec, from_man_exp, ln2_fixed, mpf_log, pi_fixed, to_fixed
+    working bits of wdps + 5 digits plus 32 guard bits.  A node costs one
+    exp_fixed: e^v is one product from the last, log1p an integer series."""
+    from mpmath.libmp import dps_to_prec, ln2_fixed, pi_fixed
     from mpmath.libmp.libelefun import exp_fixed
 
     B = dps_to_prec(wdps + 5) + 32
-    W = B + 16  # e^v, 2u and n stay below 2^12: 2u and r within 2^-(B+2)
+    # e^v steps by e^(2^-tier) from an exp_fixed anchor every 64 steps; each
+    # factor is within 16 units and each product floored, so e^v is within
+    # 2^11 units.  e^v, 2u and n stay below 2^12: 2u and r within 2^-(B+2)
+    W = B + 28
     pi, ln2 = pi_fixed(W), ln2_fixed(W)
-    step = 2 if tier else 1
-    nodes = []
-    for k in range(step - 1, int(_vmax(wdps) * 2**tier) + 1, step):
-        ev = exp_fixed(k << (W - tier), W, ln2)
+    ev, ratio, nodes = 1 << W, exp_fixed(1 << (W - tier), W, ln2), []
+    for k in range(int(_vmax(wdps) * 2**tier) + 1):
+        if k % 64:
+            ev = ev * ratio >> W
+        elif k:
+            ev = exp_fixed(k << (W - tier), W, ln2)
+        if tier and k % 2 == 0:
+            continue
         emv = (1 << 2 * W) // ev
         y = pi * (ev - emv) >> (W + 1)  # 2u
         # x = e^r 2^-n with r = n ln2 - 2u in [0, ln2)
         n = -(-y // ln2)
         E = exp_fixed(n * ln2 - y, W, ln2) >> (W - B)
         one_x = (1 << (B + n)) + E  # 1 + x in units of 2^-(B+n)
-        if 2 * n > B + 2:
-            # x < 2^(1-n) and x^3/3 is below one unit
-            M = E - (E * E >> (B + n + 1))
-        else:
-            M = to_fixed(mpf_log(from_man_exp(one_x, -(B + n)), B + 4), B + n)
+        # log1p(x) = 2 atanh(z), z = x/(2+x) <= 1/3, in units of 2^-P: under
+        # P/3 terms lose under 2P units, so below P = 2^15 M is low by under 2
+        P = B + n + 16
+        z = (E << P) // (one_x + (1 << (B + n)))
+        z2, term, j, M = z * z >> P, z, 1, 0
+        while term:
+            M, term, j = M + term // j, term * z2 >> P, j + 2
+        M >>= 15
         c = ((pi * (ev + emv) >> (W + 1)) << (2 * B + n - W)) // one_x
         nodes.append((c, M, (y >> (W - B)) + (M >> n), E, n))
     return B, tuple(nodes)
@@ -213,8 +218,8 @@ def lz_quadrature(a: int, b: int, precision: int) -> mpf:
     """Lz(a,b) by direct tanh-sinh integration of the normalized integral,
     refined until two consecutive levels agree to 10^-(precision+2) of
     their value.  The level sums are integers, rounded to an mpf once."""
-    if a < 1 or b < 1:
-        raise ValueError(f"Lz needs a, b >= 1, got ({a}, {b})")
+    if a < 1 or b < 1 or precision < 1:
+        raise ValueError(f"Lz needs a, b and precision >= 1, got ({a}, {b}, {precision})")
     from mpmath import mp
     from mpmath.libmp import dps_to_prec, from_int, from_man_exp, mpf_div, round_nearest
 
@@ -303,8 +308,8 @@ def lz_series(a: int, b: int, precision: int) -> mpf:
     at most 10^-(working digits) times that lower bound.  Both sums run in
     integer fixed point.
     """
-    if a < 1 or b < 1:
-        raise ValueError(f"Lz needs a, b >= 1, got ({a}, {b})")
+    if a < 1 or b < 1 or precision < 1:
+        raise ValueError(f"Lz needs a, b and precision >= 1, got ({a}, {b}, {precision})")
     from mpmath import mp
     from mpmath.libmp import dps_to_prec, from_man_exp, ln2_fixed, round_nearest
 
@@ -357,35 +362,42 @@ def evaluate_reduced(comb: PiReducedCombination, precision: int) -> mpf:
     if precision < 1:
         raise ValueError(f"evaluate_reduced needs precision >= 1, got {precision}")
     from mpmath import mp
+    from mpmath.libmp import dps_to_prec, from_rational, pi_fixed, round_nearest
 
+    terms = comb.items()
+    den = math.lcm(*(coeff.denominator for coeff, _, _ in terms))
+    zeta_args = {n for _, _, mono in terms for n, _ in mono.factors}
     guard = 10
     for _ in range(SYMBOLIC_MAX_PASSES):
         wdps = precision + guard
-        with mp.workdps(wdps):
-            total = size = mp.zero
-            for coeff, pi_exp, mono in comb.items():
-                term = _frac(coeff)
-                if pi_exp:
-                    term *= mp.pi**pi_exp
-                for n, k in mono.factors:
-                    term *= zeta_value(n, wdps) ** k
-                total += term
-                size += abs(term)
+        # a term is its pi and zeta powers in units of 2^-U times the integer
+        # coeff den, so total and size are exact sums in units of 2^-U/den
+        U = dps_to_prec(wdps) + 4
+        pis = list(accumulate([1 << U] + [pi_fixed(U)] * comb.weight, lambda x, y: x * y >> U))
+        zetas = {n: int(mp.ldexp(zeta_value(n, wdps), U)) for n in zeta_args}
+        total = size = 0
+        for coeff, pi_exp, mono in terms:
+            term = pis[pi_exp]
+            for n, k in mono.factors:
+                for _ in range(k):
+                    term = term * zetas[n] >> U
+            term *= coeff.numerator * (den // coeff.denominator)
+            total += term
+            size += abs(term)
         if not size:
             return mp.zero
-        # size/|total| < 10^lost, as 0.30103 > log10 2; an exact zero has
-        # lost every working digit
-        lost = math.ceil((mp.mag(size) - mp.mag(total) + 1) * 0.30103) if total else wdps
-        # A weight-w term has at most w/3 zeta factors, each within relative
-        # 10^-wdps, and w + 5 roundings, each within 2^-prec < 10^-wdps/7;
-        # each of the m additions rounds within 10^-wdps/7 of size.  So the
-        # sum is within (w + m + 4) 10^-wdps size, and with lost <= guard - 3
-        # within relative (w + m + 4) 10^-(precision+3): under 10^-precision
-        # through weight 40, where m <= 591.  A noisy pass reads a loss near
-        # its working digits and widens again
+        # size/|total| < 10^lost, as 0.30103 > log10 2; an exact zero reads
+        # a loss of over wdps digits, as size is over 2^U units
+        lost = math.ceil((size.bit_length() - abs(total).bit_length() + 1) * 0.30103)
+        # Every factor is at least 1: a weight-w term has at most w/3 zeta
+        # factors, each within relative 10^-wdps, and under 2w floors, each
+        # under 2^-U < 10^-wdps/100 of it; the sum itself is exact.  So the
+        # sum is within (w/2) 10^-wdps size, and with lost <= guard - 3
+        # within relative 20 10^-(precision+3) through weight 40.  A noisy
+        # pass reads a loss near its working digits and widens again
         if lost <= guard - 3:
-            with mp.workdps(precision):
-                return +total
+            value = from_rational(total, den << U, dps_to_prec(precision), round_nearest)
+            return mp.make_mpf(value)
         guard = lost + 10
     raise PrecisionBudgetError(f"symbolic sum: pass budget ({SYMBOLIC_MAX_PASSES}) exhausted")
 
@@ -440,6 +452,6 @@ def audit_certificate(cert: Certificate, precision: int = 30) -> mpf:
         lhs = evaluate_reduced(
             PiReducedCombination(cert.weight, {cert.target: Fraction(1)}), precision
         )
-        lz = [_frac(lam) * lz_series(a, b, precision) for (a, b), lam in cert.lz_terms.items()]
+        lz = [lam * lz_series(a, b, precision) for (a, b), lam in cert.lz_terms.items()]
         rhs = mp.fsum(lz) + evaluate_reduced(cert.known_remainder, precision)
         return abs(lhs - rhs) / (mp.fsum(abs(x) for x in lz) + abs(lhs))

@@ -70,7 +70,16 @@ def test_nonpositive_precision_is_rejected():
         for digits in (-20, -5, 0):
             with pytest.raises(ValueError):
                 evaluate_reduced(comb, digits)
+    # both routes and the S table would answer from a few bits (Lz(3,3) as
+    # -0.015625 at P = 0 and -9), so they refuse P < 1 too
+    for digits in (-40, -9, -5, 0):
+        for route in (lz_series, lz_quadrature):
+            with pytest.raises(ValueError):
+                route(3, 3, digits)
+        with pytest.raises(ValueError):
+            build_s_table(3, 10, digits)
     assert abs(zeta_value(3, 1) - mpmath.zeta(3)) < _tol(1)
+    assert abs(lz_series(3, 3, 1) - lz_quadrature(3, 3, 1)) < _tol(1)
 
 
 def _mpf(q: Fraction):
@@ -231,27 +240,30 @@ def _node_fields(B, node):
 
 
 def test_nodes_match_the_seven_call_formula():
-    # the nodes of tiers 0..3 at 45 working digits: each of the five fields
-    # rebuilt from (c, M, L, E, n) agrees with the sinh/cosh/exp/log1p form
-    # to relative 10^-45
-    wdps = 45
-    vmax = numerics._vmax(wdps)
-    for tier in range(4):
-        B, nodes = numerics._tier_nodes(tier, wdps)
-        step = 2 if tier else 1
-        vs = [k / 2**tier for k in range(step - 1, int(vmax * 2**tier) + 1, step)]
-        assert len(nodes) == len(vs), tier
+    # the nodes of tiers 0..6 at 21, 45 and 75 working digits, a few hundred
+    # at 75, past the re-anchor of e^v at k = 64 and with x from 1 at the
+    # centre to tiny at the ends: each of the five fields rebuilt from
+    # (c, M, L, E, n) agrees with the sinh/cosh/exp/log1p form to relative
+    # 10^-wdps
+    for wdps in (21, 45, 75):
+        vmax = numerics._vmax(wdps)
+        for tier in range(7):
+            B, nodes = numerics._tier_nodes(tier, wdps)
+            step = 2 if tier else 1
+            vs = [k / 2**tier for k in range(step - 1, int(vmax * 2**tier) + 1, step)]
+            assert len(nodes) == len(vs), (wdps, tier)
+            with workdps(wdps + 5):
+                for v, node in zip(vs, nodes):
+                    want = make_node_mpf(mp.mpf(v))
+                    for got, wanted in zip(_node_fields(B, node), want):
+                        assert abs(got - wanted) <= _tol(wdps) * abs(wanted), (wdps, tier, v)
+        # the centre t = 1/2 is its own mirror, which lz_quadrature counts
+        # once: x = 1 exactly, c = pi/2, and log t = log(1-t) = -log 2, each
+        # floored
+        B, nodes = numerics._tier_nodes(0, wdps)
+        assert nodes[0] == (pi_fixed(B) >> 1, ln2_fixed(B), ln2_fixed(B), 1 << B, 0)
         with workdps(wdps + 5):
-            for v, node in zip(vs, nodes):
-                want = make_node_mpf(mp.mpf(v))
-                for got_field, want_field in zip(_node_fields(B, node), want):
-                    assert abs(got_field - want_field) <= _tol(wdps) * abs(want_field), (tier, v)
-    # the centre t = 1/2 is its own mirror, which lz_quadrature counts once:
-    # x = 1 exactly, c = pi/2, and log t = log(1-t) = -log 2, each floored
-    B, nodes = numerics._tier_nodes(0, wdps)
-    assert nodes[0] == (pi_fixed(B) >> 1, ln2_fixed(B), ln2_fixed(B), 1 << B, 0)
-    with workdps(wdps + 5):
-        assert _node_fields(B, nodes[0])[1:3] == (0.5, 0.5)
+            assert _node_fields(B, nodes[0])[1:3] == (0.5, 0.5)
 
 
 def test_quadrature_is_correctly_rounded_on_every_pair(monkeypatch):

@@ -698,6 +698,25 @@ def test_fewest_parts_family_spans_with_one_to_spare():
             assert rank(rows[:i] + rows[i + 1 :], len(keys)) == len(keys), (N, i)
 
 
+def test_strict_square_families_have_full_rank():
+    # the reduction of the strict rank conjecture (ROADMAP item 20): at odd N
+    # the (N-1)/2 columns z_n pi^(N-n), n odd, 3 <= n <= N, and at even N the
+    # N/2 - 2 columns z3 z_n pi^(N-3-n), n odd, 3 <= n <= N-3, each have full
+    # rank over the rows b = 1..N/2 (row b = 1 is zero at even N).  That is
+    # the conjectured strict rank as a lower bound, so only their
+    # nonsingularity is left to prove
+    for N in range(5, 41):
+        if N % 2:
+            family = [mono(f"z{n}") for n in range(3, N + 1, 2)]
+        else:
+            family = [mono(f"z3*z{n}") for n in range(3, N - 2, 2)]
+        assert len(family) == ((N - 1) // 2 if N % 2 else N // 2 - 2), N
+        rows = [solver._column(m, N)[0] for m in family]
+        if N % 2 == 0:
+            assert all(row[0] == 0 for row in rows), N
+        assert len(rref(RationalMatrix(rows, N // 2, 1))[1]) == len(family), N
+
+
 def test_strict_rank_and_expressible_set():
     # one relation among the rows at every even weight from 6 on; weight 4
     # has no column, so no row
