@@ -15,6 +15,7 @@ order and sets all free variables to zero, so results are reproducible.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
@@ -29,6 +30,14 @@ __all__ = [
 ]
 
 Rational = Fraction
+
+
+def as_rational(x: Rational | int | str) -> Fraction:
+    """x as a Fraction, from a Fraction, an int or a "p/q" string.  A float
+    is refused: its binary value is seldom the rational meant."""
+    if isinstance(x, numbers.Real) and not isinstance(x, numbers.Rational):
+        raise TypeError(f"exact rationals only, got {type(x).__name__} {x!r}")
+    return Fraction(x)
 
 
 def bernoulli_number(m: int) -> Fraction:
@@ -175,7 +184,7 @@ def solve_membership(
         raise ValueError(
             f"target length {len(target)} does not match column count {system.cols}"
         )
-    t = [x if isinstance(x, Fraction) else Fraction(x) for x in target]
+    t = [as_rational(x) for x in target]
     # Augmented transpose, one row per original column scaled by its target's
     # denominator, over the unknowns mu_i = lambda_i / denominator
     aug = [[x.denominator * row[j] for row in system.numerators] + [x.numerator] for j, x in enumerate(t)]

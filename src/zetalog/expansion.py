@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Mapping, Union
 
 from .coefficients import little_c
-from .exact import Rational, zeta_even_pi_coeff
+from .exact import Rational, as_rational, zeta_even_pi_coeff
 from .partitions import PartitionElement, PartitionFilter, _ExactTuple, enumerate_partitions
 
 __all__ = [
@@ -42,7 +42,7 @@ class MonomialParseError(ValueError):
     """Raised when a monomial expression does not follow the grammar."""
 
 
-_FACTOR_RE = re.compile(r"^z(\d+)(?:\^(\d+))?$")
+_FACTOR_RE = re.compile(r"^z([0-9]+)(?:\^([0-9]+))?$")
 
 
 def _exp_str(k: int) -> str:
@@ -193,7 +193,7 @@ class _Combination:
     __slots__ = ("weight", "_terms")
 
     def __init__(self, weight: int, terms: Mapping[ZetaMonomial, Rational]):
-        cleaned = {m: q for m, c in terms.items() if (q := Fraction(c))}
+        cleaned = {m: q for m, c in terms.items() if (q := as_rational(c))}
         for mono in cleaned:
             self._check(weight, mono)
         self._set(weight, cleaned)
@@ -233,7 +233,7 @@ class _Combination:
         ]
 
     def scale(self, r: Rational):
-        q = Fraction(r)
+        q = as_rational(r)
         return self._of(self.weight, {m: p for m, c in self._terms.items() if (p := c * q)})
 
     def __add__(self, other):

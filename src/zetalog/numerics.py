@@ -29,13 +29,14 @@ sum pi_fixed and zeta_value.  The two routes share no code of their own:
 the series never evaluates the integrand, quadrature never expands it, and
 each has its own sum, error bound and stopping rule.  Each function that
 needs mpmath imports it when called, so the exact commands never load it.
+The layer keeps no state: one verify reads no zeta value and builds no
+quadrature level twice, so every call computes afresh, with no cache.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate, combinations
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -74,7 +75,6 @@ class PrecisionBudgetError(RuntimeError):
 # zeta at integer arguments, Borwein's alternating series with an a-priori bound
 
 
-@lru_cache(maxsize=512)
 def zeta_value(s: int, precision: int) -> mpf:
     """zeta(s) for integer s >= 2, accurate to 10^(-precision).
 
@@ -156,11 +156,8 @@ def _vmax(wdps: int) -> float:
     return v
 
 
-# one verify integrates at a single working precision: at most
-# QUADRATURE_MAX_LEVEL + 1 = 13 entries
-@lru_cache(maxsize=64)
-def _tier_nodes(tier: int, wdps: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(B, nodes new at this level up to _vmax): v = k 2^-tier for k = 0, 1,
+def _tier_nodes(tier: int, wdps: int, vmax: float) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(B, nodes new at this level up to vmax): v = k 2^-tier for k = 0, 1,
     2, ... at level 0 and for odd k above it.  With u = pi/2 sinh v and
     x = e^(-2u) = E 2^-(B+n), node (c, M, L, E, n) has t = 1/(1+x),
     |log t| = log1p(x) = M 2^-(B+n), |log(1-t)| = 2u + log1p(x) = L 2^-B and
@@ -178,7 +175,7 @@ def _tier_nodes(tier: int, wdps: int) -> tuple[int, tuple[tuple[int, ...], ...]]
     W = B + 28
     pi, ln2 = pi_fixed(W), ln2_fixed(W)
     ev, ratio, nodes = 1 << W, exp_fixed(1 << (W - tier), W, ln2), []
-    for k in range(int(_vmax(wdps) * 2**tier) + 1):
+    for k in range(int(vmax * 2**tier) + 1):
         if k % 64:
             ev = ev * ratio >> W
         elif k:
@@ -234,9 +231,9 @@ def lz_quadrature(a: int, b: int, precision: int) -> mpf:
     lg = math.log2(math.log(2))
     bound_bits = min(a + math.log2(a) - b * lg, b + math.log2(b) - (a - 1) * lg)
     S = dps_to_prec(wdps) + 20 + math.ceil(bound_bits)
-    running = prev = 0
+    vmax, running, prev = _vmax(wdps), 0, 0
     for level in range(QUADRATURE_MAX_LEVEL + 1):
-        B, nodes = _tier_nodes(level, wdps)
+        B, nodes = _tier_nodes(level, wdps, vmax)
         for c, M, L, E, n in nodes:
             # the integrand times the base weight at 1-t, c |log(1-t)|^(a-1)
             # |log t|^b, and at t, c x |log t|^(a-1) |log(1-t)|^b; the centre

@@ -181,6 +181,13 @@ def test_membership_dependent_rows_deterministic():
     assert lam == [F(3), F(0)]
 
 
+def test_membership_target_takes_exact_rationals_only():
+    system = integer_matrix([[1, 0], [0, 1]])
+    with pytest.raises(TypeError):
+        solve_membership(system, [0.1, 0.2])
+    assert solve_membership(system, [1, "1/5"]) == [F(1), F(1, 5)]
+
+
 def test_membership_length_mismatch():
     with pytest.raises(ValueError):
         solve_membership(integer_matrix([[1, 2]]), [1, 2, 3])

@@ -141,7 +141,7 @@ def test_monomial_hash_is_construction_independent():
 
 
 def test_monomial_parse_failures():
-    for bad in ["", "z1", "z3^0", "z", "3", "z3**2", "z3^", "z-3", "z3 z5", "pi"]:
+    for bad in ["", "z1", "z3^0", "z", "3", "z3**2", "z3^", "z-3", "z3 z5", "pi", "z٣", "z５"]:
         with pytest.raises(MonomialParseError):
             ZetaMonomial.parse(bad)
 
@@ -241,6 +241,18 @@ def test_reduced_combination_arithmetic():
     cancel = r + r.scale(-1)
     assert len(cancel) == 0 and cancel.text() == "0"
     assert r.scale(6).coefficient(z5) == F(-1)
+
+
+def test_combinations_take_exact_rationals_only():
+    # a float's binary value would be carried as a 55-bit fraction
+    z3 = ZetaMonomial.parse("z3")
+    with pytest.raises(TypeError):
+        PiReducedCombination(5, {z3: 0.1})
+    tenth = PiReducedCombination(5, {z3: "1/10"})
+    assert tenth == PiReducedCombination(5, {z3: F(1, 10)})
+    with pytest.raises(TypeError):
+        tenth.scale(0.1)
+    assert tenth.scale(10) == tenth.scale("10/1") == PiReducedCombination(5, {z3: 1})
 
 
 def test_reduce_even_drops_nothing():

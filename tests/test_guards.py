@@ -46,8 +46,6 @@ def test_every_module_cache_is_bounded():
         "zetalog.expansion._even_fold",
         "zetalog.expansion._partitions_min2",
         "zetalog.expansion.expand_lz",
-        "zetalog.numerics._tier_nodes",
-        "zetalog.numerics.zeta_value",
         "zetalog.solver._even_kernel",
         "zetalog.solver._expressible_members",
         "zetalog.solver._odd_columns",

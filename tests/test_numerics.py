@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import mpmath
@@ -248,7 +250,7 @@ def test_nodes_match_the_seven_call_formula():
     for wdps in (21, 45, 75):
         vmax = numerics._vmax(wdps)
         for tier in range(7):
-            B, nodes = numerics._tier_nodes(tier, wdps)
+            B, nodes = numerics._tier_nodes(tier, wdps, vmax)
             step = 2 if tier else 1
             vs = [k / 2**tier for k in range(step - 1, int(vmax * 2**tier) + 1, step)]
             assert len(nodes) == len(vs), (wdps, tier)
@@ -260,7 +262,7 @@ def test_nodes_match_the_seven_call_formula():
         # the centre t = 1/2 is its own mirror, which lz_quadrature counts
         # once: x = 1 exactly, c = pi/2, and log t = log(1-t) = -log 2, each
         # floored
-        B, nodes = numerics._tier_nodes(0, wdps)
+        B, nodes = numerics._tier_nodes(0, wdps, vmax)
         assert nodes[0] == (pi_fixed(B) >> 1, ln2_fixed(B), ln2_fixed(B), 1 << B, 0)
         with workdps(wdps + 5):
             assert _node_fields(B, nodes[0])[1:3] == (0.5, 0.5)
@@ -269,13 +271,14 @@ def test_nodes_match_the_seven_call_formula():
 def test_quadrature_is_correctly_rounded_on_every_pair(monkeypatch):
     # every ordered pair of weight <= 16 at 11, 35 and 65 digits: the value is
     # the series value at P + 25 digits rounded to P digits, and refinement
-    # stops at level 5 (6 at 65 digits)
-    real_nodes = numerics._tier_nodes
+    # stops at level 5 (6 at 65 digits).  The pairs of one precision share
+    # their levels, built once here
+    real_nodes = lru_cache(maxsize=None)(numerics._tier_nodes)
     tiers = []
 
-    def nodes(tier, wdps):
+    def nodes(tier, wdps, vmax):
         tiers.append(tier)
-        return real_nodes(tier, wdps)
+        return real_nodes(tier, wdps, vmax)
 
     monkeypatch.setattr(numerics, "_tier_nodes", nodes)
     for digits, level in [(11, 5), (35, 5), (65, 6)]:
@@ -287,6 +290,33 @@ def test_quadrature_is_correctly_rounded_on_every_pair(monkeypatch):
                     want = +lz_series(a, weight - a, digits + 25)
                 assert got == want, (a, weight - a, digits)
                 assert max(tiers) == level, (a, weight - a, digits)
+
+
+def test_one_verify_asks_no_zeta_value_or_level_twice(monkeypatch, run_cli):
+    # why the numeric layer keeps no cache: each pass of the symbolic sum
+    # reads zeta at its own working precision, each quadrature level is
+    # built once, and the _vmax scan runs once per quadrature
+    calls = []
+
+    def counted(name):
+        real = getattr(numerics, name)
+
+        def wrapper(*args):
+            calls.append((name, *args[:2]))
+            return real(*args)
+
+        monkeypatch.setattr(numerics, name, wrapper)
+
+    for name in ("zeta_value", "_tier_nodes", "_vmax", "lz_quadrature"):
+        counted(name)
+    for a, b, digits in [(12, 12, 30), (3, 17, 30), (22, 2, 60)]:
+        calls.clear()
+        code, out, _ = run_cli("verify", str(a), str(b), "--digits", str(digits))
+        assert code == 0 and out.endswith("PASS\n"), (a, b, digits)
+        reads = [call for call in calls if call[0] in ("zeta_value", "_tier_nodes")]
+        assert reads and len(set(reads)) == len(reads), (a, b, digits)
+        counts = Counter(name for name, *_ in calls)
+        assert counts["_vmax"] == counts["lz_quadrature"] == 1, (a, b, digits)
 
 
 def test_quadrature_budget_error(monkeypatch):
