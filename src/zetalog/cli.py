@@ -41,6 +41,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _int(text: str) -> int:
+    # int() would also take other scripts' digits, underscores and spaces;
+    # it still refuses a string past sys.get_int_max_str_digits()
+    digits = text.removeprefix("-")
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="zetalog", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -50,38 +62,38 @@ def _build_parser() -> _Parser:
         p.add_argument("--format", choices=choices, default="text")
 
     p = sub.add_parser("expand", help="expand Lz(a,b) into zeta monomials")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
+    p.add_argument("a", type=_int)
+    p.add_argument("b", type=_int)
     p.add_argument("--reduce", action="store_true", help="fold even zetas into pi powers")
     add_format(p)
 
     p = sub.add_parser("table", help="all expansions of one weight")
-    p.add_argument("N", type=int)
+    p.add_argument("N", type=_int)
     p.add_argument("--reduce", action="store_true")
     add_format(p)
 
     p = sub.add_parser("verify", help="check an expansion numerically")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("--digits", type=int, default=30)
+    p.add_argument("a", type=_int)
+    p.add_argument("b", type=_int)
+    p.add_argument("--digits", type=_int, default=30)
     p.add_argument("--method", choices=METHODS, default="both")
 
     p = sub.add_parser("express", help="certificate for an odd-zeta monomial")
     p.add_argument("monomial", help="e.g. z3, z3^2*z5")
     p.add_argument("--mode", choices=MODES, default="optimistic")
-    p.add_argument("--weight", type=int, default=None)
+    p.add_argument("--weight", type=_int, default=None)
     add_format(p)
 
     p = sub.add_parser("survey", help="equations/unknowns/rank per weight")
-    p.add_argument("--from", type=int, required=True)
-    p.add_argument("--to", type=int, required=True)
+    p.add_argument("--from", type=_int, required=True)
+    p.add_argument("--to", type=_int, required=True)
     p.add_argument("--mode", choices=MODES, default="optimistic")
     add_format(p)
 
     p = sub.add_parser("partitions", help="restricted partition listing")
-    p.add_argument("N", type=int)
-    p.add_argument("--min-part", type=int, default=1)
-    p.add_argument("--parts", type=int, default=None)
+    p.add_argument("N", type=_int)
+    p.add_argument("--min-part", type=_int, default=1)
+    p.add_argument("--parts", type=_int, default=None)
     p.add_argument("--parity", choices=partitions.PARITY_CHOICES, default="any")
     add_format(p, latex=False)
 

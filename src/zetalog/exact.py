@@ -4,12 +4,12 @@ packed at y = 2^S (Kronecker substitution), read back in signed slots.
 
 Scalars are ``fractions.Fraction`` (aliased ``Rational``): always in
 lowest terms, positive denominator, canonical zero.  A matrix holds
-integer rows over one denominator and is eliminated on those integers;
-rref returns the primitive echelon rows, and Fractions are built only for
-a solved combination.  The entry point is row-space membership: given a
-rational matrix A and a target row t, find lambda with lambda . A == t or
-decide that none exists.  Elimination uses a fixed first-nonzero pivot
-order and sets all free variables to zero, so results are reproducible.
+integer rows over one denominator; rref, the one eliminator, returns its
+primitive echelon rows.  solve_membership, the row-space test (lambda with
+lambda . A == t for a target row t, or None), eliminates the augmented
+transpose through rref too and builds Fractions only for its solution.
+A fixed first-nonzero pivot order and zero free variables make results
+reproducible.
 """
 
 from __future__ import annotations
@@ -130,21 +130,20 @@ def _primitive(row: list[int]) -> list[int]:
     return [x // g for x in row] if g > 1 else row
 
 
-def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Row-echelon form of integer rows; returns (new rows, pivot column list).
+def rref(matrix: RationalMatrix) -> tuple[list[list[int]], tuple[int, ...]]:
+    """(rows, pivots): one primitive integer row per pivot column, and row r
+    over its entry in column pivots[r] is row r of the reduced form.
 
     Pivot choice is the first row (in current order) with a nonzero entry
     in the leftmost unresolved column; no other row exchanges happen.
     Elimination is fraction-free: every row is kept as a primitive integer
-    multiple of the row Gauss-Jordan would hold, so pivot row r divided by
-    its entry in column pivots[r] is row r of the reduced row-echelon form,
-    and the rows past the pivots are zero.
+    multiple of the row Gauss-Jordan would hold, and the rows past the
+    pivots, all zero, are dropped.
     """
-    work = [_primitive(row) for row in rows]
-    ncols = len(work[0]) if work else 0
+    work = [_primitive(row) for row in matrix.numerators]
     pivots: list[int] = []
     r = 0
-    for c in range(ncols):
+    for c in range(matrix.cols):
         pivot = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
         if pivot is None:
             continue
@@ -161,14 +160,7 @@ def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
         r += 1
         if r == len(work):
             break
-    return work, pivots
-
-
-def rref(matrix: RationalMatrix) -> tuple[list[list[int]], tuple[int, ...]]:
-    """(rows, pivots): one primitive integer row per pivot column, and row r
-    over its entry in column pivots[r] is row r of the reduced form."""
-    work, pivots = _echelon(matrix.numerators)
-    return work[: len(pivots)], tuple(pivots)
+    return work[:r], tuple(pivots)
 
 
 def solve_membership(
@@ -188,8 +180,8 @@ def solve_membership(
     # Augmented transpose, one row per original column scaled by its target's
     # denominator, over the unknowns mu_i = lambda_i / denominator
     aug = [[x.denominator * row[j] for row in system.numerators] + [x.numerator] for j, x in enumerate(t)]
-    reduced, pivots = _echelon(aug)
     n_unknowns = system.rows
+    reduced, pivots = rref(RationalMatrix(aug, n_unknowns + 1, 1))
     solution = [Fraction(0)] * n_unknowns
     for row, c in zip(reduced, pivots):
         if c >= n_unknowns:

@@ -177,7 +177,8 @@ class Certificate(NamedTuple):
     """Exact identity pi^(weight - wt(target)) * target = lz_terms + remainder.
 
     lz_terms maps (a, b) to the rational multiplier of Lz(a,b); every pair
-    has a + b = weight, so no pi power rides on it.
+    has a + b = weight, so no pi power rides on it.  The solver fills it in
+    ascending b, the order the text and the payload list it in.
     """
 
     target: ZetaMonomial
@@ -189,15 +190,12 @@ class Certificate(NamedTuple):
     def target_pi_exponent(self) -> int:
         return self.weight - self.target.weight
 
-    def sorted_lz(self) -> list[tuple[tuple[int, int], Fraction]]:
-        return sorted(self.lz_terms.items(), key=lambda ps: ps[0][1])
-
     def dependencies(self) -> list[ZetaMonomial]:
         return [m for m in self.known_remainder.terms if not m.is_unit]
 
     def _line(self, latex: bool) -> str:
         lhs = _render([(Fraction(1), self.target_pi_exponent, self.target)], latex)
-        items = [(c, 0, f"Lz({a},{b})") for (a, b), c in self.sorted_lz()]
+        items = [(c, 0, f"Lz({a},{b})") for (a, b), c in self.lz_terms.items()]
         items += self.known_remainder.items()
         rhs = _render(items, latex)
         return f"{lhs}={rhs}" if latex else f"{lhs} = {rhs}"
@@ -216,7 +214,7 @@ class Certificate(NamedTuple):
             "weight": self.weight,
             "lz": [
                 {"a": a, "b": b, "coeff": str(c), "pi": 0}
-                for (a, b), c in self.sorted_lz()
+                for (a, b), c in self.lz_terms.items()
             ],
             "known": self.known_remainder.payload(),
         }

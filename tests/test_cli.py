@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import gc
 import json
 import os
@@ -134,6 +135,8 @@ def test_table_json(run_cli):
 def test_table_usage(run_cli):
     assert run_cli("table", "1")[0] == 1
     assert run_cli("table", "41")[0] == 1
+    # integers are ASCII decimals: a fullwidth digit is refused
+    assert run_cli("table", "６")[:2] == (1, "")
 
 
 def test_verify_pass(run_cli):
@@ -180,12 +183,23 @@ def test_cli_choices_match_library_validation():
     assert cli.METHODS == numerics.METHODS
 
 
+def test_no_argument_reads_with_int():
+    # int() takes any script's digits and underscores; every integer
+    # argument goes through the CLI's ASCII reader instead
+    parser = cli._build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = [a for p in (parser, *sub.choices.values()) for a in p._actions]
+    assert [a.dest for a in actions if a.type is int] == []
+    assert sum(a.type is cli._int for a in actions) == 12
+
+
 def test_verify_usage(run_cli):
     assert run_cli("verify", "2", "1", "--digits", "99")[0] == 1
     # below 6 digits the threshold would leave no digit of |Lz| checked
     assert run_cli("verify", "3", "3", "--digits", "3")[0] == 1
     assert run_cli("verify", "0", "1")[0] == 1
     assert run_cli("verify", "21", "20")[0] == 1
+    assert run_cli("verify", "٣", "٢", "--digits", "١٥")[:2] == (1, "")
 
 
 def test_express_text_certificate(run_cli):
@@ -304,6 +318,7 @@ def test_survey_usage(run_cli):
     assert run_cli("survey", "--from", "5", "--to", "3")[0] == 1
     assert run_cli("survey", "--from", "3", "--to", "99")[0] == 1
     assert run_cli("survey", "--to", "9")[0] == 1
+    assert run_cli("survey", "--from", "３", "--to", "5")[:2] == (1, "")
 
 
 def test_partitions_listing(run_cli):
@@ -337,6 +352,7 @@ def test_partitions_usage(run_cli):
     assert run_cli("partitions", "0")[0] == 1
     assert run_cli("partitions", "41")[0] == 1
     assert run_cli("partitions", "5", "--parity", "prime")[0] == 1
+    assert run_cli("partitions", "1_0")[:2] == (1, "")
 
 
 def test_unknown_subcommand_exits_one(run_cli):

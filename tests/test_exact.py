@@ -314,6 +314,28 @@ def test_rowspace_members_ignore_column_scaling():
             assert _rowspace_members(padded) == (rank, shifted), (n, mode)
 
 
+def test_membership_agrees_with_rowspace_members_on_survey_systems():
+    # survey reads unit rows off rref; express solves for lambda through
+    # solve_membership.  Both read the one elimination, so on every column t
+    # of every survey system a unit target e_t is solvable exactly when t is
+    # a member, and the lambda returned rebuilds e_t
+    for n in range(3, 25):
+        for mode in MODES:
+            system = build_system(n, mode)
+            members = _rowspace_members(system)[1]
+            ncols = len(system.columns)
+            for t in range(ncols):
+                unit = [F(int(j == t)) for j in range(ncols)]
+                lam = solve_membership(system.matrix(), unit)
+                assert (lam is not None) == (t in members), (n, mode, t)
+                if lam is not None:
+                    rebuilt = [
+                        F(sum(c * row[j] for c, row in zip(lam, system.rows)), system.denominator)
+                        for j in range(ncols)
+                    ]
+                    assert rebuilt == unit, (n, mode, t)
+
+
 @st.composite
 def _bounded_coefficients(draw):
     """A magnitude bound and up to 12 coefficients within it, -bound and

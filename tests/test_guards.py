@@ -334,6 +334,21 @@ def test_bench_shim_counts_verify_routes(tmp_path):
     assert "numerics.lz_quadrature" not in stats
 
 
+def test_bench_shim_counts_express_elimination(tmp_path):
+    # express solves through solve_membership, which eliminates with rref, so
+    # the trace books its elimination under exact.rref like a survey's
+    trace = tmp_path / "trace.json"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(SHIM), str(trace), "express", "z3*z5"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    stats = json.loads(trace.read_text())["stats"]
+    assert stats["exact.solve_membership"]["calls"] == 1
+    assert stats["exact.rref"]["calls"] == 1
+
+
 def _load_bench_run():
     path = ROOT / "bench" / "run.py"
     spec = importlib.util.spec_from_file_location("bench_run", path)
