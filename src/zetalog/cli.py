@@ -148,11 +148,9 @@ def _cmd_verify(args):
     if args.digits > DIGITS_CAP:
         raise ValueError(f"digits must be at most {DIGITS_CAP}")
     report = numerics.verify_expansion(args.a, args.b, args.digits, args.method)
-    from mpmath import mp  # loaded by verify_expansion; no exact command needs it
-
     shown = {**report.values, "deviation": report.max_deviation, "threshold": report.threshold}
     for name, value in shown.items():
-        print(f"{name:>11}: {mp.nstr(value, args.digits)}")
+        print(f"{name:>11}: {numerics.nstr(value, args.digits)}")
     print("PASS" if report.passed else "FAIL")
     return (0 if report.passed else 3), None
 

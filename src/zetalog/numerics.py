@@ -13,8 +13,7 @@ the endpoint log singularities cost nothing.
 
 zeta_value is P. Borwein's alternating series over one integer table, with
 an a-priori truncation bound and nothing from the exact layer, whose
-Bernoulli numbers make the pi-coefficients it checks; pi comes from the
-float library's certified constant.
+Bernoulli numbers make the pi-coefficients it checks.
 Every evaluation works with 10 guard digits over the P it returns; the
 symbolic sum in evaluate_reduced, the one that cancels, adds the digits it
 measures lost, so every value and the verdict are relative to |Lz|.
@@ -22,13 +21,19 @@ measures lost, so every value and the verdict are relative to |Lz|.
 Both routes, zeta_value and the symbolic sum work in integer fixed point:
 Python ints in units of 2^-W, where every truncation is a floor division
 that loses under one unit, so W carries guard bits for a counted bound on
-the units lost.  Each result is rounded to an mpf once.  Besides mpmath's
-conversions, the series route reads only ln2_fixed from libmp, quadrature
-pi_fixed, ln2_fixed and one exp_fixed per node (no log), and the symbolic
-sum pi_fixed and zeta_value.  The two routes share no code of their own:
-the series never evaluates the integrand, quadrature never expands it, and
-each has its own sum, error bound and stopping rule.  Each function that
-needs mpmath imports it when called, so the exact commands never load it.
+the units lost.  pi (Machin's formula), log 2 (2 atanh(1/3)) and the
+exponential are integer series of their own, each with its error counted.
+The series route reads log 2, quadrature pi, log 2 and one exponential per
+node (no log), and the symbolic sum pi and zeta_value.  Each result is
+rounded once, half to even, to the binary float of the digits asked for,
+and returned as the exact Fraction of that float: the value mpmath's
+round-to-nearest would give.  verify_expansion judges those values with
+exact integers, rounding each deviation and the threshold as mpmath's
+arithmetic at P+10 digits rounds them, and nstr prints a value as
+mpmath 1.3.0's nstr prints the same float, so the package needs no
+mpmath and imports none.  The two routes share no code of their own:
+the series never evaluates the integrand, quadrature never expands it,
+and each has its own sum, error bound and stopping rule.
 The layer keeps no state: one verify reads no zeta value and builds no
 quadrature level twice, so every call computes afresh, with no cache.
 """
@@ -38,14 +43,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate, combinations
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .expansion import PiReducedCombination, expand_lz, reduce_even
-
-if TYPE_CHECKING:
-    from mpmath import mpf
-
-    from .solver import Certificate
 
 __all__ = [
     "PrecisionBudgetError",
@@ -57,7 +57,7 @@ __all__ = [
     "METHODS",
     "VerificationReport",
     "verify_expansion",
-    "audit_certificate",
+    "nstr",
 ]
 
 # the routes verify can check the symbolic value against, as --method names them
@@ -72,10 +72,99 @@ class PrecisionBudgetError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
+# binary floats as exact Fractions, and the constants in integer fixed point
+
+
+def _prec(dps: int) -> int:
+    """The bits of dps decimal digits, by mpmath's dps_to_prec."""
+    return max(1, round((dps + 1) * 3.3219280948873626))
+
+
+def _round(num: int, den: int, prec: int) -> Fraction:
+    """num/den for den > 0, rounded to prec significant bits, half to even."""
+    if not num:
+        return Fraction(0)
+    mag = abs(num)
+    # q holds the first prec + 1 or prec + 2 bits of the quotient, r the rest
+    shift = prec + 1 - mag.bit_length() + den.bit_length()
+    q, r = divmod(mag << max(shift, 0), den << max(-shift, 0))
+    extra = q.bit_length() - prec
+    low, m, half = q & ((1 << extra) - 1), q >> extra, 1 << (extra - 1)
+    if low > half or (low == half and (r or m & 1)):
+        m += 1
+    m, e = (m if num > 0 else -m), extra - shift
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
+
+
+def _pi_fixed(prec: int) -> int:
+    """floor(pi 2^prec) or one less, by Machin's pi = 16 atan(1/5) -
+    4 atan(1/239) in units of 2^-(prec+g)."""
+    # atan(1/m) = sum_j (-1)^j / ((2j+1) m^(2j+1)); t is 2^(prec+g) / m^(2j+1)
+    # floored, and a floor of a floor by an integer is the floor of the
+    # quotient, so every term is within one unit and so is the tail after
+    # the first zero term.  The sum is within err units, counted 16 or 4 per
+    # term and tail, so sum - err is in (T - 2 err, T] for T = pi 2^(prec+g),
+    # and 2 err < 2^g: the shift is the floor of pi 2^prec or one less
+    g = prec.bit_length() + 32
+    total = err = 0
+    for m, c in ((5, 16), (239, -4)):
+        t, k = (1 << (prec + g)) // m, 1
+        while t:
+            total += t // k * (c if k % 4 == 1 else -c)
+            t, k, err = t // (m * m), k + 2, err + abs(c)
+        err += abs(c)
+    return (total - err) >> g
+
+
+def _ln2_fixed(prec: int) -> int:
+    """floor(log(2) 2^prec) or one less, as 2 atanh(1/3) in units of
+    2^-(prec+g)."""
+    # atanh(1/3) = sum_j 1 / ((2j+1) 3^(2j+1)), each term its exact floor as
+    # in _pi_fixed, and the tail after the first zero term is under 9/8: J
+    # terms put twice the sum in (T - 2J - 3, T] for T = log(2) 2^(prec+g),
+    # and 2J + 3 < 2^g
+    g = prec.bit_length() + 32
+    t, k, total = (1 << (prec + g)) // 3, 1, 0
+    while t:
+        total += t // k
+        t, k = t // 9, k + 2
+    return 2 * total >> g
+
+
+def _exp_fixed(x: int, prec: int) -> int:
+    """e^(x 2^-prec) in units of 2^-prec, low by under 2 units, for
+    0 <= x < 8 2^prec."""
+    # y = x 2^-r < 2^-13 in units of 2^-wp, summed as its Taylor series in
+    # even and odd parts, one product per two terms, then squared r times.
+    # Every term comes out low by under 2 units, and the K <= wp/13 + 1 terms
+    # and the tail leave the sum low by under 2K + 8 units, a relative
+    # (2K + 8) 2^-wp since e^y >= 1; each squaring doubles that and floors
+    # under one unit more.  So before the last shift e^x is low by relative
+    # under 2^r (2K + 9) 2^-wp, which is e^x (2K + 9) 2^-G < 2^12 (2K + 9)
+    # 2^-G < 1 unit of 2^-prec, and the shift floors one unit more
+    r, G = 16, prec.bit_length() + 20
+    wp = prec + r + G
+    one, y = 1 << wp, x << G
+    y2 = a = y * y >> wp
+    even = odd = one  # sum of y^2j / (2j)! and of y^2j / (2j+1)!
+    k = 2
+    while a:
+        a //= k
+        even += a
+        a //= k + 1
+        odd += a
+        a, k = a * y2 >> wp, k + 2
+    s = even + (odd * y >> wp)
+    for _ in range(r):
+        s = s * s >> wp
+    return s >> (wp - prec)
+
+
+# ---------------------------------------------------------------------------
 # zeta at integer arguments, Borwein's alternating series with an a-priori bound
 
 
-def zeta_value(s: int, precision: int) -> mpf:
+def zeta_value(s: int, precision: int) -> Fraction:
     """zeta(s) for integer s >= 2, accurate to 10^(-precision).
 
     P. Borwein's algorithm 2 ("An efficient algorithm for the Riemann zeta
@@ -84,9 +173,6 @@ def zeta_value(s: int, precision: int) -> mpf:
     6 (3+sqrt 8)^-n in zeta for real s >= 2."""
     if s < 2 or precision < 1:
         raise ValueError(f"zeta_value needs s >= 2 and precision >= 1, got ({s}, {precision})")
-    from mpmath import mp
-    from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
-
     wdps = precision + 10
     # 10^(3/4) < 3+sqrt 8, so the truncation is below 10^-(wdps+2)
     n = -(-4 * (wdps + 3) // 3)
@@ -97,10 +183,10 @@ def zeta_value(s: int, precision: int) -> mpf:
         d.append(d[-1] + t)
     # each term floored in units of 2^-W of eta d_n: under n units, so under
     # 2 units of 2^-W in zeta after the division by d_n and its floor
-    W = dps_to_prec(wdps) + 4
+    W = _prec(wdps) + 4
     total = sum((-1) ** k * (((d[n] - d[k]) << W) // (k + 1) ** s) for k in range(n))
     total = (total << (s - 1)) // (d[n] * ((1 << (s - 1)) - 1))
-    return mp.make_mpf(from_man_exp(total, -W, dps_to_prec(precision), round_nearest))
+    return _round(total, 1 << W, _prec(precision))
 
 
 # ---------------------------------------------------------------------------
@@ -123,9 +209,7 @@ def build_s_table(
         raise ValueError(f"b_max and precision must be >= 1, got ({b_max}, {precision})")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    from mpmath.libmp import dps_to_prec
-
-    W = dps_to_prec(precision + 10) + max(32, (b_max * n_max).bit_length() + 1)
+    W = _prec(precision + 10) + max(32, (b_max * n_max).bit_length() + 1)
     # prefix form S_n^(k) = (k/n) * sum_{m<n} S_m^(k-1), O(b*n).  Each floor
     # loses under one unit, and S_n^(k) >= 1/n: if row k-1 is low by under
     # (k-1) m 2^-W of S_m^(k-1), row k is low by under ((k-1)(n-1) + n) 2^-W
@@ -164,29 +248,26 @@ def _tier_nodes(tier: int, wdps: int, vmax: float) -> tuple[int, tuple[tuple[int
     base weight c x/(1+x) 2^-B.  c, M, L and E are at least 2^(B-1) and within
     3 units, so all keep relative precision however tiny x is.  B is the
     working bits of wdps + 5 digits plus 32 guard bits.  A node costs one
-    exp_fixed: e^v is one product from the last, log1p an integer series."""
-    from mpmath.libmp import dps_to_prec, ln2_fixed, pi_fixed
-    from mpmath.libmp.libelefun import exp_fixed
-
-    B = dps_to_prec(wdps + 5) + 32
-    # e^v steps by e^(2^-tier) from an exp_fixed anchor every 64 steps; each
+    _exp_fixed: e^v is one product from the last, log1p an integer series."""
+    B = _prec(wdps + 5) + 32
+    # e^v steps by e^(2^-tier) from an _exp_fixed anchor every 64 steps; each
     # factor is within 16 units and each product floored, so e^v is within
     # 2^11 units.  e^v, 2u and n stay below 2^12: 2u and r within 2^-(B+2)
     W = B + 28
-    pi, ln2 = pi_fixed(W), ln2_fixed(W)
-    ev, ratio, nodes = 1 << W, exp_fixed(1 << (W - tier), W, ln2), []
+    pi, ln2 = _pi_fixed(W), _ln2_fixed(W)
+    ev, ratio, nodes = 1 << W, _exp_fixed(1 << (W - tier), W), []
     for k in range(int(vmax * 2**tier) + 1):
         if k % 64:
             ev = ev * ratio >> W
         elif k:
-            ev = exp_fixed(k << (W - tier), W, ln2)
+            ev = _exp_fixed(k << (W - tier), W)
         if tier and k % 2 == 0:
             continue
         emv = (1 << 2 * W) // ev
         y = pi * (ev - emv) >> (W + 1)  # 2u
         # x = e^r 2^-n with r = n ln2 - 2u in [0, ln2)
         n = -(-y // ln2)
-        E = exp_fixed(n * ln2 - y, W, ln2) >> (W - B)
+        E = _exp_fixed(n * ln2 - y, W) >> (W - B)
         one_x = (1 << (B + n)) + E  # 1 + x in units of 2^-(B+n)
         # log1p(x) = 2 atanh(z), z = x/(2+x) <= 1/3, in units of 2^-P: under
         # P/3 terms lose under 2P units, so below P = 2^15 M is low by under 2
@@ -211,15 +292,12 @@ def _fpow(x: int, k: int, B: int) -> int:
     return r
 
 
-def lz_quadrature(a: int, b: int, precision: int) -> mpf:
+def lz_quadrature(a: int, b: int, precision: int) -> Fraction:
     """Lz(a,b) by direct tanh-sinh integration of the normalized integral,
     refined until two consecutive levels agree to 10^-(precision+2) of
-    their value.  The level sums are integers, rounded to an mpf once."""
+    their value.  The level sums are integers, rounded once."""
     if a < 1 or b < 1 or precision < 1:
         raise ValueError(f"Lz needs a, b and precision >= 1, got ({a}, {b}, {precision})")
-    from mpmath import mp
-    from mpmath.libmp import dps_to_prec, from_int, from_man_exp, mpf_div, round_nearest
-
     wdps = precision + 10
     # The integrand keeps one sign and is at least ln2^b (1-t)^(a-1) on (1/2,1)
     # and ln2^(a-1) t^(b-1) on (0,1/2), so |integral| >= max(ln2^b/(a 2^a),
@@ -230,7 +308,7 @@ def lz_quadrature(a: int, b: int, precision: int) -> mpf:
     # within relative 2^(a+b+7-B): through weight 40, 10^-wdps in all.
     lg = math.log2(math.log(2))
     bound_bits = min(a + math.log2(a) - b * lg, b + math.log2(b) - (a - 1) * lg)
-    S = dps_to_prec(wdps) + 20 + math.ceil(bound_bits)
+    S = _prec(wdps) + 20 + math.ceil(bound_bits)
     vmax, running, prev = _vmax(wdps), 0, 0
     for level in range(QUADRATURE_MAX_LEVEL + 1):
         B, nodes = _tier_nodes(level, wdps, vmax)
@@ -244,9 +322,9 @@ def lz_quadrature(a: int, b: int, precision: int) -> mpf:
             if n and ec + a * (1 - n) + b * eL + S > 0:
                 running += c * E * _fpow(M, a - 1, B) * _fpow(L, b, B) >> (4 * B + n * a - S)
         if level >= 5 and abs(running - 2 * prev) * 10 ** (precision + 2) <= running:
-            total = from_man_exp(-running if (a + b) % 2 == 0 else running, -(S + level))
-            norm = from_int(math.factorial(a - 1) * math.factorial(b))
-            return mp.make_mpf(mpf_div(total, norm, dps_to_prec(precision), round_nearest))
+            norm = math.factorial(a - 1) * math.factorial(b) << (S + level)
+            total = -running if (a + b) % 2 == 0 else running
+            return _round(total, norm, _prec(precision))
         prev = running
     raise PrecisionBudgetError(
         f"Lz({a},{b}) quadrature: quadrature level budget ({QUADRATURE_MAX_LEVEL}) exhausted"
@@ -293,7 +371,7 @@ def _series_cut(a: int, b: int, log2_goal: float) -> int:
     return n
 
 
-def lz_series(a: int, b: int, precision: int) -> mpf:
+def lz_series(a: int, b: int, precision: int) -> Fraction:
     """Lz(a,b) as the two positive series of the integral split at t = 1/2.
 
     On (0,1/2) expand (-log(1-t))^b = sum S_n^(b) t^n; on (1/2,1) put
@@ -307,22 +385,19 @@ def lz_series(a: int, b: int, precision: int) -> mpf:
     """
     if a < 1 or b < 1 or precision < 1:
         raise ValueError(f"Lz needs a, b and precision >= 1, got ({a}, {b}, {precision})")
-    from mpmath import mp
-    from mpmath.libmp import dps_to_prec, from_man_exp, ln2_fixed, round_nearest
-
     wdps = precision + 10
     fa, fb = math.factorial(a), math.factorial(b)
     # 2^-L bounds the first term of either sum, hence the floor, from below:
     # M_k(n) >= 2^-n / n^(k+1), and S_b^(b) = S_a^(a) = 1
     L = min(b + (b**a * fb).bit_length(), a + (a**b * fa).bit_length())
-    # Fixed point in units of 2^-W, every truncation rounding down.  ln2_fixed
+    # Fixed point in units of 2^-W, every truncation rounding down.  log 2
     # and the c_m are low by under 4 units each, so a half moment is low by
     # under 6(k+1) units; a term carries that times S_n^(k)/k! 2^-n <= e 2^-n
     # (times n in the second sum), and sum_n n 2^-n = 2, so the two sums lose
     # under 40(a+b+1) units together, which the guard bits absorb: the loss is
     # below 2^-(working bits) times the floor
-    W = dps_to_prec(wdps) + L + (40 * (a + b + 1)).bit_length()
-    ln2 = ln2_fixed(W)
+    W = _prec(wdps) + L + (40 * (a + b + 1)).bit_length()
+    ln2 = _ln2_fixed(W)
     c = [1 << W]
     for m in range(1, max(a - 1, b) + 1):
         c.append((c[-1] * ln2 >> W) // m)
@@ -346,21 +421,18 @@ def lz_series(a: int, b: int, precision: int) -> mpf:
     total = first // fb + second // fa
     if (a + b) % 2 == 0:
         total = -total
-    return mp.make_mpf(from_man_exp(total, -(W + T), dps_to_prec(precision), round_nearest))
+    return _round(total, 1 << (W + T), _prec(precision))
 
 
 # ---------------------------------------------------------------------------
 # symbolic evaluation and the three-way verification report
 
 
-def evaluate_reduced(comb: PiReducedCombination, precision: int) -> mpf:
+def evaluate_reduced(comb: PiReducedCombination, precision: int) -> Fraction:
     """Numeric value of a pi-reduced combination from zeta_value and pi,
     accurate relative to itself however much its terms cancel."""
     if precision < 1:
         raise ValueError(f"evaluate_reduced needs precision >= 1, got {precision}")
-    from mpmath import mp
-    from mpmath.libmp import dps_to_prec, from_rational, pi_fixed, round_nearest
-
     terms = comb.items()
     den = math.lcm(*(coeff.denominator for coeff, _, _ in terms))
     zeta_args = {n for _, _, mono in terms for n, _ in mono.factors}
@@ -369,9 +441,9 @@ def evaluate_reduced(comb: PiReducedCombination, precision: int) -> mpf:
         wdps = precision + guard
         # a term is its pi and zeta powers in units of 2^-U times the integer
         # coeff den, so total and size are exact sums in units of 2^-U/den
-        U = dps_to_prec(wdps) + 4
-        pis = list(accumulate([1 << U] + [pi_fixed(U)] * comb.weight, lambda x, y: x * y >> U))
-        zetas = {n: int(mp.ldexp(zeta_value(n, wdps), U)) for n in zeta_args}
+        U = _prec(wdps) + 4
+        pis = list(accumulate([1 << U] + [_pi_fixed(U)] * comb.weight, lambda x, y: x * y >> U))
+        zetas = {n: int(zeta_value(n, wdps) * (1 << U)) for n in zeta_args}
         total = size = 0
         for coeff, pi_exp, mono in terms:
             term = pis[pi_exp]
@@ -382,7 +454,7 @@ def evaluate_reduced(comb: PiReducedCombination, precision: int) -> mpf:
             total += term
             size += abs(term)
         if not size:
-            return mp.zero
+            return Fraction(0)
         # size/|total| < 10^lost, as 0.30103 > log10 2; an exact zero reads
         # a loss of over wdps digits, as size is over 2^U units
         lost = math.ceil((size.bit_length() - abs(total).bit_length() + 1) * 0.30103)
@@ -393,16 +465,15 @@ def evaluate_reduced(comb: PiReducedCombination, precision: int) -> mpf:
         # within relative 20 10^-(precision+3) through weight 40.  A noisy
         # pass reads a loss near its working digits and widens again
         if lost <= guard - 3:
-            value = from_rational(total, den << U, dps_to_prec(precision), round_nearest)
-            return mp.make_mpf(value)
+            return _round(total, den << U, _prec(precision))
         guard = lost + 10
     raise PrecisionBudgetError(f"symbolic sum: pass budget ({SYMBOLIC_MAX_PASSES}) exhausted")
 
 
 class VerificationReport(NamedTuple):
-    values: dict[str, mpf]  # symbolic first, then each route run, in print order
-    max_deviation: mpf
-    threshold: mpf
+    values: dict[str, Fraction]  # symbolic first, then each route run, in print order
+    max_deviation: Fraction
+    threshold: Fraction
     passed: bool
 
 
@@ -419,36 +490,64 @@ def verify_expansion(a: int, b: int, precision: int, method: str = "both") -> Ve
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if precision < 6:
         raise ValueError(f"precision must be at least 6 digits, got {precision}")
-    from mpmath import mp
-
     routes = ("series", "quadrature") if method == "both" else (method,)
     reduced = reduce_even(expand_lz(a, b))
     carried = precision + 5
-    with mp.workdps(precision + 10):
-        values = {"symbolic": evaluate_reduced(reduced, carried)}
-        for name in routes:
-            # looked up per call, so a rebound module attribute is the one run
-            route = lz_series if name == "series" else lz_quadrature
-            values[name] = route(a, b, carried)
-        max_dev = max(abs(x - y) for x, y in combinations(values.values(), 2))
-        top = max(abs(x) for x in values.values())
-        threshold = mp.mpf(10) ** (int(mp.floor(mp.log10(top))) - (precision - 5))
-        return VerificationReport(values, max_dev, threshold, bool(max_dev < threshold))
+    values = {"symbolic": evaluate_reduced(reduced, carried)}
+    for name in routes:
+        # looked up per call, so a rebound module attribute is the one run
+        route = lz_series if name == "series" else lz_quadrature
+        values[name] = route(a, b, carried)
+    # at P+10 digits, rounded as mpmath rounds them there: each deviation to
+    # those bits, and 10^-k as mpf(10)**-k, whose 10^k is rounded to 5 bits
+    # more and its reciprocal to those bits.  |Lz| < 10, so e <= 0 < k
+    prec = _prec(precision + 10)
+    pairs = combinations(values.values(), 2)
+    max_dev = max(_round(*abs(x - y).as_integer_ratio(), prec) for x, y in pairs)
+    top = max(abs(x) for x in values.values())
+    e = len(str(top.numerator)) - len(str(top.denominator))
+    if top < Fraction(10) ** e:
+        e -= 1
+    inverse = _round(10 ** (precision - 5 - e), 1, prec + 5)
+    threshold = _round(inverse.denominator, inverse.numerator, prec)
+    return VerificationReport(values, max_dev, threshold, max_dev < threshold)
 
 
-def audit_certificate(cert: Certificate, precision: int = 30) -> mpf:
-    """Relative gap between the two sides of a certificate's identity
-    pi^k * target = sum lambda Lz(a,b) + remainder, evaluated at the given
-    precision: each Lz by lz_series, the target and the remainder by
-    evaluate_reduced.  The gap is |lhs - rhs| over sum |lambda Lz| + |lhs|,
-    about 10^-precision for a true identity.  Numeric evidence, not proof.
+def nstr(x: Fraction, n: int) -> str:
+    """The binary float x to n >= 1 significant digits, as mpmath 1.3.0's
+    nstr(x, n) prints it, for x = 0 or 2^-3500 < |x| < 2^3500.
+
+    Fixed form while the leading digit's place e has min(-(n//3), -5) < e
+    < n, else d.ddde+e or d.ddde-e; trailing zeros stripped down to one
+    digit after the point.
     """
-    from mpmath import mp
-
-    with mp.workdps(precision + 10):
-        lhs = evaluate_reduced(
-            PiReducedCombination(cert.weight, {cert.target: Fraction(1)}), precision
-        )
-        lz = [lam * lz_series(a, b, precision) for (a, b), lam in cert.lz_terms.items()]
-        rhs = mp.fsum(lz) + evaluate_reduced(cert.known_remainder, precision)
-        return abs(lhs - rhs) / (mp.fsum(abs(x) for x in lz) + abs(lhs))
+    if not x:
+        return "0.0"
+    sign = "-" if x < 0 else ""
+    num, den = abs(x.numerator), x.denominator
+    # mpmath's to_digits_exp at n + 3 digits: |x| floored to a binary fixed
+    # point of fixprec bits, and that floored to fixdps decimals
+    bitprec = int((n + 3) * math.log(10, 2)) + 10
+    fixprec = max(bitprec - num.bit_length() + den.bit_length() - 1, 0)
+    fixdps = int(fixprec / math.log(10, 2) + 0.5)
+    digits = str(((num << fixprec) // den) * 10**fixdps >> fixprec)
+    exponent = len(digits) - fixdps - 1
+    # to_str: the first n of those digits, rounded half up on the next one
+    if len(digits) > n and digits[n] in "56789":
+        digits = str(int(digits[:n]) + 1)
+        if len(digits) > n:  # carried through 9...9 into 10...0
+            digits, exponent = digits[:n], exponent + 1
+    else:
+        digits = digits[:n]
+    split = 1
+    if min(-(n // 3), -5) < exponent < n:
+        if exponent < 0:
+            digits = "0" * -exponent + digits
+        else:
+            split = exponent + 1
+            digits = digits.ljust(split, "0")
+        exponent = 0
+    digits = (digits[:split] + "." + digits[split:]).rstrip("0")
+    if digits.endswith("."):
+        digits += "0"
+    return sign + digits + (f"e{exponent:+d}" if exponent else "")

@@ -23,6 +23,11 @@ solver's column cache and a survey report.
 The numeric oracles are mpf forms of the package's numeric kernels:
 lz_series_mpf sums the series route in mpf with a linear tail-cut scan,
 and make_node_mpf builds a tanh-sinh node from seven transcendental calls.
+to_mpf turns a value the numeric layer returns, the exact Fraction of a
+binary float, into that float as an mpf with no rounding, so mpf
+arithmetic on it rounds only where mpmath rounds.  audit_certificate is
+no oracle: it evaluates both sides of a certificate's identity in mpf from
+the numeric layer's own routes.
 """
 
 from __future__ import annotations
@@ -33,11 +38,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 from mpmath import mp
+from mpmath.libmp import from_man_exp
 
-from zetalog import coefficients, solver
+from zetalog import coefficients, numerics, solver
 from zetalog.coefficients import c_tilde
 from zetalog.exact import RationalMatrix
-from zetalog.expansion import ZetaMonomial, expand_lz, reduce_even
+from zetalog.expansion import PiReducedCombination, ZetaMonomial, expand_lz, reduce_even
 
 
 def composition_profile(x) -> tuple[int, ...]:
@@ -414,6 +420,33 @@ def power_sum_product_on_line(parts: tuple[int, ...]) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------------------
 # numeric kernels in mpf
+
+
+def to_mpf(q: Fraction):
+    """The binary float q, an exact Fraction with a power-of-two
+    denominator, as the mpf of the same value: exact at any precision."""
+    den = q.denominator
+    assert den & (den - 1) == 0, q
+    return mp.make_mpf(from_man_exp(q.numerator, 1 - den.bit_length()))
+
+
+def audit_certificate(cert, precision: int = 30):
+    """Relative gap between the two sides of a certificate's identity
+    pi^k * target = sum lambda Lz(a,b) + remainder, evaluated at the given
+    precision: each Lz by lz_series, the target and the remainder by
+    evaluate_reduced, each read off the numerics module when called.  The
+    gap is |lhs - rhs| over sum |lambda Lz| + |lhs|, about 10^-precision for
+    a true identity.  Numeric evidence, not proof.
+    """
+    with mp.workdps(precision + 10):
+        target = PiReducedCombination(cert.weight, {cert.target: Fraction(1)})
+        lhs = to_mpf(numerics.evaluate_reduced(target, precision))
+        lz = [
+            mp.mpf(lam.numerator) / lam.denominator * to_mpf(numerics.lz_series(a, b, precision))
+            for (a, b), lam in cert.lz_terms.items()
+        ]
+        rhs = mp.fsum(lz) + to_mpf(numerics.evaluate_reduced(cert.known_remainder, precision))
+        return abs(lhs - rhs) / (mp.fsum(abs(x) for x in lz) + abs(lhs))
 
 
 @lru_cache(maxsize=16)

@@ -19,6 +19,7 @@ from oracles import (
     composition_profile,
     partition_counts,
     survey_record,
+    to_mpf,
 )
 from zetalog.expansion import (
     PiReducedCombination,
@@ -130,8 +131,8 @@ def test_criterion_04_numeric_cross_validation(capsys):
         for n in range(2, 9):
             for b in range(1, n // 2 + 1):
                 report = verify_expansion(n - b, b, digits)
-                symbolic = report.values["symbolic"]
-                top = max(abs(report.values[r] - symbolic) for r in ("series", "quadrature"))
+                symbolic = to_mpf(report.values["symbolic"])
+                top = max(abs(to_mpf(report.values[r]) - symbolic) for r in ("series", "quadrature"))
                 if worst is None or top > worst:
                     worst = top
                 if top >= limit:
@@ -147,7 +148,7 @@ def test_criterion_04_numeric_cross_validation(capsys):
 
 def test_criterion_05_euler_identity(capsys):
     with workdps(45):
-        diff = abs(lz_series(1, 2, 30) - zeta_value(3, 30))
+        diff = abs(to_mpf(lz_series(1, 2, 30)) - to_mpf(zeta_value(3, 30)))
         ok = diff < mp.mpf(10) ** -30
     _report(
         capsys, 5, ok,
@@ -188,11 +189,11 @@ def test_criterion_06_certificates(capsys):
     # independent numeric confirmation of the weight-7 identity
     digits = 30
     with workdps(digits + 10):
-        lhs = mp.pi**2 * zeta_value(5, digits)
+        lhs = mp.pi**2 * to_mpf(zeta_value(5, digits))
         rhs = (
-            10 * lz_quadrature(6, 1, digits)
-            + 10 * lz_quadrature(5, 2, digits)
-            - 8 * lz_quadrature(4, 3, digits)
+            10 * to_mpf(lz_quadrature(6, 1, digits))
+            + 10 * to_mpf(lz_quadrature(5, 2, digits))
+            - 8 * to_mpf(lz_quadrature(4, 3, digits))
         )
         checks.append(abs(lhs - rhs) < mp.mpf(10) ** -(digits - 5))
 
@@ -217,8 +218,8 @@ def test_criterion_07_even_branch_erratum(capsys):
     with workdps(digits + 10):
         want = -mp.pi**4 / 360
         tol = mp.mpf(10) ** -digits
-        series_ok = abs(lz_series(2, 2, digits) - want) < tol
-        quad_ok = abs(lz_quadrature(2, 2, digits) - want) < tol
+        series_ok = abs(to_mpf(lz_series(2, 2, digits)) - want) < tol
+        quad_ok = abs(to_mpf(lz_quadrature(2, 2, digits)) - want) < tol
     ok = reduced == quarter and reduced != full and series_ok and quad_ok
     _report(
         capsys, 7, ok,
@@ -304,7 +305,7 @@ def test_criterion_10_series_symmetry(capsys):
         limit = mp.mpf(10) ** -20
         ok = True
         for a, b in [(1, 2), (2, 3), (2, 4)]:
-            diff = abs(lz_series(a, b, 25) - lz_series(b, a, 25))
+            diff = abs(to_mpf(lz_series(a, b, 25)) - to_mpf(lz_series(b, a, 25)))
             if worst is None or diff > worst:
                 worst = diff
             if diff >= limit:

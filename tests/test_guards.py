@@ -4,9 +4,10 @@ constructor, only the Bernoulli sign check raises AssertionError, the
 exact layers hold no floats, the solver reads no
 partition record, the CLI imports only
 public library names, every exported name exists and resolves through
-the lazy package, start-up and the exact commands load neither mpmath
-nor dataclasses, each command compiles only the layers it calls, and the
-bench trace shim still finds and counts every name it wraps."""
+the lazy package, no module imports mpmath and no command loads it,
+start-up and the exact commands load no dataclasses, each command
+compiles only the layers it calls, and the bench trace shim still finds
+and counts every name it wraps."""
 
 from __future__ import annotations
 
@@ -227,14 +228,29 @@ def test_public_surface_resolves_through_the_lazy_package():
     assert not hasattr(zetalog, "PARITY_CHOICES")
 
 
-def test_exact_commands_never_import_mpmath():
-    # mpmath loads on the first numeric call: the exact commands never pay
-    # its import, and verify still gets it.  zetalog.numerics is in
-    # sys.modules from the start, as a lazy module the bench shim can look
-    # up right after import; which commands compile it is the load table's
-    # test below.  Every process pays the start-up, so neither it nor an
-    # exact command may load dataclasses or the inspect machinery that
-    # module pulls in
+def test_no_module_imports_mpmath():
+    # the numeric layer rounds, judges and prints its binary floats itself,
+    # so no module names mpmath, not even in a function body or for typing
+    found = []
+    for path in sorted((ROOT / "src" / "zetalog").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [(path.stem, node.lineno) for m in modules if m.split(".")[0] == "mpmath"]
+    assert found == []
+
+
+def test_no_command_imports_mpmath():
+    # no command pays mpmath's import, verify included.  zetalog.numerics
+    # is in sys.modules from the start, as a lazy module the bench shim can
+    # look up right after import; which commands compile it is the load
+    # table's test below.  Every process pays the start-up, so neither it
+    # nor an exact command may load dataclasses or the inspect machinery
+    # that module pulls in
     script = """
 import sys
 import zetalog.cli as cli
@@ -255,7 +271,7 @@ print(heavy, file=sys.stderr)
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.strip().splitlines() == [str([True] + [False] * 6 + [True]), str([[]] * 6)]
+    assert proc.stderr.strip().splitlines() == [str([True] + [False] * 7), str([[]] * 6)]
 
 
 def _loaded_after(argv):

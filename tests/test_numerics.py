@@ -1,15 +1,27 @@
 from __future__ import annotations
 
+import importlib.util
 import math
+import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from pathlib import Path
 
 import mpmath
 import pytest
 from mpmath import mp, workdps
-from mpmath.libmp import dps_to_prec, ln2_fixed, pi_fixed
+from mpmath.libmp import (
+    dps_to_prec,
+    from_man_exp,
+    ln2_fixed,
+    mpf_exp,
+    pi_fixed,
+    round_floor,
+    to_fixed,
+)
 
 import golden_data
 from zetalog import numerics
@@ -29,7 +41,13 @@ from zetalog.numerics import (
     verify_expansion,
     zeta_value,
 )
-from oracles import elementary_reciprocals, lz_series_mpf, make_node_mpf, s_composition_sum
+from oracles import (
+    elementary_reciprocals,
+    lz_series_mpf,
+    make_node_mpf,
+    s_composition_sum,
+    to_mpf,
+)
 
 F = Fraction
 
@@ -40,19 +58,19 @@ def _tol(digits: int):
 
 def test_zeta_matches_reference_library():
     # correctly rounded through weight 40 at every P = 16..80: verify asks
-    # for P+15 = 21..75 digits and audit_certificate for 40, so this pins the
-    # printed digits of both
+    # for P+15 = 21..75 digits and the certificate audit for 40, so this
+    # pins the printed digits of both
     with workdps(100):
         refs = {s: mpmath.zeta(s) for s in range(2, 41)}
     for digits in range(16, 81):
         with workdps(digits):
             for s, ref in refs.items():
-                assert zeta_value(s, digits) == +ref, (digits, s)
+                assert to_mpf(zeta_value(s, digits)) == +ref, (digits, s)
 
 
 def test_zeta_high_precision():
     with workdps(65):
-        assert abs(zeta_value(2, 60) - mp.pi**2 / 6) < _tol(60)
+        assert abs(to_mpf(zeta_value(2, 60)) - mp.pi**2 / 6) < _tol(60)
 
 
 def test_zeta_rejects_small_argument():
@@ -80,8 +98,8 @@ def test_nonpositive_precision_is_rejected():
                 route(3, 3, digits)
         with pytest.raises(ValueError):
             build_s_table(3, 10, digits)
-    assert abs(zeta_value(3, 1) - mpmath.zeta(3)) < _tol(1)
-    assert abs(lz_series(3, 3, 1) - lz_quadrature(3, 3, 1)) < _tol(1)
+    assert abs(to_mpf(zeta_value(3, 1)) - mpmath.zeta(3)) < _tol(1)
+    assert abs(to_mpf(lz_series(3, 3, 1)) - to_mpf(lz_quadrature(3, 3, 1))) < _tol(1)
 
 
 def _mpf(q: Fraction):
@@ -144,8 +162,8 @@ def test_s_table_bounds_and_cache():
 def test_quadrature_matches_golden_values():
     digits = 30
     for (a, b) in [(2, 1), (3, 2), (4, 3), (4, 4)]:
-        want = evaluate_reduced(golden_data.reduced_combination(a, b), digits + 5)
-        got = lz_quadrature(a, b, digits)
+        want = to_mpf(evaluate_reduced(golden_data.reduced_combination(a, b), digits + 5))
+        got = to_mpf(lz_quadrature(a, b, digits))
         with workdps(digits + 5):
             assert abs(got - want) < _tol(digits - 2), (a, b)
     with pytest.raises(ValueError):
@@ -155,8 +173,8 @@ def test_quadrature_matches_golden_values():
 def test_series_matches_golden_values():
     digits = 30
     for (a, b) in [(2, 1), (1, 1), (3, 3), (5, 2)]:
-        want = evaluate_reduced(golden_data.reduced_combination(a, b), digits + 5)
-        got = lz_series(a, b, digits)
+        want = to_mpf(evaluate_reduced(golden_data.reduced_combination(a, b), digits + 5))
+        got = to_mpf(lz_series(a, b, digits))
         with workdps(digits + 5):
             assert abs(got - want) < _tol(digits - 2), (a, b)
     with pytest.raises(ValueError):
@@ -166,16 +184,16 @@ def test_series_matches_golden_values():
 def test_series_euler_identity():
     # Lz(1,2) summed as S_n^(1)/n^2 collapses onto zeta(3)
     digits = 30
-    got = lz_series(1, 2, digits)
+    got = to_mpf(lz_series(1, 2, digits))
     with workdps(digits + 5):
-        assert abs(got - zeta_value(3, digits)) < _tol(digits)
+        assert abs(got - to_mpf(zeta_value(3, digits))) < _tol(digits)
 
 
 def test_orientation_sums_agree():
     # Lz(a,b) = Lz(b,a), from two different pairs of sums
     digits = 25
     with workdps(digits + 10):
-        assert abs(lz_series(3, 2, digits) - lz_series(2, 3, digits)) < _tol(20)
+        assert abs(to_mpf(lz_series(3, 2, digits)) - to_mpf(lz_series(2, 3, digits))) < _tol(20)
 
 
 def test_orientation_sum_validation():
@@ -202,7 +220,7 @@ def test_series_matches_mpf_oracle_on_every_pair(digits, monkeypatch):
             b = weight - a
             got = lz_series(a, b, carried)
             want, n_max = lz_series_mpf(a, b, carried)
-            assert mp.nstr(got, carried) == mp.nstr(want, carried), (a, b)
+            assert mp.nstr(to_mpf(got), carried) == mp.nstr(want, carried), (a, b)
             assert cuts[-1] == n_max, (a, b)
 
 
@@ -215,7 +233,7 @@ def test_series_budget_error(monkeypatch):
 def test_series_relative_accuracy_on_tiny_value():
     # |Lz(16,16)| ~ 2.4e-31: an absolute 1e-30 check would accept anything
     digits = 30
-    got = lz_series(16, 16, digits)
+    got = to_mpf(lz_series(16, 16, digits))
     with workdps(90):
         want = mp.zero
         for coeff, pi_exp, mono in reduce_even(expand_lz(16, 16)).items():
@@ -285,9 +303,9 @@ def test_quadrature_is_correctly_rounded_on_every_pair(monkeypatch):
         for weight in range(2, 17):
             for a in range(1, weight):
                 tiers.clear()
-                got = lz_quadrature(a, weight - a, digits)
+                got = to_mpf(lz_quadrature(a, weight - a, digits))
                 with workdps(digits):
-                    want = +lz_series(a, weight - a, digits + 25)
+                    want = +to_mpf(lz_series(a, weight - a, digits + 25))
                 assert got == want, (a, weight - a, digits)
                 assert max(tiers) == level, (a, weight - a, digits)
 
@@ -328,10 +346,10 @@ def test_quadrature_budget_error(monkeypatch):
 def test_evaluate_reduced_constant_and_product():
     digits = 30
     with workdps(digits + 5):
-        val = evaluate_reduced(golden_data.reduced_combination(1, 1), digits)
+        val = to_mpf(evaluate_reduced(golden_data.reduced_combination(1, 1), digits))
         assert abs(val + mp.pi**2 / 6) < _tol(digits - 2)
-        prod = evaluate_reduced(golden_data.reduced_combination(6, 2), digits)
-        want = zeta_value(3, digits) * zeta_value(5, digits) - mp.pi**8 / 7560
+        prod = to_mpf(evaluate_reduced(golden_data.reduced_combination(6, 2), digits))
+        want = to_mpf(zeta_value(3, digits)) * to_mpf(zeta_value(5, digits)) - mp.pi**8 / 7560
         assert abs(prod - want) < _tol(digits - 2)
 
 
@@ -341,8 +359,8 @@ def test_verification_report():
     assert report.max_deviation < report.threshold
     assert list(report.values) == ["symbolic", "series", "quadrature"]
     with workdps(40):
-        devs = [abs(x - y) for x, y in combinations(report.values.values(), 2)]
-    assert len(devs) == 3 and max(devs) == report.max_deviation
+        devs = [abs(to_mpf(x) - to_mpf(y)) for x, y in combinations(report.values.values(), 2)]
+    assert len(devs) == 3 and max(devs) == to_mpf(report.max_deviation)
 
 
 def test_verification_report_holds_only_the_routes_run():
@@ -369,8 +387,8 @@ def _zeta_reference(a: int, b: int, digits: int):
 def test_verification_is_relative_under_cancellation(a, b, digits):
     report = verify_expansion(a, b, digits)
     assert report.passed
-    symbolic = report.values["symbolic"]
-    assert mp.nstr(symbolic, digits) == mp.nstr(report.values["series"], digits)
+    symbolic = to_mpf(report.values["symbolic"])
+    assert mp.nstr(symbolic, digits) == mp.nstr(to_mpf(report.values["series"]), digits)
     # the reference sum cancels as the symbolic one does, so it needs 53+ guard digits
     want = _zeta_reference(a, b, digits + 80)
     with workdps(digits + 80):
@@ -409,3 +427,130 @@ def test_verification_rejects_unknown_method():
     # an unknown name must not run quadrature under its own label
     with pytest.raises(ValueError):
         verify_expansion(4, 3, 30, method="serie")
+
+
+# ---------------------------------------------------------------------------
+# the integer pieces that stand in for mpmath, against mpmath
+
+
+def test_constants_match_libmp():
+    # each is the floor of the constant times 2^prec or one less.  libmp's
+    # own may lie one below its floor too, so the floor is taken from 64
+    # bits more
+    for prec in range(1, 1200):
+        assert dps_to_prec(prec) == numerics._prec(prec)
+        for ours, ref in ((numerics._pi_fixed, pi_fixed), (numerics._ln2_fixed, ln2_fixed)):
+            assert 0 <= (ref(prec + 64) >> 64) - ours(prec) <= 1, (prec, ours.__name__)
+
+
+def _exp_floor(x: int, prec: int) -> int:
+    return to_fixed(mpf_exp(from_man_exp(x, -prec), prec + 40, round_floor), prec)
+
+
+def test_exp_within_two_units_on_the_tier_grid(monkeypatch):
+    # low by under 2 units: the floor of e^x 2^prec or one less.  Every
+    # working precision of the tier grid: the step ratio and the re-anchors
+    # of each tier 0..7 up to vmax; at seven of them every argument
+    # _tier_nodes passes, the reduced exponent of each x = e^-2u included
+    for wdps in range(11, 91):
+        vmax = numerics._vmax(wdps)
+        W = numerics._prec(wdps + 5) + 60
+        for tier in range(8):
+            ks = [1] + list(range(64, int(vmax * 2**tier) + 1, 64))
+            for k in ks:
+                x = k << (W - tier)
+                assert 0 <= _exp_floor(x, W) - numerics._exp_fixed(x, W) <= 1, (wdps, tier, k)
+    calls = []
+    real = numerics._exp_fixed
+
+    def recorded(x, prec):
+        calls.append((x, prec))
+        return real(x, prec)
+
+    monkeypatch.setattr(numerics, "_exp_fixed", recorded)
+    for wdps in range(11, 91, 13):
+        for tier in range(8):
+            numerics._tier_nodes(tier, wdps, numerics._vmax(wdps))
+    assert len(calls) > 4000
+    assert all(0 <= _exp_floor(x, W) - real(x, W) <= 1 for x, W in calls)
+
+
+def _as_fraction(x) -> Fraction:
+    sign, man, exp, _ = x._mpf_
+    value = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+    return -value if sign else value
+
+
+def test_nstr_prints_as_mpmath():
+    # random binary floats whose leading digit falls in the fixed and in
+    # both e forms, binary floats just below a power of ten, whose n + 3 digits
+    # carry through ...999 into the next place, and zero, for n = 6..60
+    rng = random.Random(40)
+    for n in range(6, 61):
+        assert numerics.nstr(Fraction(0), n) == mp.nstr(mp.zero, n)
+        for _ in range(40):
+            bits = rng.randint(1, 4 * n)
+            x = Fraction(rng.getrandbits(bits) | 1) * Fraction(2) ** rng.randint(-300, 200)
+            x *= rng.choice((1, -1))
+            assert numerics.nstr(x, n) == mp.nstr(to_mpf(x), n), (x, n)
+        for e in range(-25, 25, 3):
+            for nines in (n - 1, n, n + 1, n + 3):
+                with workdps(n + 5):
+                    y = mp.mpf(10) ** e * (1 - mp.mpf(10) ** -nines)
+                x = _as_fraction(y)
+                assert numerics.nstr(x, n) == mp.nstr(y, n), (x, n)
+
+
+def _verify_strata():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules while the class is built
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return [case for cases in module.VERIFY_STRATA for case in cases]
+
+
+def _assert_mpmath_judges_alike(report, digits):
+    # the same values judged again in mpf: each value's printed digits, the
+    # largest deviation at P+10 digits, mpf(10)**k and the verdict
+    values = {name: to_mpf(v) for name, v in report.values.items()}
+    for name, value in values.items():
+        assert numerics.nstr(report.values[name], digits) == mp.nstr(value, digits)
+    with workdps(digits + 10):
+        dev = max(abs(x - y) for x, y in combinations(values.values(), 2))
+        top = max(abs(x) for x in values.values())
+        threshold = mp.mpf(10) ** (int(mp.floor(mp.log10(top))) - (digits - 5))
+    for ours, theirs in ((report.max_deviation, dev), (report.threshold, threshold)):
+        assert to_mpf(ours) == theirs
+        assert numerics.nstr(ours, digits) == mp.nstr(theirs, digits)
+    assert report.passed == bool(dev < threshold)
+
+
+def test_verify_reports_match_an_mpmath_rejudgement():
+    # every verify the benchmark draws
+    cases = _verify_strata()
+    assert len(cases) == 33
+    for a, b, digits in cases:
+        _assert_mpmath_judges_alike(verify_expansion(a, b, digits), digits)
+
+
+def test_verify_threshold_and_deviation_round_as_mpmath(monkeypatch):
+    # mpf(10)**-k is 10^k rounded to 5 more bits and its reciprocal rounded,
+    # which differs from 10^-k rounded once at some (P, k): values of every
+    # magnitude 2^j through 1e-51 set every k at every P = 6..60.  The
+    # quadrature value, 2^40 times smaller than the others and of the other
+    # sign, spans more bits from them than P+10 digits hold, so each of its
+    # deviations is rounded
+    rng = random.Random(40)
+    values = {}
+    monkeypatch.setattr(numerics, "evaluate_reduced", lambda comb, p: values["symbolic"])
+    monkeypatch.setattr(numerics, "lz_series", lambda a, b, p: values["series"])
+    monkeypatch.setattr(numerics, "lz_quadrature", lambda a, b, p: values["quadrature"])
+    for digits in range(6, 61):
+        bits = numerics._prec(digits + 5)
+        for j in range(-170, 1, 3):
+            one = Fraction(2) ** j
+            tiny = Fraction(rng.getrandbits(bits) | 1 << (bits - 1), 2**bits) * one / 2**40
+            values.update(symbolic=one, series=one + one / 2**bits, quadrature=-tiny)
+            _assert_mpmath_judges_alike(verify_expansion(2, 1, digits), digits)

@@ -10,6 +10,7 @@ from mpmath import mp, workdps
 from oracles import (
     _even_kernel as recurrence_kernel,
     _poly_mul,
+    audit_certificate,
     column_by_convolution,
     composition_profile,
     e_to_xy,
@@ -20,6 +21,7 @@ from oracles import (
     power_sums_e,
     row_coefficients,
     survey_record,
+    to_mpf,
 )
 from zetalog.coefficients import little_c
 from zetalog.exact import RationalMatrix, rref, zeta_even_pi_coeff
@@ -32,7 +34,6 @@ from zetalog.expansion import (
 )
 from zetalog import coefficients, expansion, numerics, solver
 from zetalog.numerics import (
-    audit_certificate,
     evaluate_reduced,
     lz_quadrature,
     lz_series,
@@ -384,11 +385,11 @@ def test_certificate_numeric_substitution():
     digits = 30
     cert = express(mono("z3*z5")).certificate
     with workdps(digits + 10):
-        lhs = zeta_value(3, digits) * zeta_value(5, digits)
+        lhs = to_mpf(zeta_value(3, digits)) * to_mpf(zeta_value(5, digits))
         rhs = mp.zero
         for (a, b), c in cert.lz_terms.items():
-            rhs += mp.mpf(c.numerator) / c.denominator * lz_quadrature(a, b, digits)
-        rhs += evaluate_reduced(cert.known_remainder, digits)
+            rhs += mp.mpf(c.numerator) / c.denominator * to_mpf(lz_quadrature(a, b, digits))
+        rhs += to_mpf(evaluate_reduced(cert.known_remainder, digits))
         assert abs(lhs - rhs) < mp.mpf(10) ** (-(digits - 3))
 
 
@@ -755,8 +756,8 @@ def test_strict_relation_holds_numerically_above_the_cap():
     # at N = 42, past every exact check, through the series route alone
     n, h, digits = 42, 21, 40
     with workdps(digits + 10):
-        lhs = mp.fsum(mu * lz_series(n - b, b, digits) for b, mu in _even_relation(n).items())
-        rhs = (-1) ** (h + 1) * zeta_value(n, digits) / mp.mpf(2) ** (n - 2)
+        lhs = mp.fsum(mu * to_mpf(lz_series(n - b, b, digits)) for b, mu in _even_relation(n).items())
+        rhs = (-1) ** (h + 1) * to_mpf(zeta_value(n, digits)) / mp.mpf(2) ** (n - 2)
         assert abs(lhs - rhs) < abs(rhs) * mp.mpf(10) ** (1 - digits)
 
 
