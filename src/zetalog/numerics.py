@@ -27,13 +27,12 @@ The series route reads log 2, quadrature pi, log 2 and one exponential per
 node (no log), and the symbolic sum pi and zeta_value.  Each result is
 rounded once, half to even, to the binary float of the digits asked for,
 and returned as the exact Fraction of that float: the value mpmath's
-round-to-nearest would give.  verify_expansion judges those values with
-exact integers, rounding each deviation and the threshold as mpmath's
-arithmetic at P+10 digits rounds them, and nstr prints a value as
-mpmath 1.3.0's nstr prints the same float, so the package needs no
-mpmath and imports none.  The two routes share no code of their own:
-the series never evaluates the integrand, quadrature never expands it,
-and each has its own sum, error bound and stopping rule.
+round-to-nearest would give.  verify_expansion judges those values
+exactly: the largest deviation is exact and so is the threshold, a power
+of ten.  nstr prints a Fraction correctly rounded, half to even, so the
+package needs no mpmath and imports none.  The two routes share no code
+of their own: the series never evaluates the integrand, quadrature never
+expands it, and each has its own sum, error bound and stopping rule.
 The layer keeps no state: one verify reads no zeta value and builds no
 quadrature level twice, so every call computes afresh, with no cache.
 """
@@ -477,11 +476,25 @@ class VerificationReport(NamedTuple):
     passed: bool
 
 
+def _place(x: Fraction) -> int:
+    """The place e of the leading digit of x != 0: 10^e <= |x| < 10^(e+1)."""
+    x = abs(x)
+    if not x:
+        raise ValueError("0 has no leading digit")
+    # from log10 of the power of two within a factor 2 of x, then exact steps
+    e = math.floor((x.numerator.bit_length() - x.denominator.bit_length()) * 0.30103)
+    while x >= Fraction(10) ** (e + 1):
+        e += 1
+    while x < Fraction(10) ** e:
+        e -= 1
+    return e
+
+
 def verify_expansion(a: int, b: int, precision: int, method: str = "both") -> VerificationReport:
     """The verify judgement: the symbolic value of Lz(a,b) against the routes
     of method ("both", "series" or "quadrature").
 
-    Values carry P+5 digits relative to |Lz| and are compared at P+10; the
+    Values carry P+5 digits relative to |Lz| and are compared exactly; the
     check passes when the largest pairwise deviation is below 10^(e-(P-5)),
     with 10^e the leading digit's place in the largest value, so P must be
     at least 6 for the threshold to lie below that digit.
@@ -498,56 +511,29 @@ def verify_expansion(a: int, b: int, precision: int, method: str = "both") -> Ve
         # looked up per call, so a rebound module attribute is the one run
         route = lz_series if name == "series" else lz_quadrature
         values[name] = route(a, b, carried)
-    # at P+10 digits, rounded as mpmath rounds them there: each deviation to
-    # those bits, and 10^-k as mpf(10)**-k, whose 10^k is rounded to 5 bits
-    # more and its reciprocal to those bits.  |Lz| < 10, so e <= 0 < k
-    prec = _prec(precision + 10)
-    pairs = combinations(values.values(), 2)
-    max_dev = max(_round(*abs(x - y).as_integer_ratio(), prec) for x, y in pairs)
-    top = max(abs(x) for x in values.values())
-    e = len(str(top.numerator)) - len(str(top.denominator))
-    if top < Fraction(10) ** e:
-        e -= 1
-    inverse = _round(10 ** (precision - 5 - e), 1, prec + 5)
-    threshold = _round(inverse.denominator, inverse.numerator, prec)
+    max_dev = max(abs(x - y) for x, y in combinations(values.values(), 2))
+    threshold = Fraction(10) ** (_place(max(map(abs, values.values()))) - (precision - 5))
     return VerificationReport(values, max_dev, threshold, max_dev < threshold)
 
 
 def nstr(x: Fraction, n: int) -> str:
-    """The binary float x to n >= 1 significant digits, as mpmath 1.3.0's
-    nstr(x, n) prints it, for x = 0 or 2^-3500 < |x| < 2^3500.
+    """x to n >= 1 significant digits, correctly rounded, half to even.
 
     Fixed form while the leading digit's place e has min(-(n//3), -5) < e
     < n, else d.ddde+e or d.ddde-e; trailing zeros stripped down to one
     digit after the point.
     """
+    if n < 1:
+        raise ValueError(f"nstr needs n >= 1 digits, got {n}")
     if not x:
         return "0.0"
     sign = "-" if x < 0 else ""
-    num, den = abs(x.numerator), x.denominator
-    # mpmath's to_digits_exp at n + 3 digits: |x| floored to a binary fixed
-    # point of fixprec bits, and that floored to fixdps decimals
-    bitprec = int((n + 3) * math.log(10, 2)) + 10
-    fixprec = max(bitprec - num.bit_length() + den.bit_length() - 1, 0)
-    fixdps = int(fixprec / math.log(10, 2) + 0.5)
-    digits = str(((num << fixprec) // den) * 10**fixdps >> fixprec)
-    exponent = len(digits) - fixdps - 1
-    # to_str: the first n of those digits, rounded half up on the next one
-    if len(digits) > n and digits[n] in "56789":
-        digits = str(int(digits[:n]) + 1)
-        if len(digits) > n:  # carried through 9...9 into 10...0
-            digits, exponent = digits[:n], exponent + 1
-    else:
-        digits = digits[:n]
+    exponent = _place(x)
+    digits = str(round(abs(x) * Fraction(10) ** (n - 1 - exponent)))
+    if len(digits) > n:  # rounded up through 9...9 into 10...0
+        digits, exponent = digits[:n], exponent + 1
     split = 1
-    if min(-(n // 3), -5) < exponent < n:
-        if exponent < 0:
-            digits = "0" * -exponent + digits
-        else:
-            split = exponent + 1
-            digits = digits.ljust(split, "0")
-        exponent = 0
-    digits = (digits[:split] + "." + digits[split:]).rstrip("0")
-    if digits.endswith("."):
-        digits += "0"
-    return sign + digits + (f"e{exponent:+d}" if exponent else "")
+    if min(-(n // 3), -5) < exponent < n:  # fixed form
+        digits, split, exponent = "0" * -exponent + digits, max(exponent, 0) + 1, 0
+    point = digits[:split] + "." + (digits[split:].rstrip("0") or "0")
+    return sign + point + (f"e{exponent:+d}" if exponent else "")

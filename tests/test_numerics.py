@@ -5,6 +5,7 @@ import math
 import random
 import sys
 from collections import Counter
+from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -475,30 +476,84 @@ def test_exp_within_two_units_on_the_tier_grid(monkeypatch):
     assert all(0 <= _exp_floor(x, W) - real(x, W) <= 1 for x, W in calls)
 
 
+# ---------------------------------------------------------------------------
+# the printer and the verdict, against decimal and exact Fractions
+
+
 def _as_fraction(x) -> Fraction:
     sign, man, exp, _ = x._mpf_
     value = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
     return -value if sign else value
 
 
-def test_nstr_prints_as_mpmath():
+def _decimal(x: Fraction, digits: int) -> Decimal:
+    """x rounded once to digits significant digits, half to even: decimal
+    division is correctly rounded, and a Decimal made from an int is exact."""
+    with localcontext(Context(prec=digits, rounding=ROUND_HALF_EVEN, Emin=-10**6, Emax=10**6)):
+        return Decimal(x.numerator) / Decimal(x.denominator)
+
+
+def _decimal_nstr(x: Fraction, n: int) -> str:
+    # nstr's layout, read off decimal's digits and leading place
+    d = _decimal(x, n)
+    if not d:
+        return "0.0"
+    sign, digits, exp = d.as_tuple()
+    place = d.adjusted()
+    fixed = min(-(n // 3), -5) < place < n
+    text = f"{Decimal((sign, digits, exp if fixed else exp - place)):f}"
+    text = (text if "." in text else text + ".").rstrip("0")
+    text += "0" if text.endswith(".") else ""
+    return text if fixed else f"{text}e{place:+d}"
+
+
+def test_nstr_is_correctly_rounded():
     # random binary floats whose leading digit falls in the fixed and in
-    # both e forms, binary floats just below a power of ten, whose n + 3 digits
+    # both e forms, binary floats just below a power of ten, whose digits
     # carry through ...999 into the next place, and zero, for n = 6..60
     rng = random.Random(40)
     for n in range(6, 61):
-        assert numerics.nstr(Fraction(0), n) == mp.nstr(mp.zero, n)
+        assert numerics.nstr(Fraction(0), n) == "0.0"
         for _ in range(40):
             bits = rng.randint(1, 4 * n)
             x = Fraction(rng.getrandbits(bits) | 1) * Fraction(2) ** rng.randint(-300, 200)
             x *= rng.choice((1, -1))
-            assert numerics.nstr(x, n) == mp.nstr(to_mpf(x), n), (x, n)
+            assert numerics.nstr(x, n) == _decimal_nstr(x, n), (x, n)
         for e in range(-25, 25, 3):
             for nines in (n - 1, n, n + 1, n + 3):
                 with workdps(n + 5):
                     y = mp.mpf(10) ** e * (1 - mp.mpf(10) ** -nines)
                 x = _as_fraction(y)
-                assert numerics.nstr(x, n) == mp.nstr(y, n), (x, n)
+                assert numerics.nstr(x, n) == _decimal_nstr(x, n), (x, n)
+    # q/2^j for odd q and j >= 1 ends its decimal expansion in a 5: an
+    # exact tie at one digit fewer than it has, printed half a unit off x
+    # at the even neighbour
+    assert numerics.nstr(Fraction(40216337, 256), 13) == "157095.0664062"
+    ties = 0
+    for _ in range(300):
+        q, j = rng.getrandbits(rng.randint(1, 120)) | 1, rng.randint(1, 80)
+        x, n = Fraction(q, 2**j), len(str(q * 5**j)) - 1
+        if 1 <= n <= 60:
+            printed = numerics.nstr(x, n)
+            assert printed == _decimal_nstr(x, n), (x, n)
+            place, p = _decimal(x, n + 1).adjusted(), Fraction(Decimal(printed))
+            assert abs(p - x) == Fraction(10) ** (place + 1 - n) / 2, (x, n)
+            assert p * Fraction(10) ** (n - 1 - place) % 2 == 0, (x, n)
+            ties += 1
+    assert ties > 100
+    # far outside any binary float mpmath 1.3.0's nstr was checked on
+    for n in (1, 6, 30):
+        for x in (Fraction(10) ** 4000, -Fraction(1, 10**4000), Fraction(10**4000 - 1, 10**8000)):
+            assert numerics.nstr(x, n) == _decimal_nstr(x, n), (x, n)
+    assert numerics.nstr(Fraction(10) ** 4000, 6) == "1.0e+4000"
+    assert numerics.nstr(-Fraction(1, 10**4000), 6) == "-1.0e-4000"
+
+
+def test_nstr_refuses_fewer_than_one_digit():
+    for n in (0, -2):
+        with pytest.raises(ValueError):
+            numerics.nstr(Fraction(12345, 100), n)
+    assert numerics.nstr(Fraction(12345, 100), 1) == "1.0e+2"
 
 
 def _verify_strata():
@@ -511,46 +566,68 @@ def _verify_strata():
     return [case for cases in module.VERIFY_STRATA for case in cases]
 
 
-def _assert_mpmath_judges_alike(report, digits):
-    # the same values judged again in mpf: each value's printed digits, the
-    # largest deviation at P+10 digits, mpf(10)**k and the verdict
-    values = {name: to_mpf(v) for name, v in report.values.items()}
-    for name, value in values.items():
-        assert numerics.nstr(report.values[name], digits) == mp.nstr(value, digits)
-    with workdps(digits + 10):
-        dev = max(abs(x - y) for x, y in combinations(values.values(), 2))
-        top = max(abs(x) for x in values.values())
-        threshold = mp.mpf(10) ** (int(mp.floor(mp.log10(top))) - (digits - 5))
-    for ours, theirs in ((report.max_deviation, dev), (report.threshold, threshold)):
-        assert to_mpf(ours) == theirs
-        assert numerics.nstr(ours, digits) == mp.nstr(theirs, digits)
-    assert report.passed == bool(dev < threshold)
+def _assert_judged_exactly(report, digits):
+    # the exact rule from the same values: the largest deviation is the
+    # exact max |x - y|, the threshold is 10^(floor(log10 top) - (P-5)) with
+    # the floor read off an exact Decimal of top, the verdict is their
+    # comparison, and every printed value is correctly rounded
+    values = list(report.values.values())
+    dev = max(abs(x - y) for x, y in combinations(values, 2))
+    top = max(abs(x) for x in values)
+    exact = _decimal(top, len(str(top.numerator)) + top.denominator.bit_length())
+    assert Fraction(exact) == top
+    threshold = Fraction(10) ** (exact.adjusted() - (digits - 5))
+    assert report.max_deviation == dev
+    assert report.threshold == threshold
+    assert report.passed == (dev < threshold)
+    for value in [*values, dev, threshold]:
+        assert numerics.nstr(value, digits) == _decimal_nstr(value, digits)
 
 
-def test_verify_reports_match_an_mpmath_rejudgement():
+def test_verify_reports_are_judged_exactly():
     # every verify the benchmark draws
     cases = _verify_strata()
     assert len(cases) == 33
     for a, b, digits in cases:
-        _assert_mpmath_judges_alike(verify_expansion(a, b, digits), digits)
+        _assert_judged_exactly(verify_expansion(a, b, digits), digits)
 
 
-def test_verify_threshold_and_deviation_round_as_mpmath(monkeypatch):
-    # mpf(10)**-k is 10^k rounded to 5 more bits and its reciprocal rounded,
-    # which differs from 10^-k rounded once at some (P, k): values of every
-    # magnitude 2^j through 1e-51 set every k at every P = 6..60.  The
-    # quadrature value, 2^40 times smaller than the others and of the other
-    # sign, spans more bits from them than P+10 digits hold, so each of its
-    # deviations is rounded
-    rng = random.Random(40)
+def _judge_made_up_values(monkeypatch) -> dict:
     values = {}
     monkeypatch.setattr(numerics, "evaluate_reduced", lambda comb, p: values["symbolic"])
     monkeypatch.setattr(numerics, "lz_series", lambda a, b, p: values["series"])
     monkeypatch.setattr(numerics, "lz_quadrature", lambda a, b, p: values["quadrature"])
+    return values
+
+
+def test_verify_judges_made_up_values_exactly(monkeypatch):
+    # values of every magnitude 2^j through 1e-51 set every threshold place
+    # at every P = 6..60.  The quadrature value, 2^40 times smaller than the
+    # others and of the other sign, spans more bits from them than P+10
+    # digits hold, so its deviations are exact only unrounded
+    rng = random.Random(40)
+    values = _judge_made_up_values(monkeypatch)
     for digits in range(6, 61):
         bits = numerics._prec(digits + 5)
         for j in range(-170, 1, 3):
             one = Fraction(2) ** j
             tiny = Fraction(rng.getrandbits(bits) | 1 << (bits - 1), 2**bits) * one / 2**40
             values.update(symbolic=one, series=one + one / 2**bits, quadrature=-tiny)
-            _assert_mpmath_judges_alike(verify_expansion(2, 1, digits), digits)
+            _assert_judged_exactly(verify_expansion(2, 1, digits), digits)
+
+
+def test_verdict_boundary_is_exact(monkeypatch):
+    # a largest deviation of exactly 10^(e-(P-5)) fails, and one unit of
+    # 2^-1024 less, far below any rounding at P+10 digits, passes; a largest
+    # magnitude of exactly 10^e has place e, and one unit less place e-1
+    values = _judge_made_up_values(monkeypatch)
+    unit = Fraction(1, 2**1024)
+    for digits in range(6, 61):
+        for e in (-40, -7, -1, 0):
+            for top, place in ((Fraction(10) ** e, e), (Fraction(10) ** e - unit, e - 1)):
+                threshold = Fraction(10) ** (place - (digits - 5))
+                for dev, passed in ((threshold, False), (threshold - unit, True)):
+                    values.update(symbolic=top, series=top - dev, quadrature=top)
+                    report = verify_expansion(2, 1, digits)
+                    assert (report.max_deviation, report.threshold) == (dev, threshold)
+                    assert report.passed is passed, (digits, e, top, dev)
